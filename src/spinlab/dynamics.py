@@ -54,6 +54,7 @@ class SafeguardError(RuntimeError):
         self.particle = particle
         self.step = step
         self.value = value
+        self.detail = detail
 
 
 def default_a2(beta: float) -> float:

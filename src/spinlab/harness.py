@@ -8,6 +8,12 @@ command with the same config and seed reproduces every CSV byte for byte
 regardless of worker count; the timestamp and wall-clock fields live only
 in the summary.
 
+Each ``run_*`` command is a body inside one frame, ``_command``, which owns
+the clock, the ``RunSummary`` and persistence.  Shared decisions have one
+owner each: ``_params``, ``_disorder``, ``_norm_row``, ``_guarded`` (names
+the draw behind a safeguard failure), ``_TABLES`` (CSV schemas) and
+``_path_file`` (stored-trajectory names, used by store and replay).
+
 Seed derivation schemes (also recorded in each summary):
 
 - disorder entries:    derive_seed(master, "disorder", law_index, N, replica)
@@ -21,6 +27,7 @@ Seed derivation schemes (also recorded in each summary):
 from __future__ import annotations
 
 import datetime as _dt
+import hashlib
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -29,8 +36,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig
+from .config import ConfigError, ExperimentConfig, load_config
 from .disorder import (
+    PowerIterationReport,
     StandardGaussian,
     condition_diagnostics,
     operator_norm_report,
@@ -115,18 +123,15 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+def _write_csv(path: Path, header: str, rows: list[dict]) -> None:
+    keys = header.lower().split(",")
+    lines = [header]
+    lines.extend(",".join(_fmt(row[k]) for k in keys) for row in rows)
     path.write_text("\n".join(lines) + "\n")
 
 
 def _json_default(obj):
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
+    if isinstance(obj, (np.generic, np.ndarray)):
         return obj.tolist()
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
@@ -137,108 +142,145 @@ def _write_json(path: Path, payload: dict) -> None:
     )
 
 
+def _curve_rows(summary: RunSummary) -> list[dict]:
+    # autocorr blocks hold whole curves; the CSV has one row per grid time
+    return [
+        dict(block, t=t, mean=mean, stderr=err)
+        for block in summary.autocorr
+        for t, mean, err in zip(block["t"], block["mean"], block["stderr"])
+    ]
+
+
+def _lindeberg_rows(summary: RunSummary) -> list[dict]:
+    # summary.json keeps these rows as arrays in CSV column order
+    rows = summary.lindeberg["rows"] if summary.lindeberg else []
+    return [dict(zip(_LINDEBERG_HEADER.split(","), row)) for row in rows]
+
+
+_LINDEBERG_HEADER = "kind,instance,seed,kappa,n,value,reference,spread,passed"
+
+# (file, header, rows): each row is a dict keyed by the lower-cased header;
+# a table with no rows writes no file.
+_TABLES = (
+    ("autocorr.csv", "law,N,replica_count,t,mean,stderr", _curve_rows),
+    ("gaps.csv", "law,N,sup_gap,w2_surrogate,noise_floor", lambda s: s.gaps),
+    ("freeze.csv", "kappa,N,msd_mean,msd_stderr,envelope_violations",
+     lambda s: s.freeze),
+    ("norms.csv",
+     "law,N,replica,seed,norm,lower,upper,iterations,restarted,a2_event",
+     lambda s: s.norms),
+    ("lindeberg.csv", _LINDEBERG_HEADER, _lindeberg_rows),
+)
+
+
 def _persist(cfg: ExperimentConfig, summary: RunSummary, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / "config.json", cfg.as_dict())
-    payload = {
-        "command": summary.command,
-        "config_hash": summary.config_hash,
-        "master_seed": summary.master_seed,
-        "wall_clock_seconds": summary.wall_clock_seconds,
-        "timestamp": summary.timestamp,
-        "seed_provenance": summary.seed_provenance,
-        "safeguard_activations": summary.safeguard_activations,
-    }
-    if summary.gaps:
-        payload["gaps"] = summary.gaps
-    if summary.freeze:
-        payload["freeze"] = summary.freeze
-    if summary.phi_medians:
-        payload["phi_medians"] = summary.phi_medians
-    if summary.lindeberg is not None:
-        payload["lindeberg"] = summary.lindeberg
-    if summary.validation:
-        payload["validation"] = summary.validation
+    payload = {key: getattr(summary, key) for key in (
+        "command", "config_hash", "master_seed", "wall_clock_seconds",
+        "timestamp", "seed_provenance", "safeguard_activations")}
+    # result blocks appear only when the command produced them
+    for key in ("gaps", "freeze", "phi_medians", "lindeberg", "validation"):
+        if getattr(summary, key):
+            payload[key] = getattr(summary, key)
     _write_json(out_dir / "summary.json", payload)
-
-    if summary.autocorr:
-        rows = []
-        for block in summary.autocorr:
-            for t, mean, err in zip(block["t"], block["mean"], block["stderr"]):
-                rows.append(
-                    (block["law"], block["n"], block["replica_count"], t, mean, err)
-                )
-        _write_csv(
-            out_dir / "autocorr.csv",
-            ["law", "N", "replica_count", "t", "mean", "stderr"],
-            rows,
-        )
-    if summary.gaps:
-        _write_csv(
-            out_dir / "gaps.csv",
-            ["law", "N", "sup_gap", "w2_surrogate", "noise_floor"],
-            [
-                (g["law"], g["n"], g["sup_gap"], g["w2_surrogate"], g["noise_floor"])
-                for g in summary.gaps
-            ],
-        )
-    if summary.freeze:
-        _write_csv(
-            out_dir / "freeze.csv",
-            ["kappa", "N", "msd_mean", "msd_stderr", "envelope_violations"],
-            [
-                (f["kappa"], f["n"], f["msd_mean"], f["msd_stderr"],
-                 f["envelope_violations"])
-                for f in summary.freeze
-            ],
-        )
-    if summary.norms:
-        _write_csv(
-            out_dir / "norms.csv",
-            ["law", "N", "replica", "seed", "norm", "lower", "upper",
-             "iterations", "restarted", "a2_event"],
-            [
-                (r["law"], r["n"], r["replica"], r["seed"], r["norm"], r["lower"],
-                 r["upper"], r["iterations"], r["restarted"], r["a2_event"])
-                for r in summary.norms
-            ],
-        )
-    if summary.lindeberg is not None:
-        _write_csv(
-            out_dir / "lindeberg.csv",
-            ["kind", "instance", "seed", "kappa", "n", "value", "reference",
-             "spread", "passed"],
-            summary.lindeberg["rows"],
-        )
+    for name, header, rows in _TABLES:
+        rows = rows(summary)
+        if rows:
+            _write_csv(out_dir / name, header, rows)
 
 
-def _new_summary(command: str, cfg: ExperimentConfig, t0: float) -> RunSummary:
-    return RunSummary(
-        command=command,
-        config_hash=cfg.config_hash(),
-        master_seed=cfg.master_seed,
-        wall_clock_seconds=time.perf_counter() - t0,
-        timestamp=_dt.datetime.now(_dt.timezone.utc).isoformat(),
-        output_dir=cfg.output_dir,
-        seed_provenance={"master_seed": cfg.master_seed, "schemes": _SEED_SCHEMES},
-    )
+def _command(name: str):
+    """Frame ``body(cfg, summary, out, threads, store_paths)`` as a command.
+
+    The body fills ``summary`` and may return a NumericalFailure, raised
+    only after persisting, so a failed certificate still leaves its table.
+    """
+    def frame(body):
+        def run(cfg: ExperimentConfig, threads: int = 1, store_paths: bool = False,
+                out_dir: str | Path | None = None) -> RunSummary:
+            t0 = time.perf_counter()
+            out = Path(out_dir) if out_dir is not None else Path(cfg.output_dir)
+            summary = RunSummary(
+                name, cfg.config_hash(), cfg.master_seed, 0.0,
+                _dt.datetime.now(_dt.timezone.utc).isoformat(), cfg.output_dir,
+                {"master_seed": cfg.master_seed, "schemes": _SEED_SCHEMES},
+            )
+            failure = body(cfg, summary, out, threads, store_paths)
+            summary.wall_clock_seconds = time.perf_counter() - t0
+            _persist(cfg, summary, out)
+            if failure is not None:
+                raise failure
+            return summary
+
+        run.__name__ = run.__qualname__ = body.__name__
+        run.__doc__ = body.__doc__
+        return run
+
+    return frame
+
+
+def _path_file(run_dir, label: str, size: int, rep: int, kind: str = "") -> Path:
+    """Stored trajectory: ``{label}_N{n}_rep{r}.npy`` for a full run at N,
+    ``{label}_k{kappa}_rep{r}_{kind}.npy`` for one side of a freeze pair."""
+    axis, suffix = ("k", "_" + kind) if kind else ("N", "")
+    return Path(run_dir) / "paths" / f"{label}_{axis}{size}_rep{rep}{suffix}.npy"
+
+
+def _store_ensembles(out_dir: Path, label: str, size: int, ensembles,
+                     kind: str = "") -> None:
+    (out_dir / "paths").mkdir(parents=True, exist_ok=True)
+    for rep, ens in enumerate(ensembles):
+        np.save(_path_file(out_dir, label, size, rep, kind), ens.values)
+
+
+# ---------------------------------------------------------------------------
+# shared decisions
+
+def _params(cfg: ExperimentConfig, n: int, kappa: int | None = None) -> ModelParams:
+    """Model parameters at size n; the total grid kappa * substeps is fixed."""
+    kappa = cfg.kappa if kappa is None else kappa
+    if cfg.total_steps() % kappa != 0:
+        raise ConfigError(f"kappa_sweep entry {kappa} does not divide the total "
+                          f"grid {cfg.total_steps()} = kappa * substeps")
+    return ModelParams(n, cfg.beta, cfg.s_bound, cfg.horizon, kappa,
+                       cfg.total_steps() // kappa, cfg.master_seed)
+
+
+def _disorder(cfg: ExperimentConfig, law, law_idx: int, n: int, rep: int):
+    """(seed, matrix) of disorder draw ``rep`` for one (law, N)."""
+    seed = derive_seed(cfg.master_seed, "disorder", law_idx, n, rep)
+    return seed, sample_matrix(law, n, seed)
+
+
+def _norm_row(cfg: ExperimentConfig, label: str, n: int, rep: int, seed: int,
+              report: PowerIterationReport) -> dict:
+    return {
+        "law": label, "n": n, "replica": rep, "seed": seed, "norm": report.value,
+        "lower": report.lower, "upper": report.upper,
+        "iterations": report.iterations, "restarted": report.restarted,
+        "a2_event": report.upper <= cfg.a2,
+    }
+
+
+def _guarded(simulate, label: str, n: int, rep: int, /, *args, **kwargs):
+    """Call a ``simulate_*`` function; a safeguard failure names its draw."""
+    try:
+        return simulate(*args, **kwargs)
+    except SafeguardError as err:
+        detail = f"{err.detail} [law={label}, N={n}, replica={rep}]"
+        raise SafeguardError(err.particle, err.step, err.value, detail) from err
 
 
 # ---------------------------------------------------------------------------
 # scheduling
 
-def _run_slots(tasks, threads: int) -> list:
-    """Run callables on a worker pool; results land in submit-order slots."""
-    if threads <= 1 or len(tasks) <= 1:
-        return [task() for task in tasks]
+def _run_slots(task, count: int, threads: int) -> list:
+    """Run task(0), ..., task(count - 1) on a worker pool, results in order."""
+    if threads <= 1 or count <= 1:
+        return [task(i) for i in range(count)]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(task) for task in tasks]
-        return [f.result() for f in futures]
-
-
-def _with_context(err: SafeguardError, label: str, n: int, replica: int):
-    detail = f"{err.detail} [law={label}, N={n}, replica={replica}]"
-    return SafeguardError(err.particle, err.step, err.value, detail)
+        return list(pool.map(task, range(count)))
 
 
 def _reference_index(laws) -> int:
@@ -251,73 +293,48 @@ def _reference_index(laws) -> int:
 # ---------------------------------------------------------------------------
 # simulation blocks
 
-def _curve_block(
-    cfg: ExperimentConfig,
-    params: ModelParams,
-    law,
-    law_idx: int,
-    label: str,
-    threads: int,
-    samples: int,
-    keep_ensembles: bool,
-):
+def _curve_block(cfg: ExperimentConfig, summary: RunSummary, params: ModelParams,
+                 law, law_idx: int, label: str, threads: int, samples: int,
+                 store: Path | None):
     """Thermal-averaged autocorrelation per disorder draw for one (law, N).
 
-    Returns (curves[replicas, G+1], ensembles or None, norm rows,
-    safeguard activation count).  Ensembles are the sample-0 full runs,
-    used for marginal pooling and optional path storage.
+    Returns (autocorr block, curves[replicas, G+1], ensembles, norm rows)
+    and adds the safeguard activations to ``summary``.  Ensembles are the
+    sample-0 full runs, used for marginal pooling and saved under
+    ``store`` when the run keeps paths.
     """
     potential = cfg.potential_obj()
     initial = cfg.initial_obj()
     n = params.n_particles
 
     def one(rep: int):
-        seed = derive_seed(cfg.master_seed, "disorder", law_idx, n, rep)
-        mat = sample_matrix(law, n, seed)
+        seed, mat = _disorder(cfg, law, law_idx, n, rep)
         report = operator_norm_report(mat, beta=cfg.beta)
         curve = np.zeros(params.n_steps + 1)
         kept = None
         activations = 0
         for s in range(samples):
-            try:
-                ens = simulate_full(
-                    params, potential, mat, initial,
-                    replica=rep * samples + s,
-                )
-            except SafeguardError as err:
-                raise _with_context(err, label, n, rep) from err
+            ens = _guarded(simulate_full, label, n, rep, params, potential, mat,
+                           initial, replica=rep * samples + s)
             curve += autocorrelation(ens)
             activations += ens.safeguard_activations
-            if s == 0 and keep_ensembles:
+            if s == 0:
                 kept = ens
-        norm_row = {
-            "law": label,
-            "n": n,
-            "replica": rep,
-            "seed": seed,
-            "norm": report.value,
-            "lower": report.lower,
-            "upper": report.upper,
-            "iterations": report.iterations,
-            "restarted": report.restarted,
-            "a2_event": report.upper <= cfg.a2,
-        }
-        return curve / samples, kept, norm_row, activations
+        row = _norm_row(cfg, label, n, rep, seed, report)
+        return curve / samples, kept, row, activations
 
-    results = _run_slots([lambda rep=rep: one(rep) for rep in range(cfg.replicas)],
-                         threads)
+    results = _run_slots(one, cfg.replicas, threads)
     curves = np.stack([r[0] for r in results])
-    ensembles = [r[1] for r in results] if keep_ensembles else None
-    norm_rows = [r[2] for r in results]
-    activations = sum(r[3] for r in results)
-    return curves, ensembles, norm_rows, activations
-
-
-def _store_ensembles(out_dir: Path, label: str, n: int, ensembles) -> None:
-    paths_dir = out_dir / "paths"
-    paths_dir.mkdir(parents=True, exist_ok=True)
-    for rep, ens in enumerate(ensembles):
-        np.save(paths_dir / f"{label}_N{n}_rep{rep}.npy", ens.values)
+    ensembles = [r[1] for r in results]
+    summary.safeguard_activations += sum(r[3] for r in results)
+    if store is not None:
+        _store_ensembles(store, label, n, ensembles)
+    block = {
+        "law": label, "n": n, "replica_count": cfg.replicas,
+        "t": grid_times(params), "mean": curves.mean(axis=0),
+        "stderr": curves.std(axis=0, ddof=1) / np.sqrt(cfg.replicas),
+    }
+    return block, curves, ensembles, [r[2] for r in results]
 
 
 def _bootstrap_gap(diff: np.ndarray, resamples: int, seed: int):
@@ -349,14 +366,9 @@ def _phi_median(cfg: ExperimentConfig, params: ModelParams, law, law_idx: int,
     n = params.n_particles
     phis = []
     for rep in range(cfg.phi_replicas):
-        seed = derive_seed(cfg.master_seed, "disorder", law_idx, n, rep)
-        mat = sample_matrix(law, n, seed)
-        try:
-            frozen = simulate_frozen(
-                params, potential, mat, initial, replica=rep * samples,
-            )
-        except SafeguardError as err:
-            raise _with_context(err, label, n, rep) from err
+        _, mat = _disorder(cfg, law, law_idx, n, rep)
+        frozen = _guarded(simulate_frozen, label, n, rep,
+                          params, potential, mat, initial, replica=rep * samples)
         phis.append(girsanov_stats(frozen, mat, params, potential, c1=cfg.c1).phi)
     return float(np.median(phis))
 
@@ -364,12 +376,8 @@ def _phi_median(cfg: ExperimentConfig, params: ModelParams, law, law_idx: int,
 # ---------------------------------------------------------------------------
 # commands
 
-def run_universality(
-    cfg: ExperimentConfig,
-    threads: int = 1,
-    store_paths: bool = False,
-    out_dir: str | Path | None = None,
-) -> RunSummary:
+@_command("universality")
+def run_universality(cfg, summary, out, threads, store_paths):
     """Disorder-universality sweep over the configured laws and sizes.
 
     For each law and each N: draws ``replicas`` matrices, integrates the
@@ -380,43 +388,28 @@ def run_universality(
     standard error and noise floor, plus a pooled marginal transport
     surrogate.
     """
-    t0 = time.perf_counter()
     laws = cfg.law_objs()
     labels = cfg.law_labels()
     if len(laws) < 2:
         raise ConfigError("universality needs at least two laws")
     ref_idx = _reference_index(laws)
     samples = cfg.thermal_samples
-    out = Path(out_dir) if out_dir is not None else Path(cfg.output_dir)
-
-    summary = _new_summary("universality", cfg, t0)
-    curves_by_law: dict[int, dict] = {idx: {} for idx in range(len(laws))}
+    order = [ref_idx] + [i for i in range(len(laws)) if i != ref_idx]
+    store = out if store_paths else None
+    per_law = [[] for _ in laws]  # (autocorr block, norm rows) in n_sweep order
     gap_rows = []
 
     for n in cfg.n_sweep:
-        params = ModelParams(
-            n, cfg.beta, cfg.s_bound, cfg.horizon, cfg.kappa, cfg.substeps,
-            cfg.master_seed,
-        )
-        times = grid_times(params)
-        order = [ref_idx] + [i for i in range(len(laws)) if i != ref_idx]
-        ref_ensembles = None
-        block_results = {}
+        params = _params(cfg, n)
         for idx in order:
-            curves, ensembles, norm_rows, acts = _curve_block(
-                cfg, params, laws[idx], idx, labels[idx], threads, samples,
-                keep_ensembles=True,
-            )
-            summary.safeguard_activations += acts
-            block_results[idx] = (curves, norm_rows)
-            if store_paths:
-                _store_ensembles(out, labels[idx], n, ensembles)
+            block, curves, ensembles, norm_rows = _curve_block(
+                cfg, summary, params, laws[idx], idx, labels[idx], threads,
+                samples, store)
             if idx == ref_idx:
-                ref_ensembles = ensembles
+                ref_curves, ref_ensembles = curves, ensembles
             else:
-                diff = curves - block_results[ref_idx][0]
                 gap, stderr, floor = _bootstrap_gap(
-                    diff, cfg.bootstrap_resamples,
+                    curves - ref_curves, cfg.bootstrap_resamples,
                     derive_seed(cfg.master_seed, "bootstrap", idx, n),
                 )
                 w2 = marginal_w2_distance(ensembles, ref_ensembles)
@@ -425,8 +418,8 @@ def run_universality(
                     "sup_gap_stderr": stderr, "w2_surrogate": w2,
                     "noise_floor": floor,
                 })
-            curves_by_law[idx][n] = (curves, norm_rows)
-        del ref_ensembles, block_results
+            per_law[idx].append((block, norm_rows))
+        del ensembles, ref_ensembles
 
         for idx in range(len(laws)):
             summary.phi_medians.append({
@@ -435,32 +428,15 @@ def run_universality(
                                           labels[idx], samples),
             })
 
-    for idx in range(len(laws)):
-        for n in cfg.n_sweep:
-            curves, norm_rows = curves_by_law[idx][n]
-            params = ModelParams(
-                n, cfg.beta, cfg.s_bound, cfg.horizon, cfg.kappa, cfg.substeps,
-                cfg.master_seed,
-            )
-            summary.autocorr.append({
-                "law": labels[idx], "n": n, "replica_count": cfg.replicas,
-                "t": grid_times(params), "mean": curves.mean(axis=0),
-                "stderr": curves.std(axis=0, ddof=1) / np.sqrt(cfg.replicas),
-            })
+    for blocks in per_law:
+        for block, norm_rows in blocks:
+            summary.autocorr.append(block)
             summary.norms.extend(norm_rows)
     summary.gaps = sorted(gap_rows, key=lambda g: (labels.index(g["law"]), g["n"]))
 
-    summary.wall_clock_seconds = time.perf_counter() - t0
-    _persist(cfg, summary, out)
-    return summary
 
-
-def run_freeze_sweep(
-    cfg: ExperimentConfig,
-    threads: int = 1,
-    store_paths: bool = False,
-    out_dir: str | Path | None = None,
-) -> RunSummary:
+@_command("freeze-sweep")
+def run_freeze_sweep(cfg, summary, out, threads, store_paths):
     """Coupling error of the piecewise-frozen scheme across kappa values.
 
     The total grid is held fixed at kappa * substeps from the base config,
@@ -470,61 +446,32 @@ def run_freeze_sweep(
     held, and only while the frozen path stays near its sub-interval
     anchors).
     """
-    t0 = time.perf_counter()
-    laws = cfg.law_objs()
-    labels = cfg.law_labels()
-    law, law_idx, label = laws[0], 0, labels[0]
+    law, label = cfg.law_objs()[0], cfg.law_labels()[0]
     potential = cfg.potential_obj()
     initial = cfg.initial_obj()
-    total = cfg.total_steps()
     n = cfg.n_particles
     c_dd = max_negative_curvature(potential)
-    out = Path(out_dir) if out_dir is not None else Path(cfg.output_dir)
+    # every kappa is checked against the total grid before any work starts
+    sweep = [_params(cfg, n, kappa) for kappa in cfg.kappa_sweep]
 
-    for kappa in cfg.kappa_sweep:
-        if total % kappa != 0:
-            raise ConfigError(
-                f"kappa_sweep entry {kappa} does not divide the total grid "
-                f"{total} = kappa * substeps"
-            )
-
-    summary = _new_summary("freeze-sweep", cfg, t0)
-
-    for kappa in cfg.kappa_sweep:
-        params = ModelParams(
-            n, cfg.beta, cfg.s_bound, cfg.horizon, kappa, total // kappa,
-            cfg.master_seed,
-        )
+    for params in sweep:
+        kappa = params.kappa
         times = grid_times(params)
 
-        def one(rep: int, params=params, times=times, kappa=kappa):
-            seed = derive_seed(cfg.master_seed, "disorder", law_idx, n, rep)
-            mat = sample_matrix(law, n, seed)
+        def one(rep: int, params=params, times=times):
+            seed, mat = _disorder(cfg, law, 0, n, rep)
             report = operator_norm_report(mat, beta=cfg.beta)
-            try:
-                full, frozen, stats = simulate_coupled(
-                    params, potential, mat, initial, replica=rep,
-                )
-            except SafeguardError as err:
-                raise _with_context(err, label, n, rep) from err
-            a2_event = report.upper <= cfg.a2
-            violated = a2_event and envelope_violated(
-                stats, times, cfg.a2, c_dd, cfg.rho, n,
-            )
+            full, frozen, stats = _guarded(simulate_coupled, label, n, rep, params,
+                                           potential, mat, initial, replica=rep)
+            norm_row = _norm_row(cfg, label, n, rep, seed, report)
+            violated = norm_row["a2_event"] and envelope_violated(
+                stats, times, cfg.a2, c_dd, cfg.rho, n)
             acts = full.safeguard_activations + frozen.safeguard_activations
-            norm_row = {
-                "law": label, "n": n, "replica": rep, "seed": seed,
-                "norm": report.value, "lower": report.lower,
-                "upper": report.upper, "iterations": report.iterations,
-                "restarted": report.restarted, "a2_event": a2_event,
-            }
+            # keeping every pair costs memory, so only when they are stored
             kept = (full, frozen) if store_paths else None
             return stats.msd, violated, norm_row, acts, kept
 
-        results = _run_slots(
-            [lambda rep=rep: one(rep) for rep in range(cfg.freeze_replicas)],
-            threads,
-        )
+        results = _run_slots(one, cfg.freeze_replicas, threads)
         msds = np.array([r[0] for r in results])
         violations = sum(1 for r in results if r[1])
         summary.freeze.append({
@@ -536,57 +483,35 @@ def run_freeze_sweep(
         summary.norms.extend(r[2] for r in results)
         summary.safeguard_activations += sum(r[3] for r in results)
         if store_paths:
-            paths_dir = out / "paths"
-            paths_dir.mkdir(parents=True, exist_ok=True)
-            for rep, r in enumerate(results):
-                full, frozen = r[4]
-                np.save(paths_dir / f"{label}_k{kappa}_rep{rep}_full.npy",
-                        full.values)
-                np.save(paths_dir / f"{label}_k{kappa}_rep{rep}_frozen.npy",
-                        frozen.values)
-
-    summary.wall_clock_seconds = time.perf_counter() - t0
-    _persist(cfg, summary, out)
-    return summary
+            for side, kind in enumerate(("full", "frozen")):
+                _store_ensembles(out, label, kappa,
+                                 [r[4][side] for r in results], kind)
 
 
-def run_validation(
-    cfg: ExperimentConfig,
-    threads: int = 1,
-    store_paths: bool = False,
-    out_dir: str | Path | None = None,
-) -> RunSummary:
+@_command("validate")
+def run_validation(cfg, summary, out, threads, store_paths):
     """Moment checks, growth diagnostics, and norm sampling per law.
 
     Emits one table row per check: PASS/FAIL for conditions with a sharp
     verdict (moments, finite exponential moment, norm concentration) and
     TREND for quantities the theory only tracks asymptotically.
     """
-    t0 = time.perf_counter()
-    laws = cfg.law_objs()
-    labels = cfg.law_labels()
-    out = Path(out_dir) if out_dir is not None else Path(cfg.output_dir)
-    summary = _new_summary("validate", cfg, t0)
-
-    for idx, (law, label) in enumerate(zip(laws, labels)):
+    for idx, (law, label) in enumerate(zip(cfg.law_objs(), cfg.law_labels())):
         report = validate_law(
             law, seed=derive_seed(cfg.master_seed, "law-validate", idx),
         )
         def _verdict(word):
             return "FAIL" if any(word in f for f in report.failures) else "PASS"
 
-        rows = [
-            {"law": label, "check": "mean-zero",
-             "status": _verdict("mean"), "value": report.mean},
-            {"law": label, "check": "unit-variance",
-             "status": _verdict("variance"), "value": report.variance},
-            {"law": label, "check": "finite-exponential-moment",
-             "status": "PASS" if report.exp_moment_finite else "FAIL",
-             "value": None},
-            {"law": label, "check": "third-abs-moment",
-             "status": "INFO", "value": report.third_abs_moment},
-        ]
-        diag = None
+        def check(name, status, value=None):
+            summary.validation.append(
+                {"law": label, "check": name, "status": status, "value": value})
+
+        check("mean-zero", _verdict("mean"), report.mean)
+        check("unit-variance", _verdict("variance"), report.variance)
+        check("finite-exponential-moment",
+              "PASS" if report.exp_moment_finite else "FAIL")
+        check("third-abs-moment", "INFO", report.third_abs_moment)
         if report.passed:
             seeds = tuple(
                 derive_seed(cfg.master_seed, "norm-sample", idx, k)
@@ -597,57 +522,29 @@ def run_validation(
             )
             # diagnostics sample at beta = 1, so these are N^{-1/2} ||J||
             raw = np.asarray(diag.norm_samples)
-            rows.append({
-                "law": label, "check": "norm-concentration",
-                "status": "PASS" if np.all((raw >= 1.8) & (raw <= 2.3))
-                else "FAIL",
-                "value": float(raw.max()),
-            })
-            rows.append({
-                "law": label, "check": "mgf-bounded",
-                "status": "TREND", "value": diag.mgf_sup,
-            })
-            rows.append({
-                "law": label, "check": "third-moment-scaling",
-                "status": "TREND", "value": diag.third_moment_scaled,
-            })
+            check("norm-concentration",
+                  "PASS" if np.all((raw >= 1.8) & (raw <= 2.3)) else "FAIL",
+                  float(raw.max()))
+            check("mgf-bounded", "TREND", diag.mgf_sup)
+            check("third-moment-scaling", "TREND", diag.third_moment_scaled)
             for k, (seed, value) in enumerate(zip(seeds, diag.norm_samples)):
                 scaled = cfg.beta * value
-                summary.norms.append({
-                    "law": label, "n": cfg.n_particles, "replica": k,
-                    "seed": seed, "norm": scaled, "lower": scaled,
-                    "upper": scaled, "iterations": 0, "restarted": False,
-                    "a2_event": scaled <= cfg.a2,
-                })
+                exact = PowerIterationReport(scaled, scaled, scaled, residual=0.0,
+                                             iterations=0, restarted=False)
+                summary.norms.append(
+                    _norm_row(cfg, label, cfg.n_particles, k, seed, exact))
         else:
-            rows.append({
-                "law": label, "check": "norm-concentration",
-                "status": "SKIPPED (law failed moment checks)", "value": None,
-            })
+            check("norm-concentration", "SKIPPED (law failed moment checks)")
         for note in report.notes:
-            rows.append({"law": label, "check": "note", "status": "INFO",
-                         "value": note})
-        summary.validation.extend(rows)
-
-    summary.wall_clock_seconds = time.perf_counter() - t0
-    _persist(cfg, summary, out)
-    return summary
+            check("note", "INFO", note)
 
 
-def run_lindeberg_suite(
-    cfg: ExperimentConfig,
-    threads: int = 1,
-    store_paths: bool = False,
-    out_dir: str | Path | None = None,
-) -> RunSummary:
+@_command("lindeberg")
+def run_lindeberg_suite(cfg, summary, out, threads, store_paths):
     """Certificate suite plus Gaussian-identity Monte Carlo cross-checks.
 
     Any instance whose exact two-route difference exceeds its bound beyond
     tolerance fails the whole suite, naming the instance seed."""
-    t0 = time.perf_counter()
-    out = Path(out_dir) if out_dir is not None else Path(cfg.output_dir)
-    summary = _new_summary("lindeberg", cfg, t0)
-
     cert = certificate_suite(
         n_instances=cfg.lindeberg_instances, master_seed=cfg.master_seed,
         beta=cfg.beta, horizon=cfg.horizon, s_bound=cfg.s_bound,
@@ -658,16 +555,11 @@ def run_lindeberg_suite(
         beta=cfg.beta, horizon=cfg.horizon, s_bound=cfg.s_bound,
     )
 
-    rows = []
-    worst_ratio = 0.0
-    for r in cert:
-        rows.append(("certificate", r.index, r.seed, r.kappa, r.n,
-                     r.abs_diff, r.bound, r.slack, r.passed))
-        if r.bound > 0:
-            worst_ratio = max(worst_ratio, r.abs_diff / r.bound)
-    for r in mc:
-        rows.append(("gaussian-mc", r.index, r.seed, r.kappa, r.n,
-                     r.exact, r.mc_estimate, r.mc_stderr, r.passed))
+    rows = [("certificate", r.index, r.seed, r.kappa, r.n,
+             r.abs_diff, r.bound, r.slack, r.passed) for r in cert]
+    rows += [("gaussian-mc", r.index, r.seed, r.kappa, r.n,
+              r.exact, r.mc_estimate, r.mc_stderr, r.passed) for r in mc]
+    worst_ratio = max([0.0] + [r.abs_diff / r.bound for r in cert if r.bound > 0])
 
     summary.lindeberg = {
         "rows": rows,
@@ -677,66 +569,41 @@ def run_lindeberg_suite(
         "gaussian_mc_total": len(mc),
         "worst_slack_ratio": worst_ratio,
     }
-    summary.wall_clock_seconds = time.perf_counter() - t0
-    _persist(cfg, summary, out)
 
     bad = next((r for r in cert if not r.passed), None)
     if bad is not None:
-        raise NumericalFailure(
+        return NumericalFailure(
             f"comparison certificate violated on instance {bad.index} "
             f"(seed {bad.seed}): |diff| {bad.abs_diff!r} vs bound {bad.bound!r}"
         )
     bad = next((r for r in mc if not r.passed), None)
     if bad is not None:
-        raise NumericalFailure(
+        return NumericalFailure(
             f"gaussian identity cross-check failed on instance {bad.index} "
             f"(seed {bad.seed}): z = {bad.z_score!r}"
         )
-    return summary
+    return None
 
 
-def run_simulate(
-    cfg: ExperimentConfig,
-    threads: int = 1,
-    store_paths: bool = False,
-    out_dir: str | Path | None = None,
-) -> RunSummary:
+@_command("simulate")
+def run_simulate(cfg, summary, out, threads, store_paths):
     """Plain ensemble runs at the configured size, one row block per law.
 
     Each replica is a single full-dynamics run (no thermal averaging);
     Brownian streams are shared across laws replica-by-replica.
     """
-    t0 = time.perf_counter()
-    laws = cfg.law_objs()
-    labels = cfg.law_labels()
-    out = Path(out_dir) if out_dir is not None else Path(cfg.output_dir)
-    params = ModelParams(
-        cfg.n_particles, cfg.beta, cfg.s_bound, cfg.horizon, cfg.kappa,
-        cfg.substeps, cfg.master_seed,
-    )
-    summary = _new_summary("simulate", cfg, t0)
+    params = _params(cfg, cfg.n_particles)
     summary.seed_provenance["schemes"] = dict(
         _SEED_SCHEMES, brownian="stream replica index = replica (single sample)",
     )
 
-    for idx, (law, label) in enumerate(zip(laws, labels)):
-        curves, ensembles, norm_rows, acts = _curve_block(
-            cfg, params, law, idx, label, threads, samples=1,
-            keep_ensembles=True,
+    for idx, (law, label) in enumerate(zip(cfg.law_objs(), cfg.law_labels())):
+        block, _, _, norm_rows = _curve_block(
+            cfg, summary, params, law, idx, label, threads, samples=1,
+            store=out if store_paths else None,
         )
-        summary.safeguard_activations += acts
-        summary.autocorr.append({
-            "law": label, "n": cfg.n_particles, "replica_count": cfg.replicas,
-            "t": grid_times(params), "mean": curves.mean(axis=0),
-            "stderr": curves.std(axis=0, ddof=1) / np.sqrt(cfg.replicas),
-        })
+        summary.autocorr.append(block)
         summary.norms.extend(norm_rows)
-        if store_paths:
-            _store_ensembles(out, label, cfg.n_particles, ensembles)
-
-    summary.wall_clock_seconds = time.perf_counter() - t0
-    _persist(cfg, summary, out)
-    return summary
 
 
 def replay(
@@ -761,7 +628,6 @@ def replay(
         stored_summary = json.loads((run_dir / "summary.json").read_text())
     except OSError as exc:
         raise ConfigError(f"cannot read run directory {run_dir}: {exc}") from exc
-    from .config import load_config
 
     cfg = load_config(overrides=stored_cfg)
     if cfg.config_hash() != stored_summary.get("config_hash"):
@@ -775,27 +641,19 @@ def replay(
         raise ConfigError(f"law {law!r} not in this run (has {labels})")
     idx = labels.index(law)
     n = cfg.n_particles if n is None else n
-    if not 0 <= replica < max(cfg.replicas, cfg.freeze_replicas):
-        raise ConfigError(f"replica {replica} out of range")
-    if stored_summary.get("command") == "simulate":
-        samples = 1
-    else:
-        samples = cfg.thermal_samples
+    command = stored_summary.get("command")
+    replicas = cfg.freeze_replicas if command == "freeze-sweep" else cfg.replicas
+    if not 0 <= replica < replicas:
+        raise ConfigError(
+            f"replica {replica} out of range ({command} drew {replicas})")
+    samples = 1 if command == "simulate" else cfg.thermal_samples
     if not 0 <= sample < samples:
         raise ConfigError(f"sample {sample} out of range (run kept {samples})")
 
-    params = ModelParams(
-        n, cfg.beta, cfg.s_bound, cfg.horizon, cfg.kappa, cfg.substeps,
-        cfg.master_seed,
-    )
-    seed = derive_seed(cfg.master_seed, "disorder", idx, n, replica)
-    mat = sample_matrix(cfg.law_objs()[idx], n, seed)
-    ens = simulate_full(
-        params, cfg.potential_obj(), mat, cfg.initial_obj(),
-        replica=replica * samples + sample,
-    )
-
-    import hashlib
+    seed, mat = _disorder(cfg, cfg.law_objs()[idx], idx, n, replica)
+    ens = _guarded(simulate_full, law, n, replica,
+                   _params(cfg, n), cfg.potential_obj(), mat, cfg.initial_obj(),
+                   replica=replica * samples + sample)
 
     fingerprint = hashlib.sha256(np.ascontiguousarray(ens.values).tobytes())
     result = {
@@ -808,7 +666,7 @@ def replay(
             raise ConfigError(f"particle {particle} out of range for N={n}")
         result["particle_values"] = ens.values[particle]
 
-    stored = run_dir / "paths" / f"{law}_N{n}_rep{replica}.npy"
+    stored = _path_file(run_dir, law, n, replica)
     if sample == 0 and stored.exists():
         reference = np.load(stored)
         result["stored_path"] = str(stored)

@@ -1,13 +1,16 @@
 """Harness contracts: persistence layout, determinism, replay, CLI exits."""
 
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
 
-from spinlab.cli import main
+from spinlab import harness
+from spinlab.cli import _COMMANDS, main
 from spinlab.config import ConfigError, load_config
+from spinlab.dynamics import SafeguardError
 from spinlab.harness import (
     NumericalFailure,
     replay,
@@ -122,6 +125,49 @@ def test_seed_changes_outputs(tmp_path):
     run_simulate(_small(master_seed=8), out_dir=tmp_path / "c")
     assert (tmp_path / "a" / "autocorr.csv").read_bytes() != \
         (tmp_path / "c" / "autocorr.csv").read_bytes()
+
+
+_GOLDEN = {
+    "universality": {
+        "autocorr.csv": "cae441abdd42e17546d6986f9ea156c5b459743b0ad98b25f3821891f8055c3f",
+        "gaps.csv": "780e08644700514840ea87ab1484d76143d2624c754e3cc508140badb53a1d5a",
+        "norms.csv": "ca523ca94a45840027daaaa90c3a83b973f538c54f402ef48e47a7d9ff3317ff",
+        "paths/": "c62e7e85788ef5f1a4830cf609376406fc14491144962a2020c2b8ff07e7bd4b",
+    },
+    "freeze-sweep": {
+        "freeze.csv": "f2f867a98b4334547d499794e7b4c70faeec51cb3c360fdc3f91c0df246e1da9",
+        "norms.csv": "03ae99a04944fa93d03f4e4387aab9e20668cf24ada8590bab05f8b69ce194ba",
+        "paths/": "53efd5fb983d0c6dc8604e36720dea91893d1f10b7ca22fcff97209b4ab2687a",
+    },
+    "validate": {
+        "norms.csv": "20c3d607e3fc86cf40b9016dff0bbd929eacffda4cd214903f2b771e33cfd3bd",
+    },
+    "lindeberg": {
+        "lindeberg.csv": "c795afb725cdfadd3d2e2a17c9c5cac1c961ccf3c37715a374db6f755caf8860",
+    },
+    "simulate": {
+        "autocorr.csv": "311f715d7de6dc0a6b19a477ff689eaf973f5629c0e807521f8e4e6b0248a410",
+        "norms.csv": "f89ded9d2b116b4232ba531cb6e3e70abdc0d1b53e2a29f191ae27251389a3d2",
+        "paths/": "417ea715cdcde82da33be762fe376647bac85f99364bb96dbbd7c1c8aa29b15c",
+    },
+}
+
+
+@pytest.mark.parametrize("command", sorted(_GOLDEN))
+def test_outputs_match_golden_digests(tmp_path, command):
+    """Every CSV, and the sorted stored-path names, hash to recorded bytes.
+
+    The digests pin the output of ``_small()`` with ``store_paths=True``.
+    A change that alters output bytes on purpose re-records them and says
+    so in CHANGES.md; any other change must leave them untouched.
+    """
+    _COMMANDS[command](_small(), store_paths=True, out_dir=tmp_path)
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in sorted(tmp_path.glob("*.csv"))}
+    names = sorted(p.name for p in tmp_path.glob("paths/*"))
+    if names:
+        digests["paths/"] = hashlib.sha256("\n".join(names).encode()).hexdigest()
+    assert digests == _GOLDEN[command]
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +295,43 @@ def test_replay_missing_directory(tmp_path):
         replay(tmp_path / "nope", "gaussian", replica=0)
 
 
+def test_replay_universality_path_at_swept_size(tmp_path):
+    # a repeated law (gaussian@2) at an n_sweep size other than n_particles,
+    # with two thermal samples so stored sample 0 sits at replica * 2
+    cfg = _small(laws=["gaussian", "rademacher", "gaussian"],
+                 thermal_samples=2)
+    run_universality(cfg, store_paths=True, out_dir=tmp_path)
+    assert cfg.n_sweep[0] != cfg.n_particles
+    result = replay(tmp_path, "gaussian@2", replica=2, n=cfg.n_sweep[0])
+    assert result["stored_path"].endswith("paths/gaussian@2_N4_rep2.npy")
+    assert result["matches_stored"] is True
+
+
+def test_freeze_sweep_stored_path_names(tmp_path):
+    cfg = _small()
+    run_freeze_sweep(cfg, store_paths=True, out_dir=tmp_path)
+    names = {p.name for p in (tmp_path / "paths").iterdir()}
+    assert len(names) == 2 * len(cfg.kappa_sweep) * cfg.freeze_replicas
+    assert names == {
+        f"gaussian_k{kappa}_rep{rep}_{kind}.npy"
+        for kappa in cfg.kappa_sweep
+        for rep in range(cfg.freeze_replicas)
+        for kind in ("full", "frozen")
+    }
+
+
+def test_replay_replica_bound_follows_the_command(tmp_path):
+    cfg = _small(freeze_replicas=5)
+    run_universality(cfg, out_dir=tmp_path / "uni")
+    replay(tmp_path / "uni", "gaussian", replica=cfg.replicas - 1)
+    with pytest.raises(ConfigError, match="out of range"):
+        replay(tmp_path / "uni", "gaussian", replica=cfg.replicas)
+    run_freeze_sweep(cfg, out_dir=tmp_path / "freeze")
+    replay(tmp_path / "freeze", "gaussian", replica=cfg.freeze_replicas - 1)
+    with pytest.raises(ConfigError, match="out of range"):
+        replay(tmp_path / "freeze", "gaussian", replica=cfg.freeze_replicas)
+
+
 # ---------------------------------------------------------------------------
 # CLI
 
@@ -334,6 +417,21 @@ def test_cli_replay_mismatch_exit_two(tmp_path, capsys):
                  "--law", "gaussian", "--replica", "0"])
     assert code == 2
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_cli_safeguard_failure_exit_two_with_context(tmp_path, capsys,
+                                                    monkeypatch):
+    def boom(*args, **kwargs):
+        raise SafeguardError(1, 2, 3.0, "forced")
+
+    monkeypatch.setattr(harness, "simulate_full", boom)
+    path = _write_cfg(tmp_path)
+    code = main(["simulate", "--config", str(path),
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "numerical failure" in err
+    assert "law=gaussian, N=6, replica=0" in err
 
 
 def test_cli_replay_round_trip(tmp_path, capsys):

@@ -1,8 +1,8 @@
 """Reproducibility from the command line: byte-identical reruns and replay.
 
-Drives the installed CLI entry point in-process.  The same config and
-seed must produce byte-identical CSVs whatever the worker count, and any
-stored trajectory can be re-derived later from config.json alone.
+Drives the installed CLI entry point in-process.  Two runs of the same
+config and seed must produce byte-identical CSVs, and any stored
+trajectory can be re-derived later from config.json alone.
 """
 
 import json
@@ -30,31 +30,31 @@ with tempfile.TemporaryDirectory() as tmp:
     cfg_path = tmp / "experiment.json"
     cfg_path.write_text(json.dumps(cfg, indent=2))
 
-    print(">>> spinlab universality --threads 1 / --threads 8")
-    for threads, sub in (("1", "run-t1"), ("8", "run-t8")):
+    print(">>> spinlab universality, run twice")
+    for sub in ("run-a", "run-b"):
         code = main([
             "universality", "--config", str(cfg_path),
-            "--out", str(tmp / sub), "--threads", threads, "--store-paths",
+            "--out", str(tmp / sub), "--store-paths",
         ])
         assert code == 0
 
     for name in ("autocorr.csv", "gaps.csv", "norms.csv"):
-        a = (tmp / "run-t1" / name).read_bytes()
-        b = (tmp / "run-t8" / name).read_bytes()
-        print(f"{name}: {len(a)} bytes, identical across thread counts: {a == b}")
+        a = (tmp / "run-a" / name).read_bytes()
+        b = (tmp / "run-b" / name).read_bytes()
+        print(f"{name}: {len(a)} bytes, identical across reruns: {a == b}")
 
     print("\n>>> spinlab replay of a stored trajectory")
     code = main([
-        "replay", str(tmp / "run-t1"),
+        "replay", str(tmp / "run-a"),
         "--law", "rademacher", "--replica", "3", "--n", "12", "--particle", "0",
     ])
     assert code == 0
 
     print("\n>>> tampering with config.json must be caught")
-    doc = json.loads((tmp / "run-t1" / "config.json").read_text())
+    doc = json.loads((tmp / "run-a" / "config.json").read_text())
     doc["master_seed"] += 1
-    (tmp / "run-t1" / "config.json").write_text(json.dumps(doc))
+    (tmp / "run-a" / "config.json").write_text(json.dumps(doc))
     code = main([
-        "replay", str(tmp / "run-t1"), "--law", "rademacher", "--replica", "3",
+        "replay", str(tmp / "run-a"), "--law", "rademacher", "--replica", "3",
     ])
     print(f"replay exit code after tamper: {code} (2 = numerical failure)")

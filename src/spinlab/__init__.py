@@ -11,9 +11,8 @@ little the path statistics depend on the entry law.
 import os as _os
 
 # Reproducibility: pin BLAS kernels to one thread unless the user chose
-# otherwise.  Parallelism belongs to the replica scheduler, whose results
-# are slot-ordered; threaded BLAS reductions would be the one remaining
-# source of run-to-run drift.  Must happen before numpy loads its BLAS.
+# otherwise.  Threaded BLAS reductions can change summation order between
+# runs, so output bytes would drift.  Must happen before numpy loads its BLAS.
 for _var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
     _os.environ.setdefault(_var, "1")
 del _os, _var

@@ -4,7 +4,9 @@ Exit codes: 0 on success, 1 for configuration problems (bad flags, bad
 config file, bad law/potential specs), 2 for numerical failures (boundary
 safeguard, power-iteration stall, certificate violation, replay mismatch).
 Seed precedence: ``--seed`` beats the ``SPINLAB_SEED`` environment
-variable, which beats the config file.
+variable, which beats the config file.  Every command runs its replicas
+serially; ``--threads`` is still accepted and checked (values below 1 exit
+1), and outputs are byte-identical at any value.
 """
 
 from __future__ import annotations
@@ -54,7 +56,8 @@ def _build_parser() -> _Parser:
     common.add_argument("--seed", type=int, metavar="U64",
                         help="master seed override (beats SPINLAB_SEED)")
     common.add_argument("--threads", type=int, default=1, metavar="N",
-                        help="worker threads (default 1; results identical)")
+                        help="accepted for compatibility; runs are serial and "
+                             "byte-identical at any value >= 1")
     common.add_argument("--store-paths", action="store_true",
                         help="persist trajectories as .npy under <out>/paths")
 
@@ -164,9 +167,7 @@ def main(argv=None) -> int:
                       f"end={float(vals[-1])!r}")
             return 0
 
-        summary = _COMMANDS[args.command](
-            cfg, threads=args.threads, store_paths=args.store_paths,
-        )
+        summary = _COMMANDS[args.command](cfg, store_paths=args.store_paths)
         _print_summary(summary)
         return 0
     except ConfigError as exc:

@@ -228,12 +228,20 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be an integer >= {lo}, got {val!r}")
         if self.master_seed >= 1 << 64:
             raise ConfigError("master_seed must fit in 64 bits")
-        for name in ("beta", "s_bound", "horizon", "rho", "eps", "c1", "gamma"):
+
+        def finite_number(name):
             val = getattr(self, name)
             if not isinstance(val, (int, float)) or isinstance(val, bool):
                 raise ConfigError(f"{name} must be a number, got {val!r}")
             if not math.isfinite(val):
                 raise ConfigError(f"{name} must be finite, got {val!r}")
+
+        for name in ("beta", "s_bound", "horizon", "rho", "eps", "c1", "gamma"):
+            finite_number(name)
+        # the default depends on beta, so it resolves once beta is checked
+        if self.a2 is None:
+            object.__setattr__(self, "a2", default_a2(self.beta))
+        finite_number("a2")
         if self.beta < 0:
             raise ConfigError("beta must be >= 0")
         if self.s_bound <= 0 or self.horizon <= 0 or self.rho <= 0:
@@ -242,10 +250,8 @@ class ExperimentConfig:
             raise ConfigError("c1 must be >= 0")
         if not 2.0 <= self.gamma < 2.5:
             raise ConfigError("gamma must lie in [2, 2.5)")
-        if self.a2 is None:
-            object.__setattr__(self, "a2", default_a2(self.beta))
-        if not isinstance(self.a2, (int, float)) or self.a2 <= 0:
-            raise ConfigError(f"a2 must be a positive number, got {self.a2!r}")
+        if self.a2 <= 0:
+            raise ConfigError(f"a2 must be positive, got {self.a2!r}")
         for name in ("laws", "n_sweep", "kappa_sweep"):
             seq = getattr(self, name)
             if isinstance(seq, list):
@@ -253,10 +259,10 @@ class ExperimentConfig:
                 seq = getattr(self, name)
             if not isinstance(seq, tuple) or not seq:
                 raise ConfigError(f"{name} must be a nonempty list")
-        if any(not isinstance(n, int) or n < 1 for n in self.n_sweep):
-            raise ConfigError("n_sweep entries must be positive integers")
-        if any(not isinstance(k, int) or k < 1 for k in self.kappa_sweep):
-            raise ConfigError("kappa_sweep entries must be positive integers")
+        for name in ("n_sweep", "kappa_sweep"):
+            if any(not isinstance(v, int) or isinstance(v, bool) or v < 1
+                   for v in getattr(self, name)):
+                raise ConfigError(f"{name} entries must be positive integers")
         if not isinstance(self.output_dir, str) or not self.output_dir:
             raise ConfigError("output_dir must be a nonempty string")
         # Custom-law paths resolve against the config file's directory once,

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.stats import norm as _normal_dist
 
-from .streams import CounterStream, derive_seed
+from .streams import CounterStream, _box_muller, _unit_open, derive_seed
 
 __all__ = [
     "DisorderLaw",
@@ -46,15 +46,17 @@ class DisorderLaw:
     """Base class for entry laws.
 
     Subclasses provide analytic moments where available (``None`` means
-    unknown) and a sampling routine.  Built-in laws sample through counter
-    addressed streams, so entry (i, j) of a matrix is a pure function of
-    (law, seed, i, j).
+    unknown) and one word-to-value transform, ``_from_words``, that turns
+    ``words_per_value * count`` raw stream words into ``count`` draws.
+    Built-in laws sample through counter addressed streams, so entry (i, j)
+    of a matrix is a pure function of (law, seed, i, j).
     """
 
     name: str = "abstract"
     mean: float | None = None
     variance: float | None = None
     third_abs_moment: float | None = None
+    words_per_value: int = 1
 
     def mgf(self, theta: float) -> float | None:
         """E[exp(theta J)], or None when not analytically known."""
@@ -64,8 +66,12 @@ class DisorderLaw:
         """E[exp(eps |J|)], or None when not analytically known."""
         return None
 
-    def _row(self, stream: CounterStream, lane: int, n: int) -> np.ndarray:
+    def _from_words(self, words: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def _row(self, stream: CounterStream, lane: int, n: int) -> np.ndarray:
+        """Matrix row ``lane``: the lane's first n values, one read."""
+        return self._from_words(stream.raw(lane, 0, self.words_per_value * n))
 
     def sampler_state(self, seed: int, purpose: str = "draws"):
         """Opaque state for sequential deterministic draws under ``seed``."""
@@ -75,12 +81,10 @@ class DisorderLaw:
         """Next ``count`` draws; built-ins are word addressed so every draw
         is independent of chunking."""
         stream, cursor = state
-        out = self._draw_words(stream, cursor, count)
+        w = self.words_per_value
+        out = self._from_words(stream.raw(0, w * cursor, w * count))
         state[1] = cursor + count
         return out
-
-    def _draw_words(self, stream, cursor, count):
-        raise NotImplementedError
 
 
 class StandardGaussian(DisorderLaw):
@@ -88,6 +92,7 @@ class StandardGaussian(DisorderLaw):
     mean = 0.0
     variance = 1.0
     third_abs_moment = math.sqrt(8.0 / math.pi)
+    words_per_value = 2  # Box-Muller: value v takes words 2v, 2v+1
 
     def mgf(self, theta):
         return math.exp(0.5 * theta * theta)
@@ -95,13 +100,7 @@ class StandardGaussian(DisorderLaw):
     def exp_abs_moment(self, eps):
         return 2.0 * math.exp(0.5 * eps * eps) * float(_normal_dist.cdf(eps))
 
-    def _row(self, stream, lane, n):
-        return stream.normals(lane, n)
-
-    def _draw_words(self, stream, cursor, count):
-        words = stream.raw(0, 2 * cursor, 2 * count)
-        from .streams import _box_muller
-
+    def _from_words(self, words):
         return _box_muller(words[0::2], words[1::2])
 
 
@@ -117,15 +116,8 @@ class Rademacher(DisorderLaw):
     def exp_abs_moment(self, eps):
         return math.exp(eps)
 
-    @staticmethod
-    def _signs(words: np.ndarray) -> np.ndarray:
+    def _from_words(self, words):
         return np.where(words >> np.uint64(63), 1.0, -1.0)
-
-    def _row(self, stream, lane, n):
-        return self._signs(stream.raw(lane, 0, n))
-
-    def _draw_words(self, stream, cursor, count):
-        return self._signs(stream.raw(0, cursor, count))
 
 
 class CenteredExponential(DisorderLaw):
@@ -149,13 +141,8 @@ class CenteredExponential(DisorderLaw):
             + math.exp(-1.0) / (1.0 - eps)
         )
 
-    def _row(self, stream, lane, n):
-        return -np.log(stream.uniforms(lane, n)) - 1.0
-
-    def _draw_words(self, stream, cursor, count):
-        from .streams import _unit_open
-
-        return -np.log(_unit_open(stream.raw(0, cursor, count))) - 1.0
+    def _from_words(self, words):
+        return -np.log(_unit_open(words)) - 1.0
 
 
 class CustomSampler(DisorderLaw):

@@ -5,7 +5,8 @@ the interaction vector A x every step, the frozen dynamics only at the
 kappa sub-interval boundaries, holding it constant in between.  Runs are
 reproducible from (master_seed, replica): Brownian increments, initial
 draws, and safeguard refinements all come from counter-addressed streams,
-so trajectories are identical across thread counts and call orders.
+so a trajectory does not depend on which runs came before it or on the
+order in which replicas are computed.
 """
 
 from __future__ import annotations
@@ -14,10 +15,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate as _sciint
 
 from .disorder import DisorderMatrix
 from .model import InitialLaw, ModelParams, PathEnsemble, Potential, grid_times
+from .observables import coupling_msd
 from .streams import BrownianStream, CounterStream
 
 __all__ = [
@@ -210,8 +211,8 @@ def simulate_frozen(
 class CouplingStats:
     """Distances between a coupled full/frozen pair on the shared grid.
 
-    r_t[g] = ||frozen - full||_2 at grid time g, msd is the time-and-particle
-    averaged squared distance (1/(N T)) int ||X - X~||^2 dt by trapezoid,
+    r_t[g] = ||frozen - full||_2 at grid time g, msd is
+    ``observables.coupling_msd``: (1/(N T)) int ||X - X~||^2 dt by trapezoid,
     and l_t[g] = ||X~ at latest freeze point - X~ at g||_2 measures how far
     the frozen state has moved within its current sub-interval.
     """
@@ -244,12 +245,8 @@ def simulate_coupled(
     full = PathEnsemble(v_full, grid, params, replica, act_full)
     frozen = PathEnsemble(v_frozen, grid, params, replica, act_frozen)
 
-    diff = v_frozen - v_full
-    r_t = np.linalg.norm(diff, axis=0)
-    msd = float(
-        _sciint.trapezoid(np.sum(diff * diff, axis=0), dx=params.grid_step)
-        / (params.n_particles * params.horizon)
-    )
+    r_t = np.linalg.norm(v_frozen - v_full, axis=0)
+    msd = coupling_msd(full, frozen)
     anchor = (np.arange(params.n_steps + 1) // params.substeps) * params.substeps
     l_t = np.linalg.norm(v_frozen[:, anchor] - v_frozen, axis=0)
     return full, frozen, CouplingStats(r_t, msd, l_t)

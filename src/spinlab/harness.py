@@ -4,9 +4,10 @@ Every command materializes an output directory holding ``config.json``
 (the fully resolved configuration), ``summary.json`` (scalars, seed
 provenance, and a timestamp), and fixed-schema CSV files.  All randomness
 derives from the master seed through named sha256 streams, so re-running a
-command with the same config and seed reproduces every CSV byte for byte
-regardless of worker count; the timestamp and wall-clock fields live only
-in the summary.
+command with the same config and seed reproduces every CSV byte for byte;
+the timestamp and wall-clock fields live only in the summary.  Replicas run
+one after another in a single loop; counter-addressed streams make each
+replica's result independent of the order they run in.
 
 Each ``run_*`` command is a body inside one frame, ``_command``, which owns
 the clock, the ``RunSummary`` and persistence.  Shared decisions have one
@@ -30,7 +31,6 @@ import datetime as _dt
 import hashlib
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -191,13 +191,13 @@ def _persist(cfg: ExperimentConfig, summary: RunSummary, out_dir: Path) -> None:
 
 
 def _command(name: str):
-    """Frame ``body(cfg, summary, out, threads, store_paths)`` as a command.
+    """Frame ``body(cfg, summary, out, store_paths)`` as a command.
 
     The body fills ``summary`` and may return a NumericalFailure, raised
     only after persisting, so a failed certificate still leaves its table.
     """
     def frame(body):
-        def run(cfg: ExperimentConfig, threads: int = 1, store_paths: bool = False,
+        def run(cfg: ExperimentConfig, store_paths: bool = False,
                 out_dir: str | Path | None = None) -> RunSummary:
             t0 = time.perf_counter()
             out = Path(out_dir) if out_dir is not None else Path(cfg.output_dir)
@@ -206,7 +206,7 @@ def _command(name: str):
                 _dt.datetime.now(_dt.timezone.utc).isoformat(), cfg.output_dir,
                 {"master_seed": cfg.master_seed, "schemes": _SEED_SCHEMES},
             )
-            failure = body(cfg, summary, out, threads, store_paths)
+            failure = body(cfg, summary, out, store_paths)
             summary.wall_clock_seconds = time.perf_counter() - t0
             _persist(cfg, summary, out)
             if failure is not None:
@@ -272,17 +272,6 @@ def _guarded(simulate, label: str, n: int, rep: int, /, *args, **kwargs):
         raise SafeguardError(err.particle, err.step, err.value, detail) from err
 
 
-# ---------------------------------------------------------------------------
-# scheduling
-
-def _run_slots(task, count: int, threads: int) -> list:
-    """Run task(0), ..., task(count - 1) on a worker pool, results in order."""
-    if threads <= 1 or count <= 1:
-        return [task(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(task, range(count)))
-
-
 def _reference_index(laws) -> int:
     for idx, law in enumerate(laws):
         if isinstance(law, StandardGaussian):
@@ -294,8 +283,7 @@ def _reference_index(laws) -> int:
 # simulation blocks
 
 def _curve_block(cfg: ExperimentConfig, summary: RunSummary, params: ModelParams,
-                 law, law_idx: int, label: str, threads: int, samples: int,
-                 store: Path | None):
+                 law, law_idx: int, label: str, samples: int, store: Path | None):
     """Thermal-averaged autocorrelation per disorder draw for one (law, N).
 
     Returns (autocorr block, curves[replicas, G+1], ensembles, norm rows)
@@ -306,27 +294,20 @@ def _curve_block(cfg: ExperimentConfig, summary: RunSummary, params: ModelParams
     potential = cfg.potential_obj()
     initial = cfg.initial_obj()
     n = params.n_particles
-
-    def one(rep: int):
+    curves = np.zeros((cfg.replicas, params.n_steps + 1))
+    ensembles, norm_rows = [], []
+    for rep in range(cfg.replicas):
         seed, mat = _disorder(cfg, law, law_idx, n, rep)
         report = operator_norm_report(mat, beta=cfg.beta)
-        curve = np.zeros(params.n_steps + 1)
-        kept = None
-        activations = 0
         for s in range(samples):
             ens = _guarded(simulate_full, label, n, rep, params, potential, mat,
                            initial, replica=rep * samples + s)
-            curve += autocorrelation(ens)
-            activations += ens.safeguard_activations
+            curves[rep] += autocorrelation(ens)
+            summary.safeguard_activations += ens.safeguard_activations
             if s == 0:
-                kept = ens
-        row = _norm_row(cfg, label, n, rep, seed, report)
-        return curve / samples, kept, row, activations
-
-    results = _run_slots(one, cfg.replicas, threads)
-    curves = np.stack([r[0] for r in results])
-    ensembles = [r[1] for r in results]
-    summary.safeguard_activations += sum(r[3] for r in results)
+                ensembles.append(ens)
+        curves[rep] /= samples
+        norm_rows.append(_norm_row(cfg, label, n, rep, seed, report))
     if store is not None:
         _store_ensembles(store, label, n, ensembles)
     block = {
@@ -334,7 +315,7 @@ def _curve_block(cfg: ExperimentConfig, summary: RunSummary, params: ModelParams
         "t": grid_times(params), "mean": curves.mean(axis=0),
         "stderr": curves.std(axis=0, ddof=1) / np.sqrt(cfg.replicas),
     }
-    return block, curves, ensembles, [r[2] for r in results]
+    return block, curves, ensembles, norm_rows
 
 
 def _bootstrap_gap(diff: np.ndarray, resamples: int, seed: int):
@@ -377,7 +358,7 @@ def _phi_median(cfg: ExperimentConfig, params: ModelParams, law, law_idx: int,
 # commands
 
 @_command("universality")
-def run_universality(cfg, summary, out, threads, store_paths):
+def run_universality(cfg, summary, out, store_paths):
     """Disorder-universality sweep over the configured laws and sizes.
 
     For each law and each N: draws ``replicas`` matrices, integrates the
@@ -403,8 +384,7 @@ def run_universality(cfg, summary, out, threads, store_paths):
         params = _params(cfg, n)
         for idx in order:
             block, curves, ensembles, norm_rows = _curve_block(
-                cfg, summary, params, laws[idx], idx, labels[idx], threads,
-                samples, store)
+                cfg, summary, params, laws[idx], idx, labels[idx], samples, store)
             if idx == ref_idx:
                 ref_curves, ref_ensembles = curves, ensembles
             else:
@@ -436,7 +416,7 @@ def run_universality(cfg, summary, out, threads, store_paths):
 
 
 @_command("freeze-sweep")
-def run_freeze_sweep(cfg, summary, out, threads, store_paths):
+def run_freeze_sweep(cfg, summary, out, store_paths):
     """Coupling error of the piecewise-frozen scheme across kappa values.
 
     The total grid is held fixed at kappa * substeps from the base config,
@@ -457,39 +437,36 @@ def run_freeze_sweep(cfg, summary, out, threads, store_paths):
     for params in sweep:
         kappa = params.kappa
         times = grid_times(params)
-
-        def one(rep: int, params=params, times=times):
+        msds = np.empty(cfg.freeze_replicas)
+        violations = 0
+        pairs = []  # keeping every pair costs memory, so only when stored
+        for rep in range(cfg.freeze_replicas):
             seed, mat = _disorder(cfg, law, 0, n, rep)
             report = operator_norm_report(mat, beta=cfg.beta)
             full, frozen, stats = _guarded(simulate_coupled, label, n, rep, params,
                                            potential, mat, initial, replica=rep)
             norm_row = _norm_row(cfg, label, n, rep, seed, report)
-            violated = norm_row["a2_event"] and envelope_violated(
-                stats, times, cfg.a2, c_dd, cfg.rho, n)
-            acts = full.safeguard_activations + frozen.safeguard_activations
-            # keeping every pair costs memory, so only when they are stored
-            kept = (full, frozen) if store_paths else None
-            return stats.msd, violated, norm_row, acts, kept
-
-        results = _run_slots(one, cfg.freeze_replicas, threads)
-        msds = np.array([r[0] for r in results])
-        violations = sum(1 for r in results if r[1])
+            violations += bool(norm_row["a2_event"] and envelope_violated(
+                stats, times, cfg.a2, c_dd, cfg.rho, n))
+            msds[rep] = stats.msd
+            summary.norms.append(norm_row)
+            summary.safeguard_activations += (full.safeguard_activations
+                                              + frozen.safeguard_activations)
+            if store_paths:
+                pairs.append((full, frozen))
         summary.freeze.append({
             "kappa": kappa, "n": n,
             "msd_mean": float(msds.mean()),
             "msd_stderr": float(msds.std(ddof=1) / np.sqrt(len(msds))),
             "envelope_violations": violations,
         })
-        summary.norms.extend(r[2] for r in results)
-        summary.safeguard_activations += sum(r[3] for r in results)
         if store_paths:
             for side, kind in enumerate(("full", "frozen")):
-                _store_ensembles(out, label, kappa,
-                                 [r[4][side] for r in results], kind)
+                _store_ensembles(out, label, kappa, [p[side] for p in pairs], kind)
 
 
 @_command("validate")
-def run_validation(cfg, summary, out, threads, store_paths):
+def run_validation(cfg, summary, out, store_paths):
     """Moment checks, growth diagnostics, and norm sampling per law.
 
     Emits one table row per check: PASS/FAIL for conditions with a sharp
@@ -540,7 +517,7 @@ def run_validation(cfg, summary, out, threads, store_paths):
 
 
 @_command("lindeberg")
-def run_lindeberg_suite(cfg, summary, out, threads, store_paths):
+def run_lindeberg_suite(cfg, summary, out, store_paths):
     """Certificate suite plus Gaussian-identity Monte Carlo cross-checks.
 
     Any instance whose exact two-route difference exceeds its bound beyond
@@ -586,7 +563,7 @@ def run_lindeberg_suite(cfg, summary, out, threads, store_paths):
 
 
 @_command("simulate")
-def run_simulate(cfg, summary, out, threads, store_paths):
+def run_simulate(cfg, summary, out, store_paths):
     """Plain ensemble runs at the configured size, one row block per law.
 
     Each replica is a single full-dynamics run (no thermal averaging);
@@ -599,7 +576,7 @@ def run_simulate(cfg, summary, out, threads, store_paths):
 
     for idx, (law, label) in enumerate(zip(cfg.law_objs(), cfg.law_labels())):
         block, _, _, norm_rows = _curve_block(
-            cfg, summary, params, law, idx, label, threads, samples=1,
+            cfg, summary, params, law, idx, label, samples=1,
             store=out if store_paths else None,
         )
         summary.autocorr.append(block)

@@ -14,7 +14,7 @@ coordinate (a grid step for bridge refinements), and ``word_index`` walks the
 flat 64-bit word sequence of that lane.  Bulk generation reads a contiguous
 word range in one call; single-value queries rebuild the generator at the
 enclosing counter, so any entry is recomputable in isolation and results do
-not depend on generation order or thread schedule.
+not depend on generation order.
 """
 
 from __future__ import annotations

@@ -2,8 +2,9 @@
 
 Each criterion prints exactly one PASS/FAIL line (run with ``pytest -s``
 to see them on a green suite; captured output is shown on failure anyway).
-Expensive runs are shared: the universality sweep feeds criteria 4 and 7,
-the freeze sweep feeds criteria 5 and 8.
+Expensive runs are shared: the universality sweep feeds criteria 4 and 7.
+Criterion 8 runs the freeze sweep through the CLI, where ``--threads``
+lives.
 """
 
 import math
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
 
+from spinlab.cli import main
 from spinlab.config import load_config
 from spinlab.disorder import (
     GAUSSIAN,
@@ -43,7 +45,7 @@ def default_cfg():
 def universality_run(default_cfg, tmp_path_factory):
     out = tmp_path_factory.mktemp("universality")
     t0 = time.perf_counter()
-    summary = run_universality(default_cfg, threads=1, out_dir=out)
+    summary = run_universality(default_cfg, out_dir=out)
     return summary, time.perf_counter() - t0
 
 
@@ -51,8 +53,8 @@ def universality_run(default_cfg, tmp_path_factory):
 def freeze_run(default_cfg, tmp_path_factory):
     out = tmp_path_factory.mktemp("freeze")
     t0 = time.perf_counter()
-    summary = run_freeze_sweep(default_cfg, threads=1, out_dir=out)
-    return summary, out, time.perf_counter() - t0
+    summary = run_freeze_sweep(default_cfg, out_dir=out)
+    return summary, time.perf_counter() - t0
 
 
 def test_criterion_1_comparison_certificate(default_cfg):
@@ -152,7 +154,7 @@ def test_criterion_4_universality_gap_decay(default_cfg, universality_run):
 
 
 def test_criterion_5_freeze_refinement(default_cfg, freeze_run):
-    summary, _, dt = freeze_run
+    summary, dt = freeze_run
     kappas = [f["kappa"] for f in summary.freeze]
     assert kappas == list(default_cfg.kappa_sweep)
     msd = [f["msd_mean"] for f in summary.freeze]
@@ -220,12 +222,14 @@ def test_criterion_7_tilt_statistic_decay(default_cfg, universality_run):
     )
 
 
-def test_criterion_8_thread_count_determinism(default_cfg, freeze_run,
-                                              tmp_path_factory):
-    _, ref_dir, _ = freeze_run
-    out = tmp_path_factory.mktemp("freeze-t8")
+def test_criterion_8_thread_count_determinism(tmp_path):
+    # both runs write to the same --out (the first is moved aside), so
+    # config.json records the same output_dir on both sides
+    out, ref_dir = tmp_path / "freeze", tmp_path / "freeze-t1"
+    assert main(["freeze-sweep", "--threads", "1", "--out", str(out)]) == 0
+    out.rename(ref_dir)
     t0 = time.perf_counter()
-    run_freeze_sweep(default_cfg, threads=8, out_dir=out)
+    assert main(["freeze-sweep", "--threads", "8", "--out", str(out)]) == 0
     dt = time.perf_counter() - t0
     same = {
         name: (ref_dir / name).read_bytes() == (out / name).read_bytes()

@@ -80,6 +80,11 @@ def test_missing_file_rejected(tmp_path):
     {"n_sweep": [10, 0]},
     {"kappa_sweep": [2.5]},
     {"output_dir": ""},
+    {"a2": float("nan")},
+    {"a2": float("inf")},
+    {"a2": True},
+    {"n_sweep": [10, True]},
+    {"kappa_sweep": [True]},
 ])
 def test_invalid_values_rejected(overrides):
     with pytest.raises(ConfigError):

@@ -19,6 +19,7 @@ from spinlab.disorder import (
     sample_matrix,
     validate_law,
 )
+from spinlab.streams import CounterStream
 
 # Quadrature oracle for E|Exp(1) - 1|^3; the closed form it matches is
 # 12/e - 2.
@@ -105,6 +106,35 @@ def test_matrix_entries_counter_addressed():
     small = sample_matrix(GAUSSIAN, 5, seed=123).entries
     large = sample_matrix(GAUSSIAN, 9, seed=123).entries
     np.testing.assert_array_equal(large[:5, :5], small)
+
+
+# Each built-in law's value from lane words, written out from the stream
+# primitives rather than taken from the law.
+_LANE_VALUES = {
+    "gaussian": lambda stream, lane, n: stream.normals(lane, n),
+    "rademacher": lambda stream, lane, n: np.where(
+        stream.raw(lane, 0, n) >> np.uint64(63), 1.0, -1.0),
+    "cexp": lambda stream, lane, n: -np.log(stream.uniforms(lane, n)) - 1.0,
+}
+
+
+@pytest.mark.parametrize("law", [GAUSSIAN, RADEMACHER, CENTERED_EXPONENTIAL],
+                         ids=lambda law: law.name)
+def test_sequential_draws_independent_of_batch_size(law):
+    state = law.sampler_state(11, purpose="batch")
+    first, second = law.draw(state, 7), law.draw(state, 13)
+    whole = law.draw(law.sampler_state(11, purpose="batch"), 20)
+    np.testing.assert_array_equal(np.concatenate([first, second]), whole)
+
+
+@pytest.mark.parametrize("law", [GAUSSIAN, RADEMACHER, CENTERED_EXPONENTIAL],
+                         ids=lambda law: law.name)
+def test_matrix_row_is_lane_of_disorder_stream(law):
+    n, seed = 6, 99
+    entries = sample_matrix(law, n, seed).entries
+    stream = CounterStream(seed, "disorder")
+    for i in range(n):
+        np.testing.assert_array_equal(entries[i], _LANE_VALUES[law.name](stream, i, n))
 
 
 def test_scaled_view():

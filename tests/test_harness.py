@@ -103,9 +103,10 @@ def test_repeated_law_control_has_suffixed_label(tmp_path):
 
 
 def test_csvs_byte_identical_across_thread_counts(tmp_path):
-    cfg = _small()
-    run_universality(cfg, threads=1, out_dir=tmp_path / "t1")
-    run_universality(cfg, threads=8, out_dir=tmp_path / "t8")
+    path = _write_cfg(tmp_path)
+    for threads in ("1", "8"):
+        assert main(["universality", "--config", str(path), "--threads", threads,
+                     "--out", str(tmp_path / f"t{threads}")]) == 0
     for name in ("autocorr.csv", "gaps.csv", "norms.csv"):
         assert (tmp_path / "t1" / name).read_bytes() == \
             (tmp_path / "t8" / name).read_bytes(), name

@@ -90,7 +90,7 @@ def test_coupling_msd_matches_single_particle_d2():
 def test_coupling_msd_self_is_zero_and_matches_stats():
     full, frozen, stats = _run_pair()
     assert coupling_msd(full, full) == 0.0
-    assert coupling_msd(full, frozen) == pytest.approx(stats.msd, rel=1e-12)
+    assert coupling_msd(full, frozen) == stats.msd
 
 
 def test_coupling_msd_rejects_grid_mismatch():

@@ -86,26 +86,52 @@ def _load_custom_law(path: Path) -> CustomSampler:
     args = raw.get("args", [])
     if not isinstance(args, list):
         raise ConfigError("custom law 'args' must be a list of shape parameters")
-    loc = float(raw.get("loc", 0.0))
-    scale = float(raw.get("scale", 1.0))
+
+    def number(key, val):
+        if isinstance(val, bool) or not isinstance(val, (int, float)):
+            raise ConfigError(f"custom law file {path}: {key} must be a number, got {val!r}")
+        try:
+            val = float(val)
+        except OverflowError:
+            val = math.inf
+        if not math.isfinite(val):
+            raise ConfigError(f"custom law file {path}: {key} must be finite, got {val!r}")
+        return val
+
+    def moment(key):
+        val = raw.get(key)
+        return None if val is None else number(key, val)
+
+    args = [number(f"args[{k}]", a) for k, a in enumerate(args)]
+    loc = number("loc", raw.get("loc", 0.0))
+    scale = number("scale", raw.get("scale", 1.0))
+    mean, variance, third = moment("mean"), moment("variance"), moment("third_abs_moment")
+    if scale <= 0:
+        raise ConfigError(f"custom law file {path}: scale must be > 0, got {scale!r}")
+    if variance is not None and variance <= 0:
+        raise ConfigError(f"custom law file {path}: variance must be > 0, got {variance!r}")
+    if third is not None and third < 0:
+        raise ConfigError(
+            f"custom law file {path}: third_abs_moment must be >= 0, got {third!r}"
+        )
     try:
         frozen = dist_gen(*args, loc=loc, scale=scale)
-    except TypeError as exc:
+        support = frozen.support()
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad parameters for {dist_name!r}: {exc}") from exc
+    # scipy reports parameters outside a law's domain as a NaN support
+    if any(math.isnan(float(b)) for b in support):
+        raise ConfigError(f"parameters {args} outside the domain of {dist_name!r}")
 
     def sampler(count, generator, _frozen=frozen):
         return _frozen.rvs(size=count, random_state=generator)
 
-    def moment(key):
-        val = raw.get(key)
-        return None if val is None else float(val)
-
     return CustomSampler(
         name=str(raw.get("name", path.stem)),
         sampler=sampler,
-        mean=moment("mean"),
-        variance=moment("variance"),
-        third_abs_moment=moment("third_abs_moment"),
+        mean=mean,
+        variance=variance,
+        third_abs_moment=third,
     )
 
 

@@ -47,7 +47,8 @@ class DisorderLaw:
 
     Subclasses provide analytic moments where available (``None`` means
     unknown) and one word-to-value transform, ``_from_words``, that turns
-    ``words_per_value * count`` raw stream words into ``count`` draws.
+    ``words_per_value * count`` raw stream words along the last axis into
+    ``count`` draws.
     Built-in laws sample through counter addressed streams, so entry (i, j)
     of a matrix is a pure function of (law, seed, i, j).
     """
@@ -68,10 +69,6 @@ class DisorderLaw:
 
     def _from_words(self, words: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    def _row(self, stream: CounterStream, lane: int, n: int) -> np.ndarray:
-        """Matrix row ``lane``: the lane's first n values, one read."""
-        return self._from_words(stream.raw(lane, 0, self.words_per_value * n))
 
     def sampler_state(self, seed: int, purpose: str = "draws"):
         """Opaque state for sequential deterministic draws under ``seed``."""
@@ -101,7 +98,7 @@ class StandardGaussian(DisorderLaw):
         return 2.0 * math.exp(0.5 * eps * eps) * float(_normal_dist.cdf(eps))
 
     def _from_words(self, words):
-        return _box_muller(words[0::2], words[1::2])
+        return _box_muller(words[..., 0::2], words[..., 1::2])
 
 
 class Rademacher(DisorderLaw):
@@ -240,9 +237,7 @@ def sample_matrix(law: DisorderLaw, n: int, seed: int) -> DisorderMatrix:
         entries = law.draw(gen, n * n).reshape(n, n)
     else:
         stream = CounterStream(seed, _DISORDER_PURPOSE)
-        entries = np.empty((n, n))
-        for i in range(n):
-            entries[i] = law._row(stream, i, n)
+        entries = law._from_words(stream.raw_lanes(n, law.words_per_value * n))
     return DisorderMatrix(entries, law, int(seed))
 
 
@@ -295,14 +290,17 @@ def operator_norm_report(
     n = a.shape[0]
 
     def run(v0, budget):
-        v = v0 / np.linalg.norm(v0)
+        # sqrt(x.dot(x)) is numpy's own 2-norm of a real vector, bit for
+        # bit, without the dispatch of the generic norm routine
+        v = v0 / math.sqrt(v0.dot(v0))
         lam_prev = -1.0
         stall = 0
         for it in range(1, budget + 1):
             w = a @ v
             lam = float(w @ w)
             u = a.T @ w
-            resid = float(np.linalg.norm(u - lam * v))
+            r = u - lam * v
+            resid = math.sqrt(r.dot(r))
             if resid <= tol * lam or (lam == 0.0 and resid == 0.0):
                 return lam, resid, it, True
             if abs(lam - lam_prev) <= 1e-15 * max(lam, 1e-300):
@@ -312,7 +310,7 @@ def operator_norm_report(
             else:
                 stall = 0
             lam_prev = lam
-            v = u / np.linalg.norm(u)
+            v = u / math.sqrt(u.dot(u))
         return lam, resid, budget, None
 
     ones = np.ones(n)

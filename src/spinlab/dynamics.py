@@ -19,7 +19,7 @@ import numpy as np
 from .disorder import DisorderMatrix
 from .model import InitialLaw, ModelParams, PathEnsemble, Potential, grid_times
 from .observables import coupling_msd
-from .streams import BrownianStream, CounterStream
+from .streams import BrownianStream, CounterStream, _unit_open
 
 __all__ = [
     "SafeguardError",
@@ -71,7 +71,7 @@ def sample_initial(law: InitialLaw, n: int, stream: CounterStream) -> np.ndarray
     """
     if law.kind == "point":
         return np.full(n, law.value)
-    u = np.array([stream.uniforms(i, 1)[0] for i in range(n)])
+    u = _unit_open(stream.raw_lanes(n, 1)[:, 0])
     return law.value * (2.0 * u - 1.0)
 
 

@@ -11,10 +11,12 @@ lay values out as
 
 where ``lane`` is usually a particle index, ``tag`` an optional extra
 coordinate (a grid step for bridge refinements), and ``word_index`` walks the
-flat 64-bit word sequence of that lane.  Bulk generation reads a contiguous
-word range in one call; single-value queries rebuild the generator at the
-enclosing counter, so any entry is recomputable in isolation and results do
-not depend on generation order.
+flat 64-bit word sequence of that lane.  Every read, bulk or single-value,
+moves the stream's one generator to the enclosing counter and reads a
+contiguous word range from there, so any entry is recomputable in isolation
+and results do not depend on generation order.  A ``CounterStream`` holds
+that positioned generator as mutable state: one instance must not be shared
+across threads.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from numpy.random import Philox
 __all__ = ["CounterStream", "BrownianStream", "derive_seed"]
 
 _UINT64_MAX = 2**64 - 1
+_COUNTER_SPAN = 2**256
 
 # (x >> 11) keeps the top 53 bits; +0.5 centers in (0, 1), never hitting 0 or 1.
 _UNIT_SCALE = 2.0**-53
@@ -75,16 +78,27 @@ class CounterStream:
         self.replica = int(replica)
         d = _digest(self.seed, purpose, self.replica)
         self._key = np.frombuffer(d[:16], dtype=np.uint64)
-
-    def _bitgen(self, word_index: int, lane: int, tag: int) -> Philox:
-        counter = np.array([word_index, lane, tag, 0], dtype=np.uint64)
-        return Philox(key=self._key, counter=counter)
+        # _at is the generator's 256-bit counter; its word buffer is empty there
+        self._gen = Philox(key=self._key, counter=0)
+        self._at = 0
 
     def raw(self, lane: int, start: int, count: int, tag: int = 0) -> np.ndarray:
         """Words ``start .. start+count-1`` of the given lane."""
-        base, offset = divmod(start, 4)
-        block = self._bitgen(base, lane, tag).random_raw(offset + count)
+        # int() first: a numpy integer shifted by 64 wraps to a wrong address
+        base, offset = divmod(int(start), 4)
+        target = base + (int(lane) << 64) + (int(tag) << 128)
+        # advance also drops any words left in numpy's buffer by the last read
+        self._gen.advance((target - self._at) % _COUNTER_SPAN)
+        block = self._gen.random_raw(offset + count)
+        self._at = target + (offset + count + 3) // 4
         return block[offset : offset + count]
+
+    def raw_lanes(self, n_lanes: int, count: int, tag: int = 0) -> np.ndarray:
+        """Shape (n_lanes, count): words ``0 .. count-1`` of lanes ``0 .. n_lanes-1``."""
+        words = np.empty((n_lanes, count), dtype=np.uint64)
+        for lane in range(n_lanes):
+            words[lane] = self.raw(lane, 0, count, tag)
+        return words
 
     def uniforms(self, lane: int, count: int, tag: int = 0) -> np.ndarray:
         """``count`` uniforms in the open interval (0, 1), one word each."""
@@ -102,10 +116,8 @@ class CounterStream:
 
     def normal_block(self, n_lanes: int, count: int, tag: int = 0) -> np.ndarray:
         """Shape (n_lanes, count) of standard normals, lanes independent."""
-        out = np.empty((n_lanes, count))
-        for lane in range(n_lanes):
-            out[lane] = self.normals(lane, count, tag)
-        return out
+        words = self.raw_lanes(n_lanes, 2 * count, tag)
+        return _box_muller(words[:, 0::2], words[:, 1::2])
 
 
 class BrownianStream:

@@ -205,6 +205,45 @@ def test_custom_law_unknown_distribution(tmp_path):
         parse_law(f"custom:{path}")
 
 
+@pytest.mark.parametrize("change, match", [
+    ({"scale": math.nan}, "scale must be finite"),
+    ({"scale": 0.0}, r"scale must be > 0"),
+    ({"scale": -1.0}, r"scale must be > 0"),
+    ({"loc": "abc"}, "loc must be a number"),
+    ({"loc": math.inf}, "loc must be finite"),
+    ({"mean": True}, "mean must be a number"),
+    ({"variance": math.nan}, "variance must be finite"),
+    ({"variance": 0.0}, r"variance must be > 0"),
+    ({"third_abs_moment": -1.0}, r"third_abs_moment must be >= 0"),
+    ({"args": ["x"]}, r"args\[0\] must be a number"),
+    ({"args": [True]}, r"args\[0\] must be a number"),
+    ({"distribution": "t", "args": [math.nan]}, r"args\[0\] must be finite"),
+    ({"distribution": "t", "args": [-1.0]}, "outside the domain"),
+], ids=lambda v: json.dumps(v) if isinstance(v, dict) else None)
+def test_custom_law_bad_values_rejected(tmp_path, change, match):
+    doc = {**_triangular_free_doc(), **change}
+    path = tmp_path / "flat.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match=match):
+        parse_law(f"custom:{path}")
+
+
+def test_custom_law_scipy_value_error_is_config_error(tmp_path, monkeypatch):
+    import scipy.stats
+
+    class Refusing:
+        rvs = None
+
+        def __call__(self, *args, **kwargs):
+            raise ValueError("refused")
+
+    monkeypatch.setattr(scipy.stats, "uniform", Refusing())
+    path = tmp_path / "flat.json"
+    path.write_text(json.dumps(_triangular_free_doc()))
+    with pytest.raises(ConfigError, match="bad parameters for 'uniform': refused"):
+        parse_law(f"custom:{path}")
+
+
 def test_custom_law_missing_file():
     with pytest.raises(ConfigError, match="cannot read"):
         parse_law("custom:/nonexistent/law.json")

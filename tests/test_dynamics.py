@@ -44,6 +44,14 @@ def test_sample_initial_uniform_bounded_and_centered():
     assert abs(x.var() - 1.5**2 / 3.0) < 0.02
 
 
+def test_sample_initial_uniform_is_per_lane_uniform():
+    law = uniform_symmetric(1.5, 2.0)
+    stream = CounterStream(9, "init-test")
+    x = sample_initial(law, 12, stream)
+    lanes = [law.value * (2 * stream.uniforms(i, 1)[0] - 1) for i in range(12)]
+    np.testing.assert_array_equal(x, np.array(lanes))
+
+
 def test_no_matrix_equals_zero_matrix_bitwise():
     p = _params()
     pot = double_well(2.0)

@@ -363,6 +363,16 @@ def test_cli_unknown_config_key_exit_one(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_cli_bad_custom_law_exit_one(tmp_path, capsys):
+    (tmp_path / "law.json").write_text(json.dumps({"distribution": "norm", "scale": math.nan}))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"laws": ["gaussian", "custom:law.json"]}))
+    code = main(["validate", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "config error:" in err and "scale must be finite" in err
+
+
 def test_cli_bad_env_seed_exit_one(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("SPINLAB_SEED", "not-a-number")
     path = _write_cfg(tmp_path, laws=["gaussian"], n_particles=16)

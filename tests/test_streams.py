@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.random import Philox
 
+from spinlab import streams
+from spinlab.disorder import GAUSSIAN, sample_matrix
+from spinlab.dynamics import simulate_full
+from spinlab.model import ModelParams, double_well, uniform_symmetric
 from spinlab.streams import BrownianStream, CounterStream, derive_seed
 
 
@@ -101,6 +106,54 @@ def test_raw_window_consistency(seed, lane, start, count):
     wide = s.raw(lane, 0, start + count)
     window = s.raw(lane, start, count)
     np.testing.assert_array_equal(wide[start:], window)
+
+
+_U64 = st.integers(min_value=0, max_value=2**64 - 1)
+
+
+@settings(deadline=None, max_examples=50)
+@given(
+    seed=_U64,
+    reads=st.lists(
+        st.tuples(_U64, st.integers(min_value=0, max_value=10_000),
+                  st.integers(min_value=0, max_value=64), _U64),
+        min_size=1, max_size=8,
+    ),
+)
+def test_raw_matches_fresh_philox_at_the_counter(seed, reads):
+    # oracle: a fresh numpy Philox built at the enclosing counter, whatever
+    # the earlier reads left the stream's own generator holding
+    s = CounterStream(seed, "oracle")
+    for lane, start, count, tag in reads:
+        fresh = Philox(key=s._key, counter=np.array([start // 4, lane, tag, 0], dtype=np.uint64))
+        expected = fresh.random_raw(start % 4 + count)[start % 4:]
+        np.testing.assert_array_equal(s.raw(lane, start, count, tag), expected)
+
+
+def test_numpy_integer_coordinates_address_like_python_ints():
+    s = CounterStream(4, "np-ints")
+    for lane, start, tag in ((3, 5, 2), (2**64 - 1, 9, 2**64 - 1)):
+        want = s.raw(lane, start, 11, tag)
+        got = s.raw(np.uint64(lane), np.int64(start), 11, np.uint64(tag))
+        np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(s.raw(np.int64(7), 0, 6), s.raw(7, 0, 6))
+
+
+def test_one_generator_per_stream(monkeypatch):
+    p = ModelParams(20, 1.0, 2.0, 1.0, 5, 4, 7)
+    mat = sample_matrix(GAUSSIAN, 20, seed=3)
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(1)
+        return Philox(*args, **kwargs)
+
+    monkeypatch.setattr(streams, "Philox", counting)
+    simulate_full(p, double_well(2.0), mat, uniform_symmetric(1.0, 2.0), replica=1)
+    assert len(built) == 3  # init, brownian, bridge
+    del built[:]
+    sample_matrix(GAUSSIAN, 20, seed=3)
+    assert len(built) == 1
 
 
 def test_brownian_increment_variance_scales_with_step():

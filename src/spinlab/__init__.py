@@ -62,6 +62,7 @@ from .dynamics import (
     simulate_full,
     simulate_frozen,
     simulate_coupled,
+    simulate_coupled_sweep,
     coupling_envelope,
     envelope_violated,
     default_a2,

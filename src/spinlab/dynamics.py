@@ -2,7 +2,8 @@
 
 Both integrators share one Euler-Maruyama core: the full dynamics refreshes
 the interaction vector A x every step, the frozen dynamics only at the
-kappa sub-interval boundaries, holding it constant in between.  Runs are
+kappa sub-interval boundaries, holding it constant in between; a coupled
+sweep over kappa on one grid integrates the full side once.  Runs are
 reproducible from (master_seed, replica): Brownian increments, initial
 draws, and safeguard refinements all come from counter-addressed streams,
 so a trajectory does not depend on which runs came before it or on the
@@ -28,6 +29,7 @@ __all__ = [
     "simulate_full",
     "simulate_frozen",
     "simulate_coupled",
+    "simulate_coupled_sweep",
     "coupling_envelope",
     "envelope_violated",
     "default_a2",
@@ -222,6 +224,11 @@ class CouplingStats:
     l_t: np.ndarray
 
 
+# Fields that fix a coupled run's grid, initial draw, noise and full path;
+# sweep members may differ only in how the steps split into sub-intervals.
+_GRID_FIELDS = ("n_particles", "beta", "s_bound", "horizon", "n_steps", "master_seed")
+
+
 def simulate_coupled(
     params: ModelParams,
     potential: Potential,
@@ -231,25 +238,64 @@ def simulate_coupled(
 ):
     """Run full and frozen dynamics on identical noise and initial data.
 
-    Returns (full, frozen, CouplingStats).
+    Returns (full, frozen, CouplingStats); a one-member
+    ``simulate_coupled_sweep``.
     """
-    entries, x0, increments, bridge = _prepare(params, potential, mat, init, replica)
-    v_full, act_full = _integrate(
-        params, potential, entries, x0, increments, bridge, refresh_every=1
-    )
-    v_frozen, act_frozen = _integrate(
-        params, potential, entries, x0, increments, bridge,
-        refresh_every=params.substeps,
-    )
-    grid = grid_times(params)
-    full = PathEnsemble(v_full, grid, params, replica, act_full)
-    frozen = PathEnsemble(v_frozen, grid, params, replica, act_frozen)
+    return simulate_coupled_sweep([params], potential, mat, init, replica)[0]
 
-    r_t = np.linalg.norm(v_frozen - v_full, axis=0)
-    msd = coupling_msd(full, frozen)
-    anchor = (np.arange(params.n_steps + 1) // params.substeps) * params.substeps
-    l_t = np.linalg.norm(v_frozen[:, anchor] - v_frozen, axis=0)
-    return full, frozen, CouplingStats(r_t, msd, l_t)
+
+def simulate_coupled_sweep(
+    sweep,
+    potential: Potential,
+    mat: DisorderMatrix | None,
+    init: InitialLaw,
+    replica: int = 0,
+) -> list:
+    """Couple one full path with a frozen path for every params in ``sweep``.
+
+    The members must share one grid (the ``_GRID_FIELDS``) and may differ
+    only in kappa, so the initial draw, the Brownian block and the full
+    path are computed once; each member adds one frozen integration.
+    Returns one (full, frozen, CouplingStats) per member, in order, each
+    equal to ``simulate_coupled`` on that member.  The full ensembles share
+    one read-only values array.  A safeguard failure on a frozen side names
+    its kappa; the full side is shared, so its failure names none.
+    """
+    sweep = list(sweep)
+    if not sweep:
+        raise ValueError("sweep must hold at least one ModelParams")
+    base = sweep[0]
+    for params in sweep[1:]:
+        differ = [f for f in _GRID_FIELDS if getattr(params, f) != getattr(base, f)]
+        if differ:
+            raise ValueError(
+                f"sweep members must share one grid; {', '.join(differ)} differ"
+            )
+    entries, x0, increments, bridge = _prepare(base, potential, mat, init, replica)
+    v_full, act_full = _integrate(
+        base, potential, entries, x0, increments, bridge, refresh_every=1
+    )
+    grid = grid_times(base)
+
+    results = []
+    for params in sweep:
+        try:
+            v_frozen, act_frozen = _integrate(
+                params, potential, entries, x0, increments, bridge,
+                refresh_every=params.substeps,
+            )
+        except SafeguardError as err:
+            detail = f"{err.detail}, kappa={params.kappa}"
+            raise SafeguardError(err.particle, err.step, err.value, detail) from err
+        full = PathEnsemble(v_full, grid, params, replica, act_full)
+        frozen = PathEnsemble(v_frozen, grid, params, replica, act_frozen)
+
+        r_t = np.linalg.norm(v_frozen - v_full, axis=0)
+        msd = coupling_msd(full, frozen)
+        anchor = (np.arange(params.n_steps + 1) // params.substeps) * params.substeps
+        l_t = np.linalg.norm(v_frozen[:, anchor] - v_frozen, axis=0)
+        results.append((full, frozen, CouplingStats(r_t, msd, l_t)))
+    return results
 
 
 def coupling_envelope(a2: float, c_dd: float, rho: float, n: int, times) -> np.ndarray:

@@ -48,7 +48,7 @@ from .disorder import (
 from .dynamics import (
     SafeguardError,
     envelope_violated,
-    simulate_coupled,
+    simulate_coupled_sweep,
     simulate_frozen,
     simulate_full,
 )
@@ -227,11 +227,10 @@ def _path_file(run_dir, label: str, size: int, rep: int, kind: str = "") -> Path
     return Path(run_dir) / "paths" / f"{label}_{axis}{size}_rep{rep}{suffix}.npy"
 
 
-def _store_ensembles(out_dir: Path, label: str, size: int, ensembles,
-                     kind: str = "") -> None:
+def _store_ensembles(out_dir: Path, label: str, size: int, ensembles) -> None:
     (out_dir / "paths").mkdir(parents=True, exist_ok=True)
     for rep, ens in enumerate(ensembles):
-        np.save(_path_file(out_dir, label, size, rep, kind), ens.values)
+        np.save(_path_file(out_dir, label, size, rep), ens.values)
 
 
 # ---------------------------------------------------------------------------
@@ -425,6 +424,15 @@ def run_freeze_sweep(cfg, summary, out, store_paths):
     drift-envelope check (counted on draws where the operator-norm event
     held, and only while the frozen path stays near its sub-interval
     anchors).
+
+    The disorder seed does not depend on kappa, so the loop runs over
+    replicas: each draw's matrix, norm, noise and full path are computed
+    once and shared by every kappa (``simulate_coupled_sweep``), and stored
+    pairs are written as soon as they exist.  Outputs are those of one
+    coupled run per (kappa, replica): ``norms.csv`` repeats the replica
+    rows once per kappa and the full side's safeguard activations count
+    once per kappa.  With several failing draws, the first one raised is
+    the first in replica order.
     """
     law, label = cfg.law_objs()[0], cfg.law_labels()[0]
     potential = cfg.potential_obj()
@@ -433,36 +441,39 @@ def run_freeze_sweep(cfg, summary, out, store_paths):
     c_dd = max_negative_curvature(potential)
     # every kappa is checked against the total grid before any work starts
     sweep = [_params(cfg, n, kappa) for kappa in cfg.kappa_sweep]
+    times = grid_times(sweep[0])  # the same grid at every kappa
+    msds = np.empty((len(sweep), cfg.freeze_replicas))
+    violations = [0] * len(sweep)
+    norm_rows = []
+    if store_paths:
+        (out / "paths").mkdir(parents=True, exist_ok=True)
 
-    for params in sweep:
-        kappa = params.kappa
-        times = grid_times(params)
-        msds = np.empty(cfg.freeze_replicas)
-        violations = 0
-        pairs = []  # keeping every pair costs memory, so only when stored
-        for rep in range(cfg.freeze_replicas):
-            seed, mat = _disorder(cfg, law, 0, n, rep)
-            report = operator_norm_report(mat, beta=cfg.beta)
-            full, frozen, stats = _guarded(simulate_coupled, label, n, rep, params,
-                                           potential, mat, initial, replica=rep)
-            norm_row = _norm_row(cfg, label, n, rep, seed, report)
-            violations += bool(norm_row["a2_event"] and envelope_violated(
+    for rep in range(cfg.freeze_replicas):
+        seed, mat = _disorder(cfg, law, 0, n, rep)
+        report = operator_norm_report(mat, beta=cfg.beta)
+        norm_row = _norm_row(cfg, label, n, rep, seed, report)
+        norm_rows.append(norm_row)
+        pairs = _guarded(simulate_coupled_sweep, label, n, rep, sweep,
+                         potential, mat, initial, replica=rep)
+        for k, (params, (full, frozen, stats)) in enumerate(zip(sweep, pairs)):
+            violations[k] += bool(norm_row["a2_event"] and envelope_violated(
                 stats, times, cfg.a2, c_dd, cfg.rho, n))
-            msds[rep] = stats.msd
-            summary.norms.append(norm_row)
+            msds[k, rep] = stats.msd
             summary.safeguard_activations += (full.safeguard_activations
                                               + frozen.safeguard_activations)
             if store_paths:
-                pairs.append((full, frozen))
+                for kind, ens in (("full", full), ("frozen", frozen)):
+                    np.save(_path_file(out, label, params.kappa, rep, kind),
+                            ens.values)
+
+    for params, kappa_msds, kappa_violations in zip(sweep, msds, violations):
         summary.freeze.append({
-            "kappa": kappa, "n": n,
-            "msd_mean": float(msds.mean()),
-            "msd_stderr": float(msds.std(ddof=1) / np.sqrt(len(msds))),
-            "envelope_violations": violations,
+            "kappa": params.kappa, "n": n,
+            "msd_mean": float(kappa_msds.mean()),
+            "msd_stderr": float(kappa_msds.std(ddof=1) / np.sqrt(len(kappa_msds))),
+            "envelope_violations": kappa_violations,
         })
-        if store_paths:
-            for side, kind in enumerate(("full", "frozen")):
-                _store_ensembles(out, label, kappa, [p[side] for p in pairs], kind)
+        summary.norms.extend(norm_rows)
 
 
 @_command("validate")

@@ -13,6 +13,7 @@ from spinlab.dynamics import (
     envelope_violated,
     sample_initial,
     simulate_coupled,
+    simulate_coupled_sweep,
     simulate_frozen,
     simulate_full,
 )
@@ -114,6 +115,49 @@ def test_coupled_l_t_vanishes_at_freeze_points():
     _, _, stats = simulate_coupled(p, pot, mat, init, replica=0)
     for k in range(p.kappa + 1):
         assert stats.l_t[k * p.substeps] == 0.0
+
+
+def _safeguarded_sweep():
+    # tight box and coarse grid, so both sides need the boundary safeguard
+    sweep = [ModelParams(30, 1.0, 1.0, 1.0, k, 12 // k, 31) for k in (2, 3, 4, 6)]
+    mat = sample_matrix(GAUSSIAN, 30, seed=7)
+    return sweep, double_well(1.0), mat, uniform_symmetric(0.9, 1.0)
+
+
+def test_coupled_sweep_equals_one_coupled_run_per_kappa():
+    sweep, pot, mat, init = _safeguarded_sweep()
+    results = simulate_coupled_sweep(sweep, pot, mat, init, replica=3)
+    assert len(results) == len(sweep)
+    assert results[0][0].safeguard_activations > 0
+    for p, (full, frozen, stats) in zip(sweep, results):
+        ref_full, ref_frozen, ref_stats = simulate_coupled(p, pot, mat, init, replica=3)
+        assert frozen.safeguard_activations > 0
+        for got, ref in ((full, ref_full), (frozen, ref_frozen)):
+            np.testing.assert_array_equal(got.values, ref.values)
+            assert got.safeguard_activations == ref.safeguard_activations
+            assert got.params == p
+        np.testing.assert_array_equal(
+            full.values, simulate_full(p, pot, mat, init, replica=3).values)
+        np.testing.assert_array_equal(
+            frozen.values, simulate_frozen(p, pot, mat, init, replica=3).values)
+        assert stats.msd == ref_stats.msd
+        assert np.all(stats.r_t == ref_stats.r_t)
+        assert np.all(stats.l_t == ref_stats.l_t)
+    # one full path, shared read-only by every member
+    assert all(r[0].values is results[0][0].values for r in results)
+    assert not results[0][0].values.flags.writeable
+
+
+def test_coupled_sweep_rejects_members_on_different_grids():
+    sweep, pot, mat, init = _safeguarded_sweep()
+    with pytest.raises(ValueError, match="n_steps"):
+        simulate_coupled_sweep(sweep + [ModelParams(30, 1.0, 1.0, 1.0, 2, 5, 31)],
+                               pot, mat, init)
+    with pytest.raises(ValueError, match="horizon"):
+        simulate_coupled_sweep(sweep + [ModelParams(30, 1.0, 1.0, 2.0, 2, 6, 31)],
+                               pot, mat, init)
+    with pytest.raises(ValueError, match="at least one"):
+        simulate_coupled_sweep([], pot, mat, init)
 
 
 def test_shared_streams_same_initials_different_paths():

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from spinlab import harness
+from spinlab import dynamics, harness
 from spinlab.cli import _COMMANDS, main
 from spinlab.config import ConfigError, load_config
 from spinlab.dynamics import SafeguardError
@@ -134,11 +134,13 @@ _GOLDEN = {
         "gaps.csv": "780e08644700514840ea87ab1484d76143d2624c754e3cc508140badb53a1d5a",
         "norms.csv": "ca523ca94a45840027daaaa90c3a83b973f538c54f402ef48e47a7d9ff3317ff",
         "paths/": "c62e7e85788ef5f1a4830cf609376406fc14491144962a2020c2b8ff07e7bd4b",
+        "paths/*.npy": "cbe98e35ef41b02bf45225aa734ef9cdfd6ecf0f67acd4200ce0628340ff0dfe",
     },
     "freeze-sweep": {
         "freeze.csv": "f2f867a98b4334547d499794e7b4c70faeec51cb3c360fdc3f91c0df246e1da9",
         "norms.csv": "03ae99a04944fa93d03f4e4387aab9e20668cf24ada8590bab05f8b69ce194ba",
         "paths/": "53efd5fb983d0c6dc8604e36720dea91893d1f10b7ca22fcff97209b4ab2687a",
+        "paths/*.npy": "5c980e5d3d86136a3ccfe1a25ff8deed67447d0fd4809a208649ebc62de7e1ef",
     },
     "validate": {
         "norms.csv": "20c3d607e3fc86cf40b9016dff0bbd929eacffda4cd214903f2b771e33cfd3bd",
@@ -150,13 +152,15 @@ _GOLDEN = {
         "autocorr.csv": "311f715d7de6dc0a6b19a477ff689eaf973f5629c0e807521f8e4e6b0248a410",
         "norms.csv": "f89ded9d2b116b4232ba531cb6e3e70abdc0d1b53e2a29f191ae27251389a3d2",
         "paths/": "417ea715cdcde82da33be762fe376647bac85f99364bb96dbbd7c1c8aa29b15c",
+        "paths/*.npy": "fa47593973bfd22a4f5a52672d6d6649a8e875e368d16a16efda1b6e313a05a3",
     },
 }
 
 
 @pytest.mark.parametrize("command", sorted(_GOLDEN))
 def test_outputs_match_golden_digests(tmp_path, command):
-    """Every CSV, and the sorted stored-path names, hash to recorded bytes.
+    """Every CSV, the sorted stored-path names and the stored-path contents
+    hash to recorded bytes.
 
     The digests pin the output of ``_small()`` with ``store_paths=True``.
     A change that alters output bytes on purpose re-records them and says
@@ -168,6 +172,10 @@ def test_outputs_match_golden_digests(tmp_path, command):
     names = sorted(p.name for p in tmp_path.glob("paths/*"))
     if names:
         digests["paths/"] = hashlib.sha256("\n".join(names).encode()).hexdigest()
+        contents = hashlib.sha256()
+        for path in sorted(tmp_path.glob("paths/*.npy")):
+            contents.update(path.read_bytes())
+        digests["paths/*.npy"] = contents.hexdigest()
     assert digests == _GOLDEN[command]
 
 
@@ -189,6 +197,25 @@ def test_freeze_sweep_rejects_non_dividing_kappa(tmp_path):
     cfg = _small(kappa_sweep=[3])  # total grid is 4
     with pytest.raises(ConfigError, match="does not divide"):
         run_freeze_sweep(cfg, out_dir=tmp_path)
+
+
+def test_freeze_sweep_draws_and_norms_each_replica_once(tmp_path, monkeypatch):
+    calls = {"operator_norm_report": 0, "sample_matrix": 0}
+
+    def counting(name):
+        original = getattr(harness, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(harness, name, counting(name))
+    run_freeze_sweep(_small(kappa_sweep=[1, 2, 4], freeze_replicas=3),
+                     out_dir=tmp_path)
+    assert calls == {"operator_norm_report": 3, "sample_matrix": 3}
 
 
 # ---------------------------------------------------------------------------
@@ -443,6 +470,24 @@ def test_cli_safeguard_failure_exit_two_with_context(tmp_path, capsys,
     err = capsys.readouterr().err
     assert "numerical failure" in err
     assert "law=gaussian, N=6, replica=0" in err
+
+
+def test_cli_frozen_safeguard_failure_names_its_kappa(tmp_path, capsys,
+                                                      monkeypatch):
+    integrate = dynamics._integrate
+
+    def frozen_fails(params, *args, refresh_every):
+        if refresh_every > 1:
+            raise SafeguardError(1, 2, 3.0, "forced")
+        return integrate(params, *args, refresh_every=refresh_every)
+
+    monkeypatch.setattr(dynamics, "_integrate", frozen_fails)
+    path = _write_cfg(tmp_path)  # kappa_sweep [2, 4]: kappa 2 has 2 substeps
+    code = main(["freeze-sweep", "--config", str(path),
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "forced, kappa=2 [law=gaussian, N=6, replica=0]" in err
 
 
 def test_cli_replay_round_trip(tmp_path, capsys):

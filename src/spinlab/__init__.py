@@ -36,7 +36,6 @@ from .model import (
     ConfinementReport,
     QuadratureError,
     max_negative_curvature,
-    max_drift_magnitude,
 )
 from .disorder import (
     DisorderLaw,
@@ -62,7 +61,8 @@ from .dynamics import (
     simulate_full,
     simulate_frozen,
     simulate_coupled,
-    simulate_coupled_sweep,
+    simulate_shared,
+    coupling_stats,
     coupling_envelope,
     envelope_violated,
     default_a2,

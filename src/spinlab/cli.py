@@ -27,7 +27,6 @@ from .harness import (
     run_universality,
     run_validation,
 )
-from .model import QuadratureError
 
 __all__ = ["main"]
 
@@ -173,8 +172,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (NumericalFailure, SafeguardError, PowerIterationError,
-            QuadratureError) as exc:
+    except (NumericalFailure, SafeguardError, PowerIterationError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
 

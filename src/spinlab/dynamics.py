@@ -1,9 +1,11 @@
 """Interacting Langevin dynamics and its piecewise-frozen approximation.
 
-Both integrators share one Euler-Maruyama core: the full dynamics refreshes
-the interaction vector A x every step, the frozen dynamics only at the
-kappa sub-interval boundaries, holding it constant in between; a coupled
-sweep over kappa on one grid integrates the full side once.  Runs are
+Every integration goes through ``simulate_shared``, which prepares one
+initial draw and noise block for a list of full and frozen runs on one
+matrix and grid.  They share one Euler-Maruyama core: the full dynamics
+refreshes the interaction vector A x every step, the frozen dynamics only
+at the kappa sub-interval boundaries, holding it constant in between; runs
+with the same refresh interval are integrated once.  Runs are
 reproducible from (master_seed, replica): Brownian increments, initial
 draws, and safeguard refinements all come from counter-addressed streams,
 so a trajectory does not depend on which runs came before it or on the
@@ -29,7 +31,8 @@ __all__ = [
     "simulate_full",
     "simulate_frozen",
     "simulate_coupled",
-    "simulate_coupled_sweep",
+    "simulate_shared",
+    "coupling_stats",
     "coupling_envelope",
     "envelope_violated",
     "default_a2",
@@ -173,6 +176,62 @@ def _prepare(params, potential, mat, init, replica):
     return entries, x0, increments, bridge
 
 
+# Fields that fix a run's grid, initial draw and noise; runs sharing one
+# ``simulate_shared`` call may differ only in how the steps split into
+# sub-intervals.
+_GRID_FIELDS = ("n_particles", "beta", "s_bound", "horizon", "n_steps", "master_seed")
+
+
+def simulate_shared(
+    runs,
+    potential: Potential,
+    mat: DisorderMatrix | None,
+    init: InitialLaw,
+    replica: int = 0,
+) -> list:
+    """Integrate several runs on one matrix, initial draw and noise block.
+
+    ``runs`` is a list of ``(params, frozen)`` pairs whose params share one
+    grid (the ``_GRID_FIELDS``); they may differ only in kappa.  The
+    initial draw, the Brownian block and the bridge stream are prepared
+    once.  A full run refreshes the interaction every step, a frozen run
+    every ``params.substeps`` steps; runs with the same refresh interval
+    are integrated once and share one read-only values array.  Returns one
+    PathEnsemble per run, in order, each equal to ``simulate_full`` or
+    ``simulate_frozen`` on that run alone.  Runs are integrated in order, so
+    the first failing one raises; a frozen run's SafeguardError names its
+    kappa.
+    """
+    runs = list(runs)
+    if not runs:
+        raise ValueError("runs must hold at least one (params, frozen) pair")
+    base = runs[0][0]
+    for params, _ in runs[1:]:
+        differ = [f for f in _GRID_FIELDS if getattr(params, f) != getattr(base, f)]
+        if differ:
+            raise ValueError(f"runs must share one grid; {', '.join(differ)} differ")
+    entries, x0, increments, bridge = _prepare(base, potential, mat, init, replica)
+    grid = grid_times(base)
+    paths = {}  # refresh interval -> (values, safeguard activations)
+    ensembles = []
+    for params, frozen in runs:
+        every = params.substeps if frozen else 1
+        if every not in paths:
+            try:
+                paths[every] = _integrate(
+                    params, potential, entries, x0, increments, bridge,
+                    refresh_every=every,
+                )
+            except SafeguardError as err:
+                if not frozen:
+                    raise
+                detail = f"{err.detail}, kappa={params.kappa}"
+                raise SafeguardError(err.particle, err.step, err.value, detail) from err
+        values, activations = paths[every]
+        ensembles.append(PathEnsemble(values, grid, params, replica, activations))
+    return ensembles
+
+
 def simulate_full(
     params: ModelParams,
     potential: Potential,
@@ -181,11 +240,7 @@ def simulate_full(
     replica: int = 0,
 ) -> PathEnsemble:
     """Integrate the fully-coupled dynamics: interaction refreshed every step."""
-    entries, x0, increments, bridge = _prepare(params, potential, mat, init, replica)
-    values, activations = _integrate(
-        params, potential, entries, x0, increments, bridge, refresh_every=1
-    )
-    return PathEnsemble(values, grid_times(params), params, replica, activations)
+    return simulate_shared([(params, False)], potential, mat, init, replica)[0]
 
 
 def simulate_frozen(
@@ -201,12 +256,7 @@ def simulate_frozen(
     kappa sub-intervals and held constant across its substeps.  With
     substeps = 1 this is the same code path as simulate_full.
     """
-    entries, x0, increments, bridge = _prepare(params, potential, mat, init, replica)
-    values, activations = _integrate(
-        params, potential, entries, x0, increments, bridge,
-        refresh_every=params.substeps,
-    )
-    return PathEnsemble(values, grid_times(params), params, replica, activations)
+    return simulate_shared([(params, True)], potential, mat, init, replica)[0]
 
 
 @dataclass(frozen=True)
@@ -224,9 +274,14 @@ class CouplingStats:
     l_t: np.ndarray
 
 
-# Fields that fix a coupled run's grid, initial draw, noise and full path;
-# sweep members may differ only in how the steps split into sub-intervals.
-_GRID_FIELDS = ("n_particles", "beta", "s_bound", "horizon", "n_steps", "master_seed")
+def coupling_stats(full: PathEnsemble, frozen: PathEnsemble) -> CouplingStats:
+    """CouplingStats of a full/frozen pair run on identical noise and
+    initial data; the freeze points are those of ``frozen.params``."""
+    params = frozen.params
+    r_t = np.linalg.norm(frozen.values - full.values, axis=0)
+    anchor = (np.arange(params.n_steps + 1) // params.substeps) * params.substeps
+    l_t = np.linalg.norm(frozen.values[:, anchor] - frozen.values, axis=0)
+    return CouplingStats(r_t, coupling_msd(full, frozen), l_t)
 
 
 def simulate_coupled(
@@ -238,64 +293,11 @@ def simulate_coupled(
 ):
     """Run full and frozen dynamics on identical noise and initial data.
 
-    Returns (full, frozen, CouplingStats); a one-member
-    ``simulate_coupled_sweep``.
+    Returns (full, frozen, CouplingStats).
     """
-    return simulate_coupled_sweep([params], potential, mat, init, replica)[0]
-
-
-def simulate_coupled_sweep(
-    sweep,
-    potential: Potential,
-    mat: DisorderMatrix | None,
-    init: InitialLaw,
-    replica: int = 0,
-) -> list:
-    """Couple one full path with a frozen path for every params in ``sweep``.
-
-    The members must share one grid (the ``_GRID_FIELDS``) and may differ
-    only in kappa, so the initial draw, the Brownian block and the full
-    path are computed once; each member adds one frozen integration.
-    Returns one (full, frozen, CouplingStats) per member, in order, each
-    equal to ``simulate_coupled`` on that member.  The full ensembles share
-    one read-only values array.  A safeguard failure on a frozen side names
-    its kappa; the full side is shared, so its failure names none.
-    """
-    sweep = list(sweep)
-    if not sweep:
-        raise ValueError("sweep must hold at least one ModelParams")
-    base = sweep[0]
-    for params in sweep[1:]:
-        differ = [f for f in _GRID_FIELDS if getattr(params, f) != getattr(base, f)]
-        if differ:
-            raise ValueError(
-                f"sweep members must share one grid; {', '.join(differ)} differ"
-            )
-    entries, x0, increments, bridge = _prepare(base, potential, mat, init, replica)
-    v_full, act_full = _integrate(
-        base, potential, entries, x0, increments, bridge, refresh_every=1
-    )
-    grid = grid_times(base)
-
-    results = []
-    for params in sweep:
-        try:
-            v_frozen, act_frozen = _integrate(
-                params, potential, entries, x0, increments, bridge,
-                refresh_every=params.substeps,
-            )
-        except SafeguardError as err:
-            detail = f"{err.detail}, kappa={params.kappa}"
-            raise SafeguardError(err.particle, err.step, err.value, detail) from err
-        full = PathEnsemble(v_full, grid, params, replica, act_full)
-        frozen = PathEnsemble(v_frozen, grid, params, replica, act_frozen)
-
-        r_t = np.linalg.norm(v_frozen - v_full, axis=0)
-        msd = coupling_msd(full, frozen)
-        anchor = (np.arange(params.n_steps + 1) // params.substeps) * params.substeps
-        l_t = np.linalg.norm(v_frozen[:, anchor] - v_frozen, axis=0)
-        results.append((full, frozen, CouplingStats(r_t, msd, l_t)))
-    return results
+    full, frozen = simulate_shared(
+        [(params, False), (params, True)], potential, mat, init, replica)
+    return full, frozen, coupling_stats(full, frozen)
 
 
 def coupling_envelope(a2: float, c_dd: float, rho: float, n: int, times) -> np.ndarray:

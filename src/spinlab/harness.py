@@ -14,6 +14,10 @@ the clock, the ``RunSummary`` and persistence.  Shared decisions have one
 owner each: ``_params``, ``_disorder``, ``_norm_row``, ``_guarded`` (names
 the draw behind a safeguard failure), ``_TABLES`` (CSV schemas) and
 ``_path_file`` (stored-trajectory names, used by store and replay).
+Integration goes through ``dynamics.simulate_shared``: a universality
+draw integrates its sample-0 full run together with the frozen run behind
+its tilt statistic, and a freeze-sweep replica its full path together with
+one frozen path per kappa.
 
 Seed derivation schemes (also recorded in each summary):
 
@@ -47,10 +51,10 @@ from .disorder import (
 )
 from .dynamics import (
     SafeguardError,
+    coupling_stats,
     envelope_violated,
-    simulate_coupled_sweep,
-    simulate_frozen,
     simulate_full,
+    simulate_shared,
 )
 from .lindeberg import certificate_suite, gaussian_mc_check
 from .model import ModelParams, grid_times, max_negative_curvature
@@ -282,31 +286,44 @@ def _reference_index(laws) -> int:
 # simulation blocks
 
 def _curve_block(cfg: ExperimentConfig, summary: RunSummary, params: ModelParams,
-                 law, law_idx: int, label: str, samples: int, store: Path | None):
+                 law, law_idx: int, label: str, samples: int, store: Path | None,
+                 phi_draws: int = 0):
     """Thermal-averaged autocorrelation per disorder draw for one (law, N).
 
-    Returns (autocorr block, curves[replicas, G+1], ensembles, norm rows)
-    and adds the safeguard activations to ``summary``.  Ensembles are the
-    sample-0 full runs, used for marginal pooling and saved under
-    ``store`` when the run keeps paths.
+    Returns (autocorr block, curves[replicas, G+1], ensembles, norm rows,
+    phis) and adds the full runs' safeguard activations to ``summary``.
+    Ensembles are the sample-0 full runs, used for marginal pooling and
+    saved under ``store`` when the run keeps paths.  The first
+    ``phi_draws`` draws also integrate the frozen run at sample 0 in the
+    same ``simulate_shared`` call and report its interaction tilt in
+    ``phis``; draws past ``replicas`` run only that frozen side.
     """
     potential = cfg.potential_obj()
     initial = cfg.initial_obj()
     n = params.n_particles
     curves = np.zeros((cfg.replicas, params.n_steps + 1))
-    ensembles, norm_rows = [], []
-    for rep in range(cfg.replicas):
+    ensembles, norm_rows, phis = [], [], []
+    for rep in range(max(cfg.replicas, phi_draws)):
         seed, mat = _disorder(cfg, law, law_idx, n, rep)
-        report = operator_norm_report(mat, beta=cfg.beta)
-        for s in range(samples):
-            ens = _guarded(simulate_full, label, n, rep, params, potential, mat,
-                           initial, replica=rep * samples + s)
-            curves[rep] += autocorrelation(ens)
-            summary.safeguard_activations += ens.safeguard_activations
-            if s == 0:
-                ensembles.append(ens)
-        curves[rep] /= samples
-        norm_rows.append(_norm_row(cfg, label, n, rep, seed, report))
+        curve = rep < cfg.replicas
+        for s in range(samples if curve else 1):
+            tilt = s == 0 and rep < phi_draws
+            runs = [(params, False)] * curve + [(params, True)] * tilt
+            paths = _guarded(simulate_shared, label, n, rep, runs, potential,
+                             mat, initial, replica=rep * samples + s)
+            if tilt:
+                phis.append(girsanov_stats(paths.pop(), mat, params, potential,
+                                           c1=cfg.c1).phi)
+            if curve:
+                ens = paths[0]
+                curves[rep] += autocorrelation(ens)
+                summary.safeguard_activations += ens.safeguard_activations
+                if s == 0:
+                    ensembles.append(ens)
+        if curve:
+            curves[rep] /= samples
+            report = operator_norm_report(mat, beta=cfg.beta)
+            norm_rows.append(_norm_row(cfg, label, n, rep, seed, report))
     if store is not None:
         _store_ensembles(store, label, n, ensembles)
     block = {
@@ -314,7 +331,7 @@ def _curve_block(cfg: ExperimentConfig, summary: RunSummary, params: ModelParams
         "t": grid_times(params), "mean": curves.mean(axis=0),
         "stderr": curves.std(axis=0, ddof=1) / np.sqrt(cfg.replicas),
     }
-    return block, curves, ensembles, norm_rows
+    return block, curves, ensembles, norm_rows, phis
 
 
 def _bootstrap_gap(diff: np.ndarray, resamples: int, seed: int):
@@ -338,21 +355,6 @@ def _bootstrap_gap(diff: np.ndarray, resamples: int, seed: int):
     return gap, float(sups.std(ddof=1)), float(np.quantile(floors, 0.99))
 
 
-def _phi_median(cfg: ExperimentConfig, params: ModelParams, law, law_idx: int,
-                label: str, samples: int) -> float:
-    """Median interaction-tilt statistic over the first phi_replicas draws."""
-    potential = cfg.potential_obj()
-    initial = cfg.initial_obj()
-    n = params.n_particles
-    phis = []
-    for rep in range(cfg.phi_replicas):
-        _, mat = _disorder(cfg, law, law_idx, n, rep)
-        frozen = _guarded(simulate_frozen, label, n, rep,
-                          params, potential, mat, initial, replica=rep * samples)
-        phis.append(girsanov_stats(frozen, mat, params, potential, c1=cfg.c1).phi)
-    return float(np.median(phis))
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -366,7 +368,10 @@ def run_universality(cfg, summary, out, store_paths):
     ``thermal_samples`` independent driving samples.  Non-reference laws
     get a sup-t gap against the gaussian reference with a paired bootstrap
     standard error and noise floor, plus a pooled marginal transport
-    surrogate.
+    surrogate.  Each law's tilt median reuses the frozen runs that the
+    first ``phi_replicas`` draws integrate alongside their sample-0 full
+    runs, so with several failing draws the first one raised may be a
+    tilt run's.
     """
     laws = cfg.law_objs()
     labels = cfg.law_labels()
@@ -381,9 +386,12 @@ def run_universality(cfg, summary, out, store_paths):
 
     for n in cfg.n_sweep:
         params = _params(cfg, n)
+        phi = {}
         for idx in order:
-            block, curves, ensembles, norm_rows = _curve_block(
-                cfg, summary, params, laws[idx], idx, labels[idx], samples, store)
+            block, curves, ensembles, norm_rows, phis = _curve_block(
+                cfg, summary, params, laws[idx], idx, labels[idx], samples, store,
+                phi_draws=cfg.phi_replicas)
+            phi[idx] = float(np.median(phis))
             if idx == ref_idx:
                 ref_curves, ref_ensembles = curves, ensembles
             else:
@@ -399,13 +407,9 @@ def run_universality(cfg, summary, out, store_paths):
                 })
             per_law[idx].append((block, norm_rows))
         del ensembles, ref_ensembles
-
-        for idx in range(len(laws)):
-            summary.phi_medians.append({
-                "law": labels[idx], "n": n,
-                "phi_median": _phi_median(cfg, params, laws[idx], idx,
-                                          labels[idx], samples),
-            })
+        summary.phi_medians.extend(
+            {"law": labels[idx], "n": n, "phi_median": phi[idx]}
+            for idx in range(len(laws)))
 
     for blocks in per_law:
         for block, norm_rows in blocks:
@@ -427,7 +431,7 @@ def run_freeze_sweep(cfg, summary, out, store_paths):
 
     The disorder seed does not depend on kappa, so the loop runs over
     replicas: each draw's matrix, norm, noise and full path are computed
-    once and shared by every kappa (``simulate_coupled_sweep``), and stored
+    once and shared by every kappa (one ``simulate_shared`` call), and stored
     pairs are written as soon as they exist.  Outputs are those of one
     coupled run per (kappa, replica): ``norms.csv`` repeats the replica
     rows once per kappa and the full side's safeguard activations count
@@ -453,9 +457,12 @@ def run_freeze_sweep(cfg, summary, out, store_paths):
         report = operator_norm_report(mat, beta=cfg.beta)
         norm_row = _norm_row(cfg, label, n, rep, seed, report)
         norm_rows.append(norm_row)
-        pairs = _guarded(simulate_coupled_sweep, label, n, rep, sweep,
-                         potential, mat, initial, replica=rep)
-        for k, (params, (full, frozen, stats)) in enumerate(zip(sweep, pairs)):
+        full, *frozen_runs = _guarded(
+            simulate_shared, label, n, rep,
+            [(sweep[0], False)] + [(p, True) for p in sweep],
+            potential, mat, initial, replica=rep)
+        for k, (params, frozen) in enumerate(zip(sweep, frozen_runs)):
+            stats = coupling_stats(full, frozen)
             violations[k] += bool(norm_row["a2_event"] and envelope_violated(
                 stats, times, cfg.a2, c_dd, cfg.rho, n))
             msds[k, rep] = stats.msd
@@ -586,7 +593,7 @@ def run_simulate(cfg, summary, out, store_paths):
     )
 
     for idx, (law, label) in enumerate(zip(cfg.law_objs(), cfg.law_labels())):
-        block, _, _, norm_rows = _curve_block(
+        block, _, _, norm_rows, _ = _curve_block(
             cfg, summary, params, law, idx, label, samples=1,
             store=out if store_paths else None,
         )

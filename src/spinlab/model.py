@@ -36,7 +36,6 @@ __all__ = [
     "grid_times",
     "confinement_check",
     "max_negative_curvature",
-    "max_drift_magnitude",
 ]
 
 
@@ -100,11 +99,6 @@ class ModelParams:
     @property
     def grid_step(self) -> float:
         return self.horizon / (self.kappa * self.substeps)
-
-    @property
-    def freeze_indices(self) -> np.ndarray:
-        """Grid indices of the freeze points t_k = k * substeps * grid_step."""
-        return np.arange(self.kappa + 1) * self.substeps
 
 
 def grid_times(params: ModelParams) -> np.ndarray:
@@ -270,14 +264,6 @@ def max_negative_curvature(p: Potential, n_points: int = 200001, margin: float =
     """
     xs = np.linspace(-p.s_bound * (1.0 - margin), p.s_bound * (1.0 - margin), n_points)
     return float(np.max(-p._d2u1(xs)))
-
-
-def max_drift_magnitude(p: Potential, eps: float, n_points: int = 200001) -> float:
-    """sup of |U1'| over the closed interval |x| <= s - eps."""
-    if not 0 < eps < p.s_bound:
-        raise ValueError("eps must lie in (0, s_bound)")
-    xs = np.linspace(-(p.s_bound - eps), p.s_bound - eps, n_points)
-    return float(np.max(np.abs(p._du1(xs))))
 
 
 @dataclass(frozen=True)

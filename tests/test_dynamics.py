@@ -5,17 +5,19 @@ import math
 import numpy as np
 import pytest
 
+from spinlab import dynamics
 from spinlab.disorder import GAUSSIAN, RADEMACHER, DisorderMatrix, sample_matrix
 from spinlab.dynamics import (
     CouplingStats,
     SafeguardError,
     coupling_envelope,
+    coupling_stats,
     envelope_violated,
     sample_initial,
     simulate_coupled,
-    simulate_coupled_sweep,
     simulate_frozen,
     simulate_full,
+    simulate_shared,
 )
 from spinlab.model import (
     ModelParams,
@@ -124,40 +126,79 @@ def _safeguarded_sweep():
     return sweep, double_well(1.0), mat, uniform_symmetric(0.9, 1.0)
 
 
-def test_coupled_sweep_equals_one_coupled_run_per_kappa():
+def test_shared_sweep_equals_one_coupled_run_per_kappa():
     sweep, pot, mat, init = _safeguarded_sweep()
-    results = simulate_coupled_sweep(sweep, pot, mat, init, replica=3)
-    assert len(results) == len(sweep)
-    assert results[0][0].safeguard_activations > 0
-    for p, (full, frozen, stats) in zip(sweep, results):
+    full, *frozen_runs = simulate_shared(
+        [(sweep[0], False)] + [(p, True) for p in sweep], pot, mat, init, replica=3)
+    assert len(frozen_runs) == len(sweep)
+    assert full.safeguard_activations > 0
+    ref_full = simulate_full(sweep[0], pot, mat, init, replica=3)
+    np.testing.assert_array_equal(full.values, ref_full.values)
+    assert full.safeguard_activations == ref_full.safeguard_activations
+    for p, frozen in zip(sweep, frozen_runs):
         ref_full, ref_frozen, ref_stats = simulate_coupled(p, pot, mat, init, replica=3)
         assert frozen.safeguard_activations > 0
-        for got, ref in ((full, ref_full), (frozen, ref_frozen)):
-            np.testing.assert_array_equal(got.values, ref.values)
-            assert got.safeguard_activations == ref.safeguard_activations
-            assert got.params == p
-        np.testing.assert_array_equal(
-            full.values, simulate_full(p, pot, mat, init, replica=3).values)
+        assert frozen.params == p
+        np.testing.assert_array_equal(frozen.values, ref_frozen.values)
+        assert frozen.safeguard_activations == ref_frozen.safeguard_activations
         np.testing.assert_array_equal(
             frozen.values, simulate_frozen(p, pot, mat, init, replica=3).values)
+        stats = coupling_stats(full, frozen)
         assert stats.msd == ref_stats.msd
         assert np.all(stats.r_t == ref_stats.r_t)
         assert np.all(stats.l_t == ref_stats.l_t)
-    # one full path, shared read-only by every member
-    assert all(r[0].values is results[0][0].values for r in results)
-    assert not results[0][0].values.flags.writeable
+    assert not full.values.flags.writeable
 
 
-def test_coupled_sweep_rejects_members_on_different_grids():
+def test_shared_runs_with_one_refresh_interval_integrate_once(monkeypatch):
+    # kappa 12 on a 12-step grid refreshes every step, like the full run
     sweep, pot, mat, init = _safeguarded_sweep()
+    one_substep = ModelParams(30, 1.0, 1.0, 1.0, 12, 1, 31)
+    ref_one = simulate_frozen(one_substep, pot, mat, init)
+    ref_frozen = simulate_frozen(sweep[0], pot, mat, init)
+    calls = []
+    integrate = dynamics._integrate
+
+    def counting(params, *args, refresh_every):
+        calls.append(refresh_every)
+        return integrate(params, *args, refresh_every=refresh_every)
+
+    monkeypatch.setattr(dynamics, "_integrate", counting)
+    runs = [(sweep[0], False), (one_substep, True), (sweep[0], True),
+            (sweep[1], False)]
+    full, frozen_one, frozen, full_again = simulate_shared(runs, pot, mat, init)
+    assert calls == [1, sweep[0].substeps]
+    assert frozen_one.values is full.values is full_again.values
+    assert frozen_one.params == one_substep
+    assert full_again.params == sweep[1]
+    np.testing.assert_array_equal(frozen_one.values, ref_one.values)
+    np.testing.assert_array_equal(frozen.values, ref_frozen.values)
+
+
+def test_shared_rejects_runs_on_different_grids():
+    sweep, pot, mat, init = _safeguarded_sweep()
+    runs = [(p, True) for p in sweep]
     with pytest.raises(ValueError, match="n_steps"):
-        simulate_coupled_sweep(sweep + [ModelParams(30, 1.0, 1.0, 1.0, 2, 5, 31)],
-                               pot, mat, init)
+        simulate_shared(runs + [(ModelParams(30, 1.0, 1.0, 1.0, 2, 5, 31), False)],
+                        pot, mat, init)
     with pytest.raises(ValueError, match="horizon"):
-        simulate_coupled_sweep(sweep + [ModelParams(30, 1.0, 1.0, 2.0, 2, 6, 31)],
-                               pot, mat, init)
+        simulate_shared(runs + [(ModelParams(30, 1.0, 1.0, 2.0, 2, 6, 31), True)],
+                        pot, mat, init)
     with pytest.raises(ValueError, match="at least one"):
-        simulate_coupled_sweep([], pot, mat, init)
+        simulate_shared([], pot, mat, init)
+
+
+def test_frozen_safeguard_failure_names_its_kappa():
+    sweep, pot, mat, _ = _safeguarded_sweep()
+    repel = custom_potential(
+        lambda x: -25.0 * x**2, lambda x: -50.0 * x, lambda x: -50.0 + 0.0 * x, 1.0
+    )
+    init = point_mass(0.5, 1.0)
+    with pytest.raises(SafeguardError, match=r"kappa=3\)$"):
+        simulate_shared([(sweep[1], True), (sweep[0], False)], repel, mat, init)
+    with pytest.raises(SafeguardError) as err:
+        simulate_full(sweep[1], repel, mat, init)
+    assert "kappa" not in str(err.value)
 
 
 def test_shared_streams_same_initials_different_paths():

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from spinlab import dynamics, harness
+from spinlab import dynamics, harness, lindeberg
 from spinlab.cli import _COMMANDS, main
 from spinlab.config import ConfigError, load_config
 from spinlab.dynamics import SafeguardError
@@ -80,6 +80,16 @@ def test_universality_layout_and_row_invariant(tmp_path):
     assert len(summary.phi_medians) == len(cfg.laws) * len(cfg.n_sweep)
 
 
+def test_universality_draws_and_prepares_each_run_once(tmp_path, monkeypatch):
+    # 2 laws x 2 sizes x 3 replicas; the tilt runs reuse the first
+    # phi_replicas draws and their sample-0 noise
+    draws = _count_calls(monkeypatch, harness, "sample_matrix")
+    prepares = _count_calls(monkeypatch, dynamics, "_prepare")
+    run_universality(_small(), out_dir=tmp_path)
+    assert draws == {"sample_matrix": 12}
+    assert prepares == {"_prepare": 12}
+
+
 def test_universality_requires_gaussian_reference(tmp_path):
     cfg = _small(laws=["rademacher", "cexp"])
     with pytest.raises(ConfigError, match="gaussian"):
@@ -135,40 +145,68 @@ _GOLDEN = {
         "norms.csv": "ca523ca94a45840027daaaa90c3a83b973f538c54f402ef48e47a7d9ff3317ff",
         "paths/": "c62e7e85788ef5f1a4830cf609376406fc14491144962a2020c2b8ff07e7bd4b",
         "paths/*.npy": "cbe98e35ef41b02bf45225aa734ef9cdfd6ecf0f67acd4200ce0628340ff0dfe",
+        "summary.json": "be906f780debb2a99e34a88972b4f1aa7e273df74ec1db2effed8d3d45f6a1bd",
+    },
+    "universality-tilt-past-replicas": {
+        "autocorr.csv": "2c525d70cd5686efe911a9591e1d59a16975e626143bca4cbb3236e307c8a5b0",
+        "gaps.csv": "6aa80e32f2e144cfe47d9af38cc395a4b37868d9e31d3576dae9c1676348f4eb",
+        "norms.csv": "ca523ca94a45840027daaaa90c3a83b973f538c54f402ef48e47a7d9ff3317ff",
+        "paths/": "c62e7e85788ef5f1a4830cf609376406fc14491144962a2020c2b8ff07e7bd4b",
+        "paths/*.npy": "84cd0207d7ba14ea1890e7f25d1e3680f85f237d5edff79db92fe20bde6efbd3",
+        "summary.json": "c8b5bc9efc59a6b27c059342b43d60b3d40a2a8153e83b8ac90bfdeada4743ad",
     },
     "freeze-sweep": {
         "freeze.csv": "f2f867a98b4334547d499794e7b4c70faeec51cb3c360fdc3f91c0df246e1da9",
         "norms.csv": "03ae99a04944fa93d03f4e4387aab9e20668cf24ada8590bab05f8b69ce194ba",
         "paths/": "53efd5fb983d0c6dc8604e36720dea91893d1f10b7ca22fcff97209b4ab2687a",
         "paths/*.npy": "5c980e5d3d86136a3ccfe1a25ff8deed67447d0fd4809a208649ebc62de7e1ef",
+        "summary.json": "a22682f27243e856dcf30a6c91151fb12478a1dddbfa05f103a46f87f3718ee0",
     },
     "validate": {
         "norms.csv": "20c3d607e3fc86cf40b9016dff0bbd929eacffda4cd214903f2b771e33cfd3bd",
+        "summary.json": "69cfaa1f0632e9a8a92b0541f07c44392c61ac2f23245000c32a362e18778c4e",
     },
     "lindeberg": {
         "lindeberg.csv": "c795afb725cdfadd3d2e2a17c9c5cac1c961ccf3c37715a374db6f755caf8860",
+        "summary.json": "7f9f888abdc0e3d7dd35d154bd76c15eb0cc842b1cefbd8ff8b30af72b6f1977",
     },
     "simulate": {
         "autocorr.csv": "311f715d7de6dc0a6b19a477ff689eaf973f5629c0e807521f8e4e6b0248a410",
         "norms.csv": "f89ded9d2b116b4232ba531cb6e3e70abdc0d1b53e2a29f191ae27251389a3d2",
         "paths/": "417ea715cdcde82da33be762fe376647bac85f99364bb96dbbd7c1c8aa29b15c",
         "paths/*.npy": "fa47593973bfd22a4f5a52672d6d6649a8e875e368d16a16efda1b6e313a05a3",
+        "summary.json": "d78a94ea58dfddc648aabc18401623a2c9251197810c2dd35df37c33211a2e75",
     },
 }
 
 
-@pytest.mark.parametrize("command", sorted(_GOLDEN))
-def test_outputs_match_golden_digests(tmp_path, command):
-    """Every CSV, the sorted stored-path names and the stored-path contents
-    hash to recorded bytes.
+# golden cases other than one per command at _small(): (command, overrides)
+_GOLDEN_CASES = {
+    "universality-tilt-past-replicas":
+        ("universality", dict(phi_replicas=5, thermal_samples=2)),
+}
 
-    The digests pin the output of ``_small()`` with ``store_paths=True``.
-    A change that alters output bytes on purpose re-records them and says
-    so in CHANGES.md; any other change must leave them untouched.
+
+@pytest.mark.parametrize("case", sorted(_GOLDEN))
+def test_outputs_match_golden_digests(tmp_path, case):
+    """Every CSV, the result blocks of summary.json, the sorted stored-path
+    names and the stored-path contents hash to recorded bytes.
+
+    The digests pin the output of ``_small()`` (plus the overrides in
+    ``_GOLDEN_CASES``) with ``store_paths=True``; ``summary.json`` is hashed
+    as sorted-key JSON without its timestamp and wall clock.  A change that
+    alters output bytes on purpose re-records them and says so in
+    CHANGES.md; any other change must leave them untouched.
     """
-    _COMMANDS[command](_small(), store_paths=True, out_dir=tmp_path)
+    command, overrides = _GOLDEN_CASES.get(case, (case, {}))
+    _COMMANDS[command](_small(**overrides), store_paths=True, out_dir=tmp_path)
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in sorted(tmp_path.glob("*.csv"))}
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    for key in ("timestamp", "wall_clock_seconds"):
+        del summary[key]
+    digests["summary.json"] = hashlib.sha256(
+        json.dumps(summary, sort_keys=True).encode()).hexdigest()
     names = sorted(p.name for p in tmp_path.glob("paths/*"))
     if names:
         digests["paths/"] = hashlib.sha256("\n".join(names).encode()).hexdigest()
@@ -176,7 +214,7 @@ def test_outputs_match_golden_digests(tmp_path, command):
         for path in sorted(tmp_path.glob("paths/*.npy")):
             contents.update(path.read_bytes())
         digests["paths/*.npy"] = contents.hexdigest()
-    assert digests == _GOLDEN[command]
+    assert digests == _GOLDEN[case]
 
 
 # ---------------------------------------------------------------------------
@@ -199,11 +237,12 @@ def test_freeze_sweep_rejects_non_dividing_kappa(tmp_path):
         run_freeze_sweep(cfg, out_dir=tmp_path)
 
 
-def test_freeze_sweep_draws_and_norms_each_replica_once(tmp_path, monkeypatch):
-    calls = {"operator_norm_report": 0, "sample_matrix": 0}
+def _count_calls(monkeypatch, module, *names) -> dict:
+    """Count calls to ``module.<name>`` for each name, from now on."""
+    calls = dict.fromkeys(names, 0)
 
     def counting(name):
-        original = getattr(harness, name)
+        original = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
@@ -211,11 +250,27 @@ def test_freeze_sweep_draws_and_norms_each_replica_once(tmp_path, monkeypatch):
 
         return wrapper
 
-    for name in calls:
-        monkeypatch.setattr(harness, name, counting(name))
+    for name in names:
+        monkeypatch.setattr(module, name, counting(name))
+    return calls
+
+
+def test_freeze_sweep_draws_and_norms_each_replica_once(tmp_path, monkeypatch):
+    calls = _count_calls(monkeypatch, harness, "operator_norm_report",
+                         "sample_matrix")
     run_freeze_sweep(_small(kappa_sweep=[1, 2, 4], freeze_replicas=3),
                      out_dir=tmp_path)
     assert calls == {"operator_norm_report": 3, "sample_matrix": 3}
+
+
+def test_freeze_sweep_integrates_each_refresh_interval_once(tmp_path,
+                                                            monkeypatch):
+    # kappa 4 on the 4-step grid has one substep: it is the full path
+    cfg = _small()
+    calls = _count_calls(monkeypatch, dynamics, "_prepare", "_integrate")
+    run_freeze_sweep(cfg, out_dir=tmp_path)
+    assert calls == {"_prepare": cfg.freeze_replicas,
+                     "_integrate": 2 * cfg.freeze_replicas}
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +517,7 @@ def test_cli_safeguard_failure_exit_two_with_context(tmp_path, capsys,
     def boom(*args, **kwargs):
         raise SafeguardError(1, 2, 3.0, "forced")
 
-    monkeypatch.setattr(harness, "simulate_full", boom)
+    monkeypatch.setattr(dynamics, "_integrate", boom)
     path = _write_cfg(tmp_path)
     code = main(["simulate", "--config", str(path),
                  "--out", str(tmp_path / "out")])
@@ -488,6 +543,31 @@ def test_cli_frozen_safeguard_failure_names_its_kappa(tmp_path, capsys,
     assert code == 2
     err = capsys.readouterr().err
     assert "forced, kappa=2 [law=gaussian, N=6, replica=0]" in err
+
+
+def test_cli_failed_certificate_exit_two_names_instance(tmp_path, capsys,
+                                                       monkeypatch):
+    monkeypatch.setattr(lindeberg, "lindeberg_bound", lambda q, law: 0.0)
+    path = _write_cfg(tmp_path)
+    code = main(["lindeberg", "--config", str(path),
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    rows = _lines(tmp_path / "out" / "lindeberg.csv")[1:]
+    failed = [row.split(",") for row in rows if row.endswith(",0")]
+    kind, instance, seed = failed[0][:3]
+    assert kind == "certificate"
+    err = capsys.readouterr().err
+    assert f"certificate violated on instance {instance} (seed {seed})" in err
+
+
+def test_traced_benchmark_finds_every_entry_point():
+    # the benchmark wraps internal names from outside the package; a
+    # refactor that deletes one of them breaks its --trace 1 runs
+    from perfbench.instrument import traced
+    from perfbench.spans import Tracer
+
+    with traced(Tracer()):
+        pass
 
 
 def test_cli_replay_round_trip(tmp_path, capsys):

@@ -237,7 +237,7 @@ class ExperimentConfig:
             "n_particles": 1,
             "kappa": 1,
             "substeps": 1,
-            "replicas": 1,
+            "replicas": 2,
             "thermal_samples": 1,
             "phi_replicas": 1,
             "freeze_replicas": 2,

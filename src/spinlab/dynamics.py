@@ -2,14 +2,16 @@
 
 Every integration goes through ``simulate_shared``, which prepares one
 initial draw and noise block for a list of full and frozen runs on one
-matrix and grid.  They share one Euler-Maruyama core: the full dynamics
-refreshes the interaction vector A x every step, the frozen dynamics only
-at the kappa sub-interval boundaries, holding it constant in between; runs
-with the same refresh interval are integrated once.  Runs are
-reproducible from (master_seed, replica): Brownian increments, initial
+grid and integrates them on one matrix or on a stack of matrices.  They
+share one stacked Euler-Maruyama core: every member of the stack starts
+from the same draw and is driven by the same Brownian increments; the full
+dynamics refreshes the interaction vectors A x every step, the frozen
+dynamics only at the kappa sub-interval boundaries, holding them constant
+in between; runs with the same refresh interval are integrated once.  Runs
+are reproducible from (master_seed, replica): Brownian increments, initial
 draws, and safeguard refinements all come from counter-addressed streams,
-so a trajectory does not depend on which runs came before it or on the
-order in which replicas are computed.
+so a trajectory does not depend on which runs or matrices share its call,
+or on the order in which replicas are computed.
 """
 
 from __future__ import annotations
@@ -50,9 +52,13 @@ _BRIDGE_PURPOSE = "bridge"
 
 
 class SafeguardError(RuntimeError):
-    """A coordinate still violated the guard band after the halving cap."""
+    """A coordinate still violated the guard band after the halving cap.
 
-    def __init__(self, particle: int, step: int, value: float, detail: str):
+    ``member`` is the index of the failing matrix in a stacked call.
+    """
+
+    def __init__(self, particle: int, step: int, value: float, detail: str,
+                 member: int = 0):
         super().__init__(
             f"boundary safeguard failed for particle {particle} at grid step "
             f"{step}: proposed value {value!r} ({detail})"
@@ -61,6 +67,7 @@ class SafeguardError(RuntimeError):
         self.step = step
         self.value = value
         self.detail = detail
+        self.member = member
 
 
 def default_a2(beta: float) -> float:
@@ -111,48 +118,57 @@ def _refine(x, delta, db, a_i, du1, guard, bridge, particle, step, node, depth, 
 
 
 def _integrate(params, potential, entries, x0, increments, bridge, refresh_every):
-    """Shared Euler core.
+    """Stacked Euler core.
 
-    entries is the raw (unscaled) interaction matrix or None; the
-    interaction vector (beta/sqrt(N)) J x is refreshed whenever
-    g % refresh_every == 0 and held constant otherwise.  Returns the
-    (N, G+1) trajectory array and the number of safeguarded steps.
+    entries is an (L, N, N) stack of raw (unscaled) interaction matrices, or
+    None for one member without interaction.  Every member starts at x0 and
+    is driven by the same increments and bridge stream; the interaction
+    vectors (beta/sqrt(N)) J x are refreshed whenever g % refresh_every == 0
+    and held constant otherwise.  A refinement runs per flagged (member,
+    particle), with its own budget for each (member, step); a failing one's
+    SafeguardError carries the member index.  Returns the (L, N, G+1)
+    trajectory array and the number of safeguarded steps per member.
     """
     n = params.n_particles
     g_total = params.n_steps
     h = params.grid_step
     guard = params.s_bound * (1.0 - GUARD_FRACTION)
     du1 = potential._du1
+    members = 1 if entries is None else len(entries)
     use_interaction = entries is not None and params.beta != 0.0
     scale = params.beta / math.sqrt(n)
 
-    x = np.array(x0, dtype=float)
-    if np.any(np.abs(x) >= guard):
+    if np.any(np.abs(x0) >= guard):
         raise ValueError("initial condition must lie inside the guard band")
-    out = np.empty((n, g_total + 1))
-    out[:, 0] = x
-    interaction = np.zeros(n)
-    activations = 0
+    x = np.tile(np.asarray(x0, dtype=float), (members, 1))
+    out = np.empty((members, n, g_total + 1))
+    out[:, :, 0] = x
+    interaction = np.zeros((members, n))
+    activations = [0] * members
 
     for g in range(g_total):
         if use_interaction and g % refresh_every == 0:
-            interaction = scale * (entries @ x)
+            interaction = scale * np.matmul(entries, x[:, :, None])[:, :, 0]
         prop = x + h * (interaction - du1(x)) + increments[:, g]
-        bad = np.flatnonzero(np.abs(prop) >= guard)
-        if bad.size:
-            budget = [_REFINE_BUDGET]
-            for i in bad:
-                prop[i] = _refine(
-                    x[i], h, increments[i, g], interaction[i], du1, guard,
-                    bridge, int(i), g, 1, 0, budget,
-                )
-            activations += int(bad.size)
+        if np.abs(prop).max() >= guard:
+            budgets = [[_REFINE_BUDGET] for _ in range(members)]
+            for k in np.flatnonzero(np.abs(prop) >= guard):
+                m, i = divmod(int(k), n)
+                try:
+                    prop[m, i] = _refine(
+                        x[m, i], h, increments[i, g], interaction[m, i], du1,
+                        guard, bridge, i, g, 1, 0, budgets[m],
+                    )
+                except SafeguardError as err:
+                    err.member = m
+                    raise
+                activations[m] += 1
         x = prop
-        out[:, g + 1] = x
+        out[:, :, g + 1] = x
     return out, activations
 
 
-def _prepare(params, potential, mat, init, replica):
+def _prepare(params, potential, mats, init, replica):
     if potential.s_bound != params.s_bound:
         raise ValueError(
             f"potential s_bound {potential.s_bound} != params s_bound {params.s_bound}"
@@ -162,12 +178,13 @@ def _prepare(params, potential, mat, init, replica):
             f"initial law s_bound {init.s_bound} != params s_bound {params.s_bound}"
         )
     entries = None
-    if mat is not None:
-        if not isinstance(mat, DisorderMatrix):
-            raise TypeError("mat must be a DisorderMatrix or None")
-        if mat.n != params.n_particles:
-            raise ValueError(f"matrix size {mat.n} != n_particles {params.n_particles}")
-        entries = mat.entries
+    if len(mats) > 1 or mats[0] is not None:
+        for mat in mats:
+            if not isinstance(mat, DisorderMatrix):
+                raise TypeError("mat must be a DisorderMatrix, a sequence of them, or None")
+            if mat.n != params.n_particles:
+                raise ValueError(f"matrix size {mat.n} != n_particles {params.n_particles}")
+        entries = np.stack([mat.entries for mat in mats])
     init_stream = CounterStream(params.master_seed, _INIT_PURPOSE, replica)
     x0 = sample_initial(init, params.n_particles, init_stream)
     brownian = BrownianStream(params.master_seed, replica)
@@ -185,22 +202,28 @@ _GRID_FIELDS = ("n_particles", "beta", "s_bound", "horizon", "n_steps", "master_
 def simulate_shared(
     runs,
     potential: Potential,
-    mat: DisorderMatrix | None,
+    mat,
     init: InitialLaw,
     replica: int = 0,
 ) -> list:
-    """Integrate several runs on one matrix, initial draw and noise block.
+    """Integrate several runs on one initial draw and noise block.
 
     ``runs`` is a list of ``(params, frozen)`` pairs whose params share one
-    grid (the ``_GRID_FIELDS``); they may differ only in kappa.  The
-    initial draw, the Brownian block and the bridge stream are prepared
-    once.  A full run refreshes the interaction every step, a frozen run
-    every ``params.substeps`` steps; runs with the same refresh interval
-    are integrated once and share one read-only values array.  Returns one
-    PathEnsemble per run, in order, each equal to ``simulate_full`` or
-    ``simulate_frozen`` on that run alone.  Runs are integrated in order, so
-    the first failing one raises; a frozen run's SafeguardError names its
-    kappa.
+    grid (the ``_GRID_FIELDS``); they may differ only in kappa.  ``mat`` is
+    one DisorderMatrix, None, or a sequence of L matrices; every run is
+    integrated on each of them.  The initial draw, the Brownian block and
+    the bridge stream are prepared once.  A full run refreshes the
+    interaction every step, a frozen run every ``params.substeps`` steps;
+    runs with the same refresh interval are integrated once, as one stack
+    over the matrices, and share one read-only values array per matrix.
+
+    Returns one PathEnsemble per run, in order (one such list per matrix
+    when ``mat`` is a sequence), each equal to ``simulate_full`` or
+    ``simulate_frozen`` on that run and matrix alone.  Refresh intervals
+    are integrated in the order they first appear, and a stack stops at
+    the earliest step where a member fails, lowest member first; the
+    SafeguardError carries that ``member`` index, and a frozen run's names
+    its kappa.
     """
     runs = list(runs)
     if not runs:
@@ -210,15 +233,19 @@ def simulate_shared(
         differ = [f for f in _GRID_FIELDS if getattr(params, f) != getattr(base, f)]
         if differ:
             raise ValueError(f"runs must share one grid; {', '.join(differ)} differ")
-    entries, x0, increments, bridge = _prepare(base, potential, mat, init, replica)
+    stacked = isinstance(mat, (list, tuple))
+    mats = list(mat) if stacked else [mat]
+    if not mats:
+        raise ValueError("mat must hold at least one matrix")
+    entries, x0, increments, bridge = _prepare(base, potential, mats, init, replica)
     grid = grid_times(base)
-    paths = {}  # refresh interval -> (values, safeguard activations)
-    ensembles = []
+    paths = {}  # refresh interval -> (values per member, activations per member)
+    ensembles = [[] for _ in mats]
     for params, frozen in runs:
         every = params.substeps if frozen else 1
         if every not in paths:
             try:
-                paths[every] = _integrate(
+                values, activations = _integrate(
                     params, potential, entries, x0, increments, bridge,
                     refresh_every=every,
                 )
@@ -226,10 +253,14 @@ def simulate_shared(
                 if not frozen:
                     raise
                 detail = f"{err.detail}, kappa={params.kappa}"
-                raise SafeguardError(err.particle, err.step, err.value, detail) from err
+                raise SafeguardError(err.particle, err.step, err.value, detail,
+                                     member=err.member) from err
+            paths[every] = (list(values), activations)
         values, activations = paths[every]
-        ensembles.append(PathEnsemble(values, grid, params, replica, activations))
-    return ensembles
+        for member, member_ensembles in enumerate(ensembles):
+            member_ensembles.append(PathEnsemble(
+                values[member], grid, params, replica, activations[member]))
+    return ensembles if stacked else ensembles[0]
 
 
 def simulate_full(

@@ -14,10 +14,12 @@ the clock, the ``RunSummary`` and persistence.  Shared decisions have one
 owner each: ``_params``, ``_disorder``, ``_norm_row``, ``_guarded`` (names
 the draw behind a safeguard failure), ``_TABLES`` (CSV schemas) and
 ``_path_file`` (stored-trajectory names, used by store and replay).
-Integration goes through ``dynamics.simulate_shared``: a universality
-draw integrates its sample-0 full run together with the frozen run behind
-its tilt statistic, and a freeze-sweep replica its full path together with
-one frozen path per kappa.
+Integration goes through ``dynamics.simulate_shared``.  Universality and
+simulate loop over replicas at each N: one call per (replica, thermal
+sample) integrates every law's matrix as one stack on the shared noise,
+and at sample 0 also the frozen runs behind the tilt statistic.  A
+freeze-sweep replica integrates its full path together with one frozen
+path per kappa.
 
 Seed derivation schemes (also recorded in each summary):
 
@@ -58,7 +60,7 @@ from .dynamics import (
 )
 from .lindeberg import certificate_suite, gaussian_mc_check
 from .model import ModelParams, grid_times, max_negative_curvature
-from .observables import autocorrelation, girsanov_stats, marginal_w2_distance
+from .observables import autocorrelation, girsanov_stats, sorted_pool_w2
 from .streams import derive_seed
 
 __all__ = [
@@ -231,9 +233,10 @@ def _path_file(run_dir, label: str, size: int, rep: int, kind: str = "") -> Path
     return Path(run_dir) / "paths" / f"{label}_{axis}{size}_rep{rep}{suffix}.npy"
 
 
-def _store_ensembles(out_dir: Path, label: str, size: int, ensembles) -> None:
+def _store_ensembles(out_dir: Path, labels, size: int, rep: int, ensembles) -> None:
+    """Save each law's full run of draw ``rep`` at ``size``."""
     (out_dir / "paths").mkdir(parents=True, exist_ok=True)
-    for rep, ens in enumerate(ensembles):
+    for label, ens in zip(labels, ensembles):
         np.save(_path_file(out_dir, label, size, rep), ens.values)
 
 
@@ -266,12 +269,13 @@ def _norm_row(cfg: ExperimentConfig, label: str, n: int, rep: int, seed: int,
     }
 
 
-def _guarded(simulate, label: str, n: int, rep: int, /, *args, **kwargs):
-    """Call a ``simulate_*`` function; a safeguard failure names its draw."""
+def _guarded(simulate, labels, n: int, rep: int, /, *args, **kwargs):
+    """Call a ``simulate_*`` function on the matrices of ``labels``' laws;
+    a safeguard failure names its draw and the failing member's law."""
     try:
         return simulate(*args, **kwargs)
     except SafeguardError as err:
-        detail = f"{err.detail} [law={label}, N={n}, replica={rep}]"
+        detail = f"{err.detail} [law={labels[err.member]}, N={n}, replica={rep}]"
         raise SafeguardError(err.particle, err.step, err.value, detail) from err
 
 
@@ -286,52 +290,63 @@ def _reference_index(laws) -> int:
 # simulation blocks
 
 def _curve_block(cfg: ExperimentConfig, summary: RunSummary, params: ModelParams,
-                 law, law_idx: int, label: str, samples: int, store: Path | None,
-                 phi_draws: int = 0):
-    """Thermal-averaged autocorrelation per disorder draw for one (law, N).
+                 samples: int, store: Path | None, phi_draws: int = 0):
+    """Thermal-averaged autocorrelation per disorder draw, for every law at
+    one N.
 
-    Returns (autocorr block, curves[replicas, G+1], ensembles, norm rows,
-    phis) and adds the full runs' safeguard activations to ``summary``.
-    Ensembles are the sample-0 full runs, used for marginal pooling and
-    saved under ``store`` when the run keeps paths.  The first
-    ``phi_draws`` draws also integrate the frozen run at sample 0 in the
-    same ``simulate_shared`` call and report its interaction tilt in
-    ``phis``; draws past ``replicas`` run only that frozen side.
+    Loops over replicas; each (replica, thermal sample) draws every law's
+    matrix once and integrates them as one stack in one ``simulate_shared``
+    call.  Returns, per law in config order, (autocorr block,
+    curves[replicas, G+1], pool, norm rows, phis) and adds the full runs'
+    safeguard activations to ``summary``.  The pool stacks the sample-0
+    full runs' particles, replica after replica (``replicas * N`` rows),
+    for marginal pooling; those runs are saved under ``store`` as each
+    replica finishes when the run keeps paths.  The first ``phi_draws``
+    draws also integrate the frozen run at sample 0 in the same call and
+    report its interaction tilt in ``phis``; draws past ``replicas`` run
+    only that frozen side.
     """
+    laws, labels = cfg.law_objs(), cfg.law_labels()
     potential = cfg.potential_obj()
     initial = cfg.initial_obj()
     n = params.n_particles
-    curves = np.zeros((cfg.replicas, params.n_steps + 1))
-    ensembles, norm_rows, phis = [], [], []
+    width = params.n_steps + 1
+    curves = np.zeros((len(laws), cfg.replicas, width))
+    pools = [np.empty((cfg.replicas * n, width)) for _ in laws]
+    norm_rows = [[] for _ in laws]
+    phis = [[] for _ in laws]
     for rep in range(max(cfg.replicas, phi_draws)):
-        seed, mat = _disorder(cfg, law, law_idx, n, rep)
+        draws = [_disorder(cfg, law, idx, n, rep) for idx, law in enumerate(laws)]
+        mats = [mat for _, mat in draws]
         curve = rep < cfg.replicas
         for s in range(samples if curve else 1):
             tilt = s == 0 and rep < phi_draws
             runs = [(params, False)] * curve + [(params, True)] * tilt
-            paths = _guarded(simulate_shared, label, n, rep, runs, potential,
-                             mat, initial, replica=rep * samples + s)
-            if tilt:
-                phis.append(girsanov_stats(paths.pop(), mat, params, potential,
-                                           c1=cfg.c1).phi)
-            if curve:
-                ens = paths[0]
-                curves[rep] += autocorrelation(ens)
-                summary.safeguard_activations += ens.safeguard_activations
-                if s == 0:
-                    ensembles.append(ens)
+            paths = _guarded(simulate_shared, labels, n, rep, runs, potential,
+                             mats, initial, replica=rep * samples + s)
+            for idx, law_paths in enumerate(paths):
+                if tilt:
+                    phis[idx].append(girsanov_stats(
+                        law_paths.pop(), mats[idx], params, potential, c1=cfg.c1).phi)
+                if curve:
+                    ens = law_paths[0]
+                    curves[idx, rep] += autocorrelation(ens)
+                    summary.safeguard_activations += ens.safeguard_activations
+                    if s == 0:
+                        pools[idx][rep * n:(rep + 1) * n] = ens.values
+            if curve and s == 0 and store is not None:
+                _store_ensembles(store, labels, n, rep, [p[0] for p in paths])
         if curve:
-            curves[rep] /= samples
-            report = operator_norm_report(mat, beta=cfg.beta)
-            norm_rows.append(_norm_row(cfg, label, n, rep, seed, report))
-    if store is not None:
-        _store_ensembles(store, label, n, ensembles)
-    block = {
+            curves[:, rep] /= samples
+            for idx, (seed, mat) in enumerate(draws):
+                report = operator_norm_report(mat, beta=cfg.beta)
+                norm_rows[idx].append(_norm_row(cfg, labels[idx], n, rep, seed, report))
+    blocks = [{
         "law": label, "n": n, "replica_count": cfg.replicas,
-        "t": grid_times(params), "mean": curves.mean(axis=0),
-        "stderr": curves.std(axis=0, ddof=1) / np.sqrt(cfg.replicas),
-    }
-    return block, curves, ensembles, norm_rows, phis
+        "t": grid_times(params), "mean": law_curves.mean(axis=0),
+        "stderr": law_curves.std(axis=0, ddof=1) / np.sqrt(cfg.replicas),
+    } for label, law_curves in zip(labels, curves)]
+    return list(zip(blocks, curves, pools, norm_rows, phis))
 
 
 def _bootstrap_gap(diff: np.ndarray, resamples: int, seed: int):
@@ -362,54 +377,52 @@ def _bootstrap_gap(diff: np.ndarray, resamples: int, seed: int):
 def run_universality(cfg, summary, out, store_paths):
     """Disorder-universality sweep over the configured laws and sizes.
 
-    For each law and each N: draws ``replicas`` matrices, integrates the
-    full dynamics with Brownian streams shared across laws (same replica
-    index, same increments), and averages each draw's autocorrelation over
-    ``thermal_samples`` independent driving samples.  Non-reference laws
-    get a sup-t gap against the gaussian reference with a paired bootstrap
-    standard error and noise floor, plus a pooled marginal transport
-    surrogate.  Each law's tilt median reuses the frozen runs that the
-    first ``phi_replicas`` draws integrate alongside their sample-0 full
-    runs, so with several failing draws the first one raised may be a
-    tilt run's.
+    For each N: draws ``replicas`` matrices per law and integrates the full
+    dynamics of every law at one replica as one stack on shared Brownian
+    streams (same replica index, same increments), averaging each draw's
+    autocorrelation over ``thermal_samples`` independent driving samples.
+    Non-reference laws get a sup-t gap against the gaussian reference with
+    a paired bootstrap standard error and noise floor, plus a pooled
+    marginal transport surrogate.  Each law's tilt median reuses the frozen
+    runs that the first ``phi_replicas`` draws integrate alongside their
+    sample-0 full runs.  With several failing draws, the first error raised
+    is in replica order, then law order: one replica's laws integrate as
+    one stack, which stops at the earliest step where a law fails, and
+    names that law.
     """
     laws = cfg.law_objs()
     labels = cfg.law_labels()
     if len(laws) < 2:
         raise ConfigError("universality needs at least two laws")
     ref_idx = _reference_index(laws)
-    samples = cfg.thermal_samples
-    order = [ref_idx] + [i for i in range(len(laws)) if i != ref_idx]
     store = out if store_paths else None
     per_law = [[] for _ in laws]  # (autocorr block, norm rows) in n_sweep order
     gap_rows = []
 
     for n in cfg.n_sweep:
-        params = _params(cfg, n)
-        phi = {}
-        for idx in order:
-            block, curves, ensembles, norm_rows, phis = _curve_block(
-                cfg, summary, params, laws[idx], idx, labels[idx], samples, store,
-                phi_draws=cfg.phi_replicas)
-            phi[idx] = float(np.median(phis))
-            if idx == ref_idx:
-                ref_curves, ref_ensembles = curves, ensembles
-            else:
-                gap, stderr, floor = _bootstrap_gap(
-                    curves - ref_curves, cfg.bootstrap_resamples,
-                    derive_seed(cfg.master_seed, "bootstrap", idx, n),
-                )
-                w2 = marginal_w2_distance(ensembles, ref_ensembles)
-                gap_rows.append({
-                    "law": labels[idx], "n": n, "sup_gap": gap,
-                    "sup_gap_stderr": stderr, "w2_surrogate": w2,
-                    "noise_floor": floor,
-                })
+        results = _curve_block(cfg, summary, _params(cfg, n), cfg.thermal_samples,
+                               store, phi_draws=cfg.phi_replicas)
+        _, ref_curves, ref_pool, _, _ = results[ref_idx]
+        ref_pool.sort(axis=0)
+        for idx, (block, curves, pool, norm_rows, _) in enumerate(results):
             per_law[idx].append((block, norm_rows))
-        del ensembles, ref_ensembles
+            if idx == ref_idx:
+                continue
+            gap, stderr, floor = _bootstrap_gap(
+                curves - ref_curves, cfg.bootstrap_resamples,
+                derive_seed(cfg.master_seed, "bootstrap", idx, n),
+            )
+            pool.sort(axis=0)
+            gap_rows.append({
+                "law": labels[idx], "n": n, "sup_gap": gap,
+                "sup_gap_stderr": stderr,
+                "w2_surrogate": sorted_pool_w2(pool, ref_pool, cfg.horizon),
+                "noise_floor": floor,
+            })
         summary.phi_medians.extend(
-            {"law": labels[idx], "n": n, "phi_median": phi[idx]}
-            for idx in range(len(laws)))
+            {"law": label, "n": n, "phi_median": float(np.median(phis))}
+            for label, (*_, phis) in zip(labels, results))
+        del results, ref_pool, pool  # this N's pools go before the next N's fill
 
     for blocks in per_law:
         for block, norm_rows in blocks:
@@ -458,7 +471,7 @@ def run_freeze_sweep(cfg, summary, out, store_paths):
         norm_row = _norm_row(cfg, label, n, rep, seed, report)
         norm_rows.append(norm_row)
         full, *frozen_runs = _guarded(
-            simulate_shared, label, n, rep,
+            simulate_shared, [label], n, rep,
             [(sweep[0], False)] + [(p, True) for p in sweep],
             potential, mat, initial, replica=rep)
         for k, (params, frozen) in enumerate(zip(sweep, frozen_runs)):
@@ -585,18 +598,15 @@ def run_simulate(cfg, summary, out, store_paths):
     """Plain ensemble runs at the configured size, one row block per law.
 
     Each replica is a single full-dynamics run (no thermal averaging);
-    Brownian streams are shared across laws replica-by-replica.
+    Brownian streams are shared across laws replica-by-replica, and the
+    laws at one replica are integrated as one stack.
     """
-    params = _params(cfg, cfg.n_particles)
     summary.seed_provenance["schemes"] = dict(
         _SEED_SCHEMES, brownian="stream replica index = replica (single sample)",
     )
-
-    for idx, (law, label) in enumerate(zip(cfg.law_objs(), cfg.law_labels())):
-        block, _, _, norm_rows, _ = _curve_block(
-            cfg, summary, params, law, idx, label, samples=1,
-            store=out if store_paths else None,
-        )
+    for block, _, _, norm_rows, _ in _curve_block(
+            cfg, summary, _params(cfg, cfg.n_particles), samples=1,
+            store=out if store_paths else None):
         summary.autocorr.append(block)
         summary.norms.extend(norm_rows)
 
@@ -613,7 +623,9 @@ def replay(
 
     Reads config.json, re-checks the config hash recorded in summary.json,
     re-simulates the requested (law, N, replica, sample), and compares
-    against the stored path when the run kept trajectories.  Returns a
+    against the stored path when the run kept trajectories.  A request
+    for a trajectory the command never ran (a law, N, replica or sample
+    outside it, or a run without trajectories) raises ConfigError.  Returns a
     dict with the values, the fingerprint, and the match verdict; a stored
     path that fails to match raises NumericalFailure.
     """
@@ -631,22 +643,28 @@ def replay(
             f"{cfg.config_hash()} vs stored {stored_summary.get('config_hash')}"
         )
 
-    labels = cfg.law_labels()
+    command = stored_summary.get("command")
+    if command not in ("simulate", "universality", "freeze-sweep"):
+        raise ConfigError(f"a {command} run has no trajectories to replay")
+    # freeze-sweep runs only its first law, and universality alone sweeps N
+    labels = cfg.law_labels()[:1] if command == "freeze-sweep" else cfg.law_labels()
     if law not in labels:
         raise ConfigError(f"law {law!r} not in this run (has {labels})")
     idx = labels.index(law)
     n = cfg.n_particles if n is None else n
-    command = stored_summary.get("command")
+    sizes = list(cfg.n_sweep) if command == "universality" else [cfg.n_particles]
+    if n not in sizes:
+        raise ConfigError(f"N={n} not in this run ({command} ran N in {sizes})")
     replicas = cfg.freeze_replicas if command == "freeze-sweep" else cfg.replicas
     if not 0 <= replica < replicas:
         raise ConfigError(
             f"replica {replica} out of range ({command} drew {replicas})")
-    samples = 1 if command == "simulate" else cfg.thermal_samples
+    samples = cfg.thermal_samples if command == "universality" else 1
     if not 0 <= sample < samples:
         raise ConfigError(f"sample {sample} out of range (run kept {samples})")
 
     seed, mat = _disorder(cfg, cfg.law_objs()[idx], idx, n, replica)
-    ens = _guarded(simulate_full, law, n, replica,
+    ens = _guarded(simulate_full, [law], n, replica,
                    _params(cfg, n), cfg.potential_obj(), mat, cfg.initial_obj(),
                    replica=replica * samples + sample)
 

@@ -22,6 +22,7 @@ __all__ = [
     "coupling_msd",
     "autocorrelation",
     "marginal_w2_distance",
+    "sorted_pool_w2",
     "w2_empirical",
     "GirsanovRecord",
     "girsanov_stats",
@@ -103,27 +104,37 @@ def marginal_w2_distance(
     """Path-level surrogate ((1/T) int W2(mu1_t, mu2_t)^2 dt)^(1/2).
 
     Particles from all ensembles in each collection are pooled into one
-    empirical marginal per grid time; W2 between the pools is exact (sorted
-    quantile pairing) and the time integral is a trapezoid sum.
+    empirical marginal per grid time and scored by ``sorted_pool_w2``.
     """
     e1s = [e1] if isinstance(e1, PathEnsemble) else list(e1)
     e2s = [e2] if isinstance(e2, PathEnsemble) else list(e2)
     if not e1s or not e2s:
         raise ValueError("empty ensemble collection")
     grid = e1s[0].grid
-    horizon = e1s[0].params.horizon
     for e in (*e1s, *e2s):
         if not np.array_equal(e.grid, grid):
             raise ValueError("ensembles live on different grids")
     pool1 = np.sort(np.vstack([e.values for e in e1s]), axis=0)
     pool2 = np.sort(np.vstack([e.values for e in e2s]), axis=0)
+    return sorted_pool_w2(pool1, pool2, e1s[0].params.horizon)
+
+
+def sorted_pool_w2(pool1: np.ndarray, pool2: np.ndarray, horizon: float) -> float:
+    """``marginal_w2_distance`` between two particle pools.
+
+    Each pool holds one row per pooled particle and one column per point of
+    a uniform grid over [0, horizon], and is already sorted along axis 0,
+    so W2 per grid time is exact quantile pairing; the time integral is a
+    trapezoid sum.
+    """
+    if pool1.shape[1] != pool2.shape[1]:
+        raise ValueError("pools live on different grids")
     if pool1.shape[0] == pool2.shape[0]:
         w2_sq = np.mean((pool1 - pool2) ** 2, axis=0)
     else:
-        w2_sq = np.array(
-            [w2_empirical(pool1[:, g], pool2[:, g]) ** 2 for g in range(grid.size)]
-        )
-    h = horizon / (grid.size - 1)
+        w2_sq = np.array([w2_empirical(pool1[:, g], pool2[:, g]) ** 2
+                          for g in range(pool1.shape[1])])
+    h = horizon / (pool1.shape[1] - 1)
     return math.sqrt(float(_sciint.trapezoid(w2_sq, dx=h)) / horizon)
 
 

@@ -85,6 +85,7 @@ def test_missing_file_rejected(tmp_path):
     {"a2": True},
     {"n_sweep": [10, True]},
     {"kappa_sweep": [True]},
+    {"replicas": 1},
 ])
 def test_invalid_values_rejected(overrides):
     with pytest.raises(ConfigError):

@@ -175,6 +175,54 @@ def test_shared_runs_with_one_refresh_interval_integrate_once(monkeypatch):
     np.testing.assert_array_equal(frozen.values, ref_frozen.values)
 
 
+def test_stacked_matrices_equal_one_run_per_matrix():
+    # refinement fires on several members; each member must be the run its
+    # matrix gives alone, activations included
+    sweep, pot, _, init = _safeguarded_sweep()
+    mats = [sample_matrix(law, 30, seed=seed)
+            for law, seed in ((GAUSSIAN, 7), (RADEMACHER, 8), (GAUSSIAN, 9))]
+    runs = [(sweep[0], False), (sweep[0], True), (sweep[2], True)]
+    stacked = simulate_shared(runs, pot, mats, init, replica=3)
+    assert len(stacked) == len(mats)
+    fired = 0
+    for mat, (full, frozen, frozen_4) in zip(mats, stacked):
+        for ens, ref in ((full, simulate_full(sweep[0], pot, mat, init, replica=3)),
+                         (frozen, simulate_frozen(sweep[0], pot, mat, init, replica=3)),
+                         (frozen_4, simulate_frozen(sweep[2], pot, mat, init, replica=3))):
+            np.testing.assert_array_equal(ens.values, ref.values)
+            assert ens.safeguard_activations == ref.safeguard_activations
+            assert ens.params == ref.params
+            assert not ens.values.flags.writeable
+        fired += full.safeguard_activations > 0 and frozen.safeguard_activations > 0
+    assert fired >= 2
+
+
+def test_stacked_matvec_equals_one_matvec_per_matrix():
+    # the stacked integrator's interaction is np.matmul over the stack; it
+    # must give the bits of one ``entries @ x`` per matrix
+    gen = np.random.default_rng(5)
+    for _ in range(60):
+        n = int(gen.integers(25, 401))
+        stack = gen.standard_normal((int(gen.integers(2, 5)), n, n))
+        x = gen.uniform(-2.0, 2.0, (len(stack), n))
+        stacked = np.matmul(stack, x[:, :, None])[:, :, 0]
+        for entries, xm, row in zip(stack, x, stacked):
+            assert np.array_equal(row, entries @ xm)
+
+
+def test_stacked_failure_names_its_member():
+    # only the third matrix pushes the dynamics out of the box
+    p = ModelParams(30, 1.0, 1.0, 1.0, 2, 6, 31)
+    pot, init = double_well(1.0), uniform_symmetric(0.9, 1.0)
+    mats = [sample_matrix(GAUSSIAN, 30, seed=s) for s in (7, 8)]
+    mats.append(DisorderMatrix(1e12 * mats[1].entries, GAUSSIAN, 0))
+    with pytest.raises(SafeguardError) as err:
+        simulate_shared([(p, False)], pot, mats, init)
+    assert err.value.member == 2
+    with pytest.raises(TypeError):
+        simulate_shared([(p, False)], pot, [mats[0], None], init)
+
+
 def test_shared_rejects_runs_on_different_grids():
     sweep, pot, mat, init = _safeguarded_sweep()
     runs = [(p, True) for p in sweep]

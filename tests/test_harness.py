@@ -82,12 +82,22 @@ def test_universality_layout_and_row_invariant(tmp_path):
 
 def test_universality_draws_and_prepares_each_run_once(tmp_path, monkeypatch):
     # 2 laws x 2 sizes x 3 replicas; the tilt runs reuse the first
-    # phi_replicas draws and their sample-0 noise
+    # phi_replicas draws and their sample-0 noise, and both laws at one
+    # (N, replica, sample) share one prepared draw
     draws = _count_calls(monkeypatch, harness, "sample_matrix")
     prepares = _count_calls(monkeypatch, dynamics, "_prepare")
     run_universality(_small(), out_dir=tmp_path)
     assert draws == {"sample_matrix": 12}
-    assert prepares == {"_prepare": 12}
+    assert prepares == {"_prepare": 6}
+
+
+def test_simulate_prepares_each_replica_once(tmp_path, monkeypatch):
+    # 2 laws x 3 replicas, one thermal sample
+    draws = _count_calls(monkeypatch, harness, "sample_matrix")
+    prepares = _count_calls(monkeypatch, dynamics, "_prepare")
+    run_simulate(_small(), out_dir=tmp_path)
+    assert draws == {"sample_matrix": 6}
+    assert prepares == {"_prepare": 3}
 
 
 def test_universality_requires_gaussian_reference(tmp_path):
@@ -390,6 +400,41 @@ def test_replay_universality_path_at_swept_size(tmp_path):
     assert result["matches_stored"] is True
 
 
+def test_replay_rejects_universality_size_outside_n_sweep(tmp_path):
+    cfg = _small()
+    run_universality(cfg, out_dir=tmp_path)
+    replay(tmp_path, "gaussian", replica=0, n=cfg.n_sweep[0])
+    with pytest.raises(ConfigError, match="N=37 not in this run"):
+        replay(tmp_path, "gaussian", replica=0, n=37)
+
+
+def test_replay_rejects_simulate_size_other_than_n_particles(tmp_path):
+    cfg = _small()
+    run_simulate(cfg, out_dir=tmp_path)
+    assert cfg.n_sweep[0] != cfg.n_particles
+    with pytest.raises(ConfigError, match="not in this run"):
+        replay(tmp_path, "gaussian", replica=0, n=cfg.n_sweep[0])
+
+
+def test_replay_rejects_freeze_sweep_law_and_size_it_never_ran(tmp_path):
+    # the sweep runs only the first law, at n_particles, one sample per draw
+    cfg = _small(thermal_samples=2)
+    run_freeze_sweep(cfg, out_dir=tmp_path)
+    replay(tmp_path, "gaussian", replica=0)
+    with pytest.raises(ConfigError, match="'rademacher' not in this run"):
+        replay(tmp_path, "rademacher", replica=0)
+    with pytest.raises(ConfigError, match="N=4 not in this run"):
+        replay(tmp_path, "gaussian", replica=0, n=4)
+    with pytest.raises(ConfigError, match="sample 1 out of range"):
+        replay(tmp_path, "gaussian", replica=0, sample=1)
+
+
+def test_replay_rejects_run_without_trajectories(tmp_path):
+    run_validation(_small(), out_dir=tmp_path)
+    with pytest.raises(ConfigError, match="no trajectories"):
+        replay(tmp_path, "gaussian", replica=0)
+
+
 def test_freeze_sweep_stored_path_names(tmp_path):
     cfg = _small()
     run_freeze_sweep(cfg, store_paths=True, out_dir=tmp_path)
@@ -525,6 +570,27 @@ def test_cli_safeguard_failure_exit_two_with_context(tmp_path, capsys,
     err = capsys.readouterr().err
     assert "numerical failure" in err
     assert "law=gaussian, N=6, replica=0" in err
+
+
+def test_cli_safeguard_failure_names_the_failing_law(tmp_path, capsys,
+                                                   monkeypatch):
+    # laws at one replica integrate as one stack; only the second law's
+    # matrix pushes the dynamics out of the box
+    draw = harness.sample_matrix
+
+    def rademacher_explodes(law, n, seed):
+        mat = draw(law, n, seed)
+        if law.name != "rademacher":
+            return mat
+        return type(mat)(1e15 * mat.entries, mat.law, mat.seed)
+
+    monkeypatch.setattr(harness, "sample_matrix", rademacher_explodes)
+    path = _write_cfg(tmp_path)  # laws gaussian, rademacher
+    code = main(["simulate", "--config", str(path),
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "[law=rademacher, N=6, replica=0]" in err
 
 
 def test_cli_frozen_safeguard_failure_names_its_kappa(tmp_path, capsys,

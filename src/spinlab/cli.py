@@ -2,7 +2,7 @@
 
 Exit codes: 0 on success, 1 for configuration problems (bad flags, bad
 config file, bad law/potential specs), 2 for numerical failures (boundary
-safeguard, power-iteration stall, certificate violation, replay mismatch).
+safeguard, power-iteration cap, certificate violation, replay mismatch).
 Seed precedence: ``--seed`` beats the ``SPINLAB_SEED`` environment
 variable, which beats the config file.  Every command runs its replicas
 serially; ``--threads`` is still accepted and checked (values below 1 exit

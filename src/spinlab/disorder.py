@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.stats import norm as _normal_dist
 
 from .streams import CounterStream, _box_muller, _unit_open, derive_seed
 
@@ -95,7 +94,8 @@ class StandardGaussian(DisorderLaw):
         return math.exp(0.5 * theta * theta)
 
     def exp_abs_moment(self, eps):
-        return 2.0 * math.exp(0.5 * eps * eps) * float(_normal_dist.cdf(eps))
+        # Phi(eps) = erfc(-eps / sqrt 2) / 2
+        return math.exp(0.5 * eps * eps) * math.erfc(-eps / math.sqrt(2.0))
 
     def _from_words(self, words):
         return _box_muller(words[..., 0::2], words[..., 1::2])

@@ -209,7 +209,7 @@ def _command(name: str):
             out = Path(out_dir) if out_dir is not None else Path(cfg.output_dir)
             summary = RunSummary(
                 name, cfg.config_hash(), cfg.master_seed, 0.0,
-                _dt.datetime.now(_dt.timezone.utc).isoformat(), cfg.output_dir,
+                _dt.datetime.now(_dt.timezone.utc).isoformat(), str(out),
                 {"master_seed": cfg.master_seed, "schemes": _SEED_SCHEMES},
             )
             failure = body(cfg, summary, out, store_paths)

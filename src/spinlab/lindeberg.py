@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg as _slinalg
 
 from .disorder import DisorderLaw, GAUSSIAN, RADEMACHER, Rademacher
 from .streams import derive_seed
@@ -122,12 +121,14 @@ class GaussianExpectation:
 
 def gaussian_expectation_exact(q: QuadraticForm) -> GaussianExpectation:
     """Evaluate the Gaussian-row expectation through the kappa x kappa Gram matrix."""
+    from scipy import linalg
+
     sigma = q.x_mat @ q.x_mat.T
     m = np.eye(q.kappa) + sigma
-    cho = _slinalg.cho_factor(m, lower=True)
+    cho = linalg.cho_factor(m, lower=True)
     # det(M) = prod diag(L)^2 for the Cholesky factor L
     half_logdet = float(np.sum(np.log(np.diag(cho[0]))))
-    quad = float(q.b_vec @ _slinalg.cho_solve(cho, q.b_vec))
+    quad = float(q.b_vec @ linalg.cho_solve(cho, q.b_vec))
     value = math.exp(-half_logdet - 0.5 * quad)
     lower = math.exp(-0.5 * float(q.b_vec @ q.b_vec) - half_logdet)
     return GaussianExpectation(value, lower)

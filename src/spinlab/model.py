@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
 
 __all__ = [
     "DomainError",
@@ -213,6 +212,8 @@ def confinement_check(p: Potential, levels=(1, 2, 3, 4, 5, 6), growth_factor: fl
     ``growth_factor``.  This is a heuristic: it certifies growth across the
     probed levels, not the limit itself.
     """
+    from scipy import integrate
+
     s = p.s_bound
 
     def inner(t):

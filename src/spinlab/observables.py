@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import integrate as _sciint
 
 from .disorder import DisorderMatrix
 from .model import ModelParams, PathEnsemble, Potential
@@ -47,7 +46,7 @@ def d2_path(x, y, horizon: float) -> float:
         raise ValueError("horizon must be > 0")
     h = horizon / (xa.size - 1)
     diff = xa - ya
-    return math.sqrt(_sciint.trapezoid(diff * diff, dx=h) / horizon)
+    return math.sqrt(np.trapezoid(diff * diff, dx=h) / horizon)
 
 
 def _check_same_grid(a: PathEnsemble, b: PathEnsemble):
@@ -61,7 +60,7 @@ def coupling_msd(full: PathEnsemble, frozen: PathEnsemble) -> float:
     diff = frozen.values - full.values
     params = full.params
     return float(
-        _sciint.trapezoid(np.sum(diff * diff, axis=0), dx=params.grid_step)
+        np.trapezoid(np.sum(diff * diff, axis=0), dx=params.grid_step)
         / (params.n_particles * params.horizon)
     )
 
@@ -135,7 +134,7 @@ def sorted_pool_w2(pool1: np.ndarray, pool2: np.ndarray, horizon: float) -> floa
         w2_sq = np.array([w2_empirical(pool1[:, g], pool2[:, g]) ** 2
                           for g in range(pool1.shape[1])])
     h = horizon / (pool1.shape[1] - 1)
-    return math.sqrt(float(_sciint.trapezoid(w2_sq, dx=h)) / horizon)
+    return math.sqrt(float(np.trapezoid(w2_sq, dx=h)) / horizon)
 
 
 @dataclass(frozen=True)
@@ -198,7 +197,7 @@ def girsanov_stats(
         left = k * m
         right = (k + 1) * m
         seg = potential._du1(v[:, left : right + 1])
-        drift_int = _sciint.trapezoid(seg, dx=h, axis=1)
+        drift_int = np.trapezoid(seg, dx=h, axis=1)
         dt = grid[right] - grid[left]
         b[k] = (v[:, right] - v[:, left] + drift_int) / math.sqrt(dt)
         x_mat[k] = x_scale * v[:, left]

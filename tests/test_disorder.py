@@ -79,6 +79,11 @@ def test_exp_abs_moment_against_quadrature():
         cexp_oracle, rel=1e-9
     )
     assert RADEMACHER.exp_abs_moment(eps) == pytest.approx(math.exp(eps), rel=1e-14)
+    # the gaussian closed form 2 e^{eps^2/2} Phi(eps), with Phi from erfc,
+    # against scipy's normal cdf
+    for eps in (0.0, 0.25, 0.5, 1.0, 3.0):
+        oracle = 2.0 * math.exp(0.5 * eps * eps) * stats.norm.cdf(eps)
+        assert GAUSSIAN.exp_abs_moment(eps) == pytest.approx(oracle, rel=1e-13)
 
 
 def test_rademacher_matrix_support():

@@ -3,10 +3,15 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spinlab
 from spinlab import dynamics, harness, lindeberg
 from spinlab.cli import _COMMANDS, main
 from spinlab.config import ConfigError, load_config
@@ -225,6 +230,14 @@ def test_outputs_match_golden_digests(tmp_path, case):
             contents.update(path.read_bytes())
         digests["paths/*.npy"] = contents.hexdigest()
     assert digests == _GOLDEN[case]
+
+
+def test_summary_output_dir_is_where_the_files_went(tmp_path):
+    cfg = _small()
+    out = tmp_path / "elsewhere"
+    summary = run_validation(cfg, out_dir=out)
+    assert (out / "summary.json").exists()
+    assert summary.output_dir == str(out) != cfg.output_dir
 
 
 # ---------------------------------------------------------------------------
@@ -480,6 +493,44 @@ def test_cli_validate_exit_zero(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "check law=gaussian mean-zero: PASS" in out
     assert (tmp_path / "out" / "summary.json").exists()
+
+
+# Runs every command in one fresh interpreter and reports the scipy modules
+# loaded before and after the lindeberg command.
+_IMPORT_PROBE = """
+import json, sys
+from spinlab.cli import main
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+cfg, out = sys.argv[1], sys.argv[2]
+for command in ("validate", "universality", "simulate", "freeze-sweep"):
+    argv = [command, "--config", cfg, "--out", out + "/" + command]
+    assert main(argv + ["--store-paths"] * (command == "simulate")) == 0
+assert main(["replay", out + "/simulate", "--law", "gaussian", "--replica", "0"]) == 0
+before = scipy_modules()
+assert main(["lindeberg", "--config", cfg, "--out", out + "/lindeberg"]) == 0
+print(json.dumps({"before": before, "after": scipy_modules()}))
+"""
+
+
+def test_commands_keep_scipy_off_the_load_path(tmp_path):
+    """Of all commands and replay, only ``lindeberg`` loads scipy, and then
+    only ``scipy.linalg``."""
+    path = _write_cfg(tmp_path)
+    src = str(Path(spinlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, str(path), str(tmp_path / "out")],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert loaded["before"] == []
+    assert "scipy.linalg" in loaded["after"]
+    for name in ("scipy.stats", "scipy.integrate", "scipy.special"):
+        assert name not in loaded["after"]
 
 
 def test_cli_unknown_config_key_exit_one(tmp_path, capsys):

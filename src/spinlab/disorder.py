@@ -30,6 +30,7 @@ __all__ = [
     "sample_matrix",
     "operator_norm",
     "operator_norm_report",
+    "operator_norm_reports",
     "PowerIterationReport",
     "PowerIterationError",
     "LawReport",
@@ -242,11 +243,15 @@ def sample_matrix(law: DisorderLaw, n: int, seed: int) -> DisorderMatrix:
 
 
 class PowerIterationError(RuntimeError):
-    """Iteration cap hit; ``best`` carries the last (value, residual) pair."""
+    """Iteration cap hit; ``best`` carries the last (value, residual) pair.
 
-    def __init__(self, message, best):
+    ``member`` is the index of the failing matrix in a stacked call.
+    """
+
+    def __init__(self, message, best, member: int = 0):
         super().__init__(message)
         self.best = best
+        self.member = member
 
 
 @dataclass(frozen=True)
@@ -276,66 +281,155 @@ def _as_interaction(mat, beta: float) -> np.ndarray:
     return (beta / math.sqrt(arr.shape[0])) * arr
 
 
+# default step cap of the power iteration, read at call time
+_MAX_ITER = 200000
+# a run whose Rayleigh quotient repeats this many steps in a row has stalled
+_STALL_STEPS = 50
+
+
+def _power_run(a, v, tol, budget, it=0, lam_prev=-1.0, stall=0, lam=0.0, resid=0.0):
+    """Continue one power-iteration run on A^T A from the unit vector v,
+    ``it`` of its ``budget`` steps done.
+
+    Returns (lam, resid, steps, status): status True when the residual
+    target is met, False on a stall, None at the budget (with the last
+    step's lam and resid, or the ones passed in if no step was left).
+    """
+    for it in range(it + 1, budget + 1):
+        w = a @ v
+        lam = float(w @ w)
+        u = a.T @ w
+        r = u - lam * v
+        # sqrt(x.dot(x)) is numpy's own 2-norm of a real vector, bit for
+        # bit, without the dispatch of the generic norm routine
+        resid = math.sqrt(r.dot(r))
+        if resid <= tol * lam or (lam == 0.0 and resid == 0.0):
+            return lam, resid, it, True
+        if abs(lam - lam_prev) <= 1e-15 * max(lam, 1e-300):
+            stall += 1
+            if stall >= _STALL_STEPS:
+                return lam, resid, it, False
+        else:
+            stall = 0
+        lam_prev = lam
+        v = u / math.sqrt(u.dot(u))
+    return lam, resid, budget, None
+
+
+def _report(lam, resid, used, restarted) -> PowerIterationReport:
+    value = math.sqrt(max(lam, 0.0))
+    upper = math.sqrt(max(lam + resid, 0.0))
+    return PowerIterationReport(value, value, upper, resid, used, restarted)
+
+
+def _cap_error(max_iter, lam, resid, member) -> PowerIterationError:
+    best = (math.sqrt(max(lam, 0.0)), resid)
+    return PowerIterationError(
+        f"power iteration did not converge in {max_iter} steps "
+        f"(best value {best[0]}, residual {best[1]})",
+        best, member,
+    )
+
+
+def operator_norm_reports(
+    mats, beta: float = 1.0, tol: float = 1e-10, max_iter: int | None = None
+) -> list:
+    """``operator_norm_report`` of each of several same-size matrices,
+    bit for bit, with their iterations run in lockstep over one stack.
+
+    Each member keeps its own Rayleigh quotient, stall count, step count
+    and restart flag; a stalled member, or one whose quotient is 0,
+    restarts from e1 in place, and a finished member leaves the stack
+    (the stack is compacted only then).  The last member left finishes in
+    the scalar loop.  Every member takes one step per pass, so members
+    still running reach the cap together; the PowerIterationError names
+    the lowest of them as ``member``.
+    """
+    max_iter = _MAX_ITER if max_iter is None else max_iter
+    a = np.stack([_as_interaction(mat, beta) for mat in mats])
+    count, n = a.shape[:2]
+    reports = [None] * count
+    ones = np.ones(n)
+    e1 = np.zeros(n)
+    e1[0] = 1.0
+    v = np.tile(ones / math.sqrt(ones.dot(ones)), (count, 1))
+    live = np.arange(count)
+    lam_prev = np.full(count, -1.0)
+    lam = resid = np.zeros(count)
+    stall = np.zeros(count, dtype=int)
+    start = np.zeros(count, dtype=int)  # step at which the current run began
+    restarted = np.zeros(count, dtype=bool)
+    step = 0
+    while len(live) > 1 and step < max_iter:
+        step += 1
+        # stacked matmul gives each member the bits of its own a @ v,
+        # w @ w and a.T @ w (pinned by a test)
+        w = np.matmul(a, v[:, :, None])[:, :, 0]
+        lam = np.matmul(w[:, None, :], w[:, :, None])[:, 0, 0]
+        u = np.matmul(a.transpose(0, 2, 1), w[:, :, None])[:, :, 0]
+        r = u - lam[:, None] * v
+        resid = np.sqrt(np.matmul(r[:, None, :], r[:, :, None])[:, 0, 0])
+        done = (resid <= tol * lam) | ((lam == 0.0) & (resid == 0.0))
+        stall = np.where(np.abs(lam - lam_prev) <= 1e-15 * np.maximum(lam, 1e-300),
+                         stall + 1, 0)
+        stalled = ~done & (stall >= _STALL_STEPS)
+        lam_prev = lam
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # a finished member's u may be 0; its v is never read again
+            v = u / np.sqrt(np.matmul(u[:, None, :], u[:, :, None])[:, 0])
+        restart = ~restarted & (stalled | (done & (lam == 0.0)))
+        if restart.any():
+            restarted |= restart
+            start[restart] = step
+            v[restart] = e1
+            lam_prev = np.where(restart, -1.0, lam)
+            stall[restart] = 0
+        leave = (done | stalled) & ~restart
+        if leave.any():
+            for j in np.flatnonzero(leave):
+                reports[live[j]] = _report(float(lam[j]), float(resid[j]), step,
+                                           bool(restarted[j]))
+            keep = ~leave
+            live, a, v, lam_prev, lam, resid, stall, start, restarted = (
+                arr[keep] for arr in (live, a, v, lam_prev, lam, resid, stall,
+                                      start, restarted))
+    if len(live) > 1:
+        raise _cap_error(max_iter, float(lam[0]), float(resid[0]), int(live[0]))
+    if len(live) == 1:
+        j = int(live[0])
+        used, was_restarted = int(start[0]), bool(restarted[0])
+        run_lam, run_resid, it, status = _power_run(
+            a[0], v[0], tol, max_iter - used, step - used, float(lam_prev[0]),
+            int(stall[0]), float(lam[0]), float(resid[0]))
+        used += it
+        if not was_restarted and (status is False or run_lam == 0.0):
+            # stalled short of the target: one deterministic restart
+            was_restarted = True
+            run_lam, run_resid, it, status = _power_run(
+                a[0], e1, tol, max_iter - used, lam=run_lam, resid=run_resid)
+            used += it
+        if status is None:
+            raise _cap_error(max_iter, run_lam, run_resid, j)
+        reports[j] = _report(run_lam, run_resid, used, was_restarted)
+    return reports
+
+
 def operator_norm_report(
-    mat, beta: float = 1.0, tol: float = 1e-10, max_iter: int = 200000
+    mat, beta: float = 1.0, tol: float = 1e-10, max_iter: int | None = None
 ) -> PowerIterationReport:
     """Spectral norm of A = (beta/sqrt(N)) J by power iteration on A^T A.
 
     Deterministic: starts from the normalized all-ones vector and restarts
     once from the first basis vector if the Rayleigh quotient stalls without
     meeting the residual target (which guards against starts orthogonal to
-    the top singular subspace).  Raises PowerIterationError at the step cap.
+    the top singular subspace).  Raises PowerIterationError at the step cap
+    (``max_iter``, 200000 by default).
     """
-    a = _as_interaction(mat, beta)
-    n = a.shape[0]
-
-    def run(v0, budget):
-        # sqrt(x.dot(x)) is numpy's own 2-norm of a real vector, bit for
-        # bit, without the dispatch of the generic norm routine
-        v = v0 / math.sqrt(v0.dot(v0))
-        lam_prev = -1.0
-        stall = 0
-        for it in range(1, budget + 1):
-            w = a @ v
-            lam = float(w @ w)
-            u = a.T @ w
-            r = u - lam * v
-            resid = math.sqrt(r.dot(r))
-            if resid <= tol * lam or (lam == 0.0 and resid == 0.0):
-                return lam, resid, it, True
-            if abs(lam - lam_prev) <= 1e-15 * max(lam, 1e-300):
-                stall += 1
-                if stall >= 50:
-                    return lam, resid, it, False
-            else:
-                stall = 0
-            lam_prev = lam
-            v = u / math.sqrt(u.dot(u))
-        return lam, resid, budget, None
-
-    ones = np.ones(n)
-    lam, resid, used, status = run(ones, max_iter)
-    restarted = False
-    if status is False or lam == 0.0:
-        # stalled short of the target: one deterministic restart
-        restarted = True
-        e1 = np.zeros(n)
-        e1[0] = 1.0
-        lam, resid, used2, status = run(e1, max_iter - used)
-        used += used2
-    if status is None:
-        best = (math.sqrt(max(lam, 0.0)), resid)
-        raise PowerIterationError(
-            f"power iteration did not converge in {max_iter} steps "
-            f"(best value {best[0]}, residual {best[1]})",
-            best,
-        )
-    value = math.sqrt(max(lam, 0.0))
-    upper = math.sqrt(max(lam + resid, 0.0))
-    return PowerIterationReport(value, value, upper, resid, used, restarted)
+    return operator_norm_reports([mat], beta, tol, max_iter)[0]
 
 
-def operator_norm(mat, beta: float = 1.0, tol: float = 1e-10, max_iter: int = 200000) -> float:
+def operator_norm(mat, beta: float = 1.0, tol: float = 1e-10,
+                  max_iter: int | None = None) -> float:
     """||(beta/sqrt(N)) J||_{2->2}; see operator_norm_report for certificates."""
     return operator_norm_report(mat, beta, tol, max_iter).value
 

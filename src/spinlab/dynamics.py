@@ -117,66 +117,76 @@ def _refine(x, delta, db, a_i, du1, guard, bridge, particle, step, node, depth, 
     )
 
 
-def _integrate(params, potential, entries, x0, increments, bridge, refresh_every):
-    """Stacked Euler core.
+def _integrate(params, potential, entries, x0, increments, bridges, out, refresh_every):
+    """Stacked Euler core over a block of R replicas.
 
-    entries is an (L, N, N) stack of raw (unscaled) interaction matrices, or
-    None for one member without interaction.  Every member starts at x0 and
-    is driven by the same increments and bridge stream; the interaction
-    vectors (beta/sqrt(N)) J x are refreshed whenever g % refresh_every == 0
-    and held constant otherwise.  A refinement runs per flagged (member,
-    particle), with its own budget for each (member, step); a failing one's
-    SafeguardError carries the member index.  Returns the (L, N, G+1)
-    trajectory array and the number of safeguarded steps per member.
+    x0 is (R, N), increments (R, N, G) and ``bridges`` holds one bridge
+    stream per replica.  entries is an (R * L, N, N) stack of raw
+    (unscaled) interaction matrices in replica-major order, member
+    m = r * L + l belonging to replica r, or None for one member per
+    replica without interaction.  Every member starts at its replica's x0
+    and is driven by its replica's increments and bridge stream; the
+    interaction vectors (beta/sqrt(N)) J x are refreshed whenever
+    g % refresh_every == 0 and held constant otherwise.  A refinement runs
+    per flagged (member, particle), with its own budget for each (member,
+    step); a failing one's SafeguardError carries the member index.
+    Returns L trajectory arrays of shape (R, N, G+1), one per law (``out``
+    itself unless it is None), and the number of safeguarded steps per
+    member.  One array per law keeps each below numpy's 4 MiB huge-page
+    threshold at the block sizes the harness uses, so resident memory
+    does not depend on when the kernel backs an array with huge pages.
     """
-    n = params.n_particles
+    reps, n = x0.shape
     g_total = params.n_steps
     h = params.grid_step
     guard = params.s_bound * (1.0 - GUARD_FRACTION)
     du1 = potential._du1
-    members = 1 if entries is None else len(entries)
+    laws = 1 if entries is None else len(entries) // reps
+    members = reps * laws
     use_interaction = entries is not None and params.beta != 0.0
     scale = params.beta / math.sqrt(n)
 
     if np.any(np.abs(x0) >= guard):
         raise ValueError("initial condition must lie inside the guard band")
-    x = np.tile(np.asarray(x0, dtype=float), (members, 1))
-    out = np.empty((members, n, g_total + 1))
-    out[:, :, 0] = x
-    interaction = np.zeros((members, n))
+    # state is (replica, law, particle); a member's row is x.reshape(members, n)
+    x = np.repeat(x0[:, None, :], laws, axis=1)
+    if out is None:
+        out = [np.empty((reps, n, g_total + 1)) for _ in range(laws)]
+    for law, law_out in enumerate(out):
+        law_out[:, :, 0] = x[:, law]
+    interaction = np.zeros((reps, laws, n))
     activations = [0] * members
 
     for g in range(g_total):
         if use_interaction and g % refresh_every == 0:
-            interaction = scale * np.matmul(entries, x[:, :, None])[:, :, 0]
-        prop = x + h * (interaction - du1(x)) + increments[:, g]
+            interaction = scale * np.matmul(
+                entries, x.reshape(members, n, 1)).reshape(reps, laws, n)
+        prop = x + h * (interaction - du1(x)) + increments[:, None, :, g]
         if np.abs(prop).max() >= guard:
             budgets = [[_REFINE_BUDGET] for _ in range(members)]
+            rows, state, drive = (arr.reshape(members, n)
+                                  for arr in (prop, x, interaction))
             for k in np.flatnonzero(np.abs(prop) >= guard):
                 m, i = divmod(int(k), n)
+                r = m // laws
                 try:
-                    prop[m, i] = _refine(
-                        x[m, i], h, increments[i, g], interaction[m, i], du1,
-                        guard, bridge, i, g, 1, 0, budgets[m],
+                    rows[m, i] = _refine(
+                        state[m, i], h, increments[r, i, g], drive[m, i], du1,
+                        guard, bridges[r], i, g, 1, 0, budgets[m],
                     )
                 except SafeguardError as err:
                     err.member = m
                     raise
                 activations[m] += 1
         x = prop
-        out[:, :, g + 1] = x
+        for law, law_out in enumerate(out):
+            law_out[:, :, g + 1] = x[:, law]
     return out, activations
 
 
-def _prepare(params, potential, mats, init, replica):
-    if potential.s_bound != params.s_bound:
-        raise ValueError(
-            f"potential s_bound {potential.s_bound} != params s_bound {params.s_bound}"
-        )
-    if init.s_bound != params.s_bound:
-        raise ValueError(
-            f"initial law s_bound {init.s_bound} != params s_bound {params.s_bound}"
-        )
+def _prepare(params, mats, init, replica):
+    """One replica's interaction entries (None without interaction),
+    initial draw, Brownian increments and bridge stream."""
     entries = None
     if len(mats) > 1 or mats[0] is not None:
         for mat in mats:
@@ -184,7 +194,7 @@ def _prepare(params, potential, mats, init, replica):
                 raise TypeError("mat must be a DisorderMatrix, a sequence of them, or None")
             if mat.n != params.n_particles:
                 raise ValueError(f"matrix size {mat.n} != n_particles {params.n_particles}")
-        entries = np.stack([mat.entries for mat in mats])
+        entries = [mat.entries for mat in mats]
     init_stream = CounterStream(params.master_seed, _INIT_PURPOSE, replica)
     x0 = sample_initial(init, params.n_particles, init_stream)
     brownian = BrownianStream(params.master_seed, replica)
@@ -204,9 +214,11 @@ def simulate_shared(
     potential: Potential,
     mat,
     init: InitialLaw,
-    replica: int = 0,
+    replica=0,
+    out: np.ndarray | None = None,
 ) -> list:
-    """Integrate several runs on one initial draw and noise block.
+    """Integrate several runs on one initial draw and noise block, or on
+    each of a block of them.
 
     ``runs`` is a list of ``(params, frozen)`` pairs whose params share one
     grid (the ``_GRID_FIELDS``); they may differ only in kappa.  ``mat`` is
@@ -224,29 +236,84 @@ def simulate_shared(
     the earliest step where a member fails, lowest member first; the
     SafeguardError carries that ``member`` index, and a frozen run's names
     its kappa.
+
+    Block form: ``replica`` is a sequence of R stream replica indices and
+    ``mat`` holds one entry per replica, each as above and all with the
+    same number of matrices.  Each replica is prepared once, every
+    refresh interval is integrated once over the whole block as one stack
+    in replica-major order (``member = k * L + l`` for block position k
+    and matrix l), and the result holds one entry per replica, each what
+    the call on that replica alone returns.  A run given as ``(params,
+    frozen, count)`` covers only the first ``count`` replicas of the
+    block, and is left out of the other replicas' entries.  ``out``, a
+    sequence of L writable (R, N, G+1) arrays, one per matrix (block
+    position, particle, grid point), receives the paths of the runs that
+    refresh every step in place of new arrays, and their values are views
+    of it.
     """
     runs = list(runs)
     if not runs:
         raise ValueError("runs must hold at least one (params, frozen) pair")
     base = runs[0][0]
-    for params, _ in runs[1:]:
+    for params, *_ in runs[1:]:
         differ = [f for f in _GRID_FIELDS if getattr(params, f) != getattr(base, f)]
         if differ:
             raise ValueError(f"runs must share one grid; {', '.join(differ)} differ")
-    stacked = isinstance(mat, (list, tuple))
-    mats = list(mat) if stacked else [mat]
-    if not mats:
+    if potential.s_bound != base.s_bound:
+        raise ValueError(
+            f"potential s_bound {potential.s_bound} != params s_bound {base.s_bound}"
+        )
+    if init.s_bound != base.s_bound:
+        raise ValueError(
+            f"initial law s_bound {init.s_bound} != params s_bound {base.s_bound}"
+        )
+    block = not isinstance(replica, (int, np.integer))
+    replicas = list(replica) if block else [replica]
+    per_replica = list(mat) if block else [mat]
+    if not replicas or len(per_replica) != len(replicas):
+        raise ValueError("a block needs one mat entry per replica, and at least one")
+    stacked = isinstance(per_replica[0], (list, tuple))
+    per_replica = [list(m) if stacked else [m] for m in per_replica]
+    laws = len(per_replica[0])
+    if not laws:
         raise ValueError("mat must hold at least one matrix")
-    entries, x0, increments, bridge = _prepare(base, potential, mats, init, replica)
+    if any(len(mats) != laws for mats in per_replica):
+        raise ValueError("every replica of a block needs the same number of matrices")
+    runs = [(run[0], run[1], run[2] if len(run) > 2 else len(replicas))
+            for run in runs]
+    if any(not 1 <= count <= len(replicas) for *_, count in runs):
+        raise ValueError(f"a run must cover 1 to {len(replicas)} replicas")
+
+    n = base.n_particles
+    x0 = np.empty((len(replicas), n))
+    increments = np.empty((len(replicas), n, base.n_steps))
+    bridges, entries = [], []
+    for k, (mats, rep) in enumerate(zip(per_replica, replicas)):
+        rep_entries, x0[k], increments[k], bridge = _prepare(base, mats, init, rep)
+        bridges.append(bridge)
+        entries.append(rep_entries)
+    if all(e is None for e in entries):
+        entries = None
+    elif any(e is None for e in entries):
+        raise TypeError("mat must be a DisorderMatrix, a sequence of them, or None")
+    else:
+        entries = np.stack([e for rep_entries in entries for e in rep_entries])
+
     grid = grid_times(base)
-    paths = {}  # refresh interval -> (values per member, activations per member)
-    ensembles = [[] for _ in mats]
-    for params, frozen in runs:
+    paths = {}  # refresh interval -> (values per replica and matrix, activations)
+    ensembles = [[[] for _ in range(laws)] for _ in replicas]
+    for params, frozen, count in runs:
         every = params.substeps if frozen else 1
         if every not in paths:
+            # the widest run on this interval sets the block prefix integrated
+            width = max(c for p, f, c in runs if (p.substeps if f else 1) == every)
             try:
                 values, activations = _integrate(
-                    params, potential, entries, x0, increments, bridge,
+                    params, potential,
+                    None if entries is None else entries[:width * laws],
+                    x0[:width], increments[:width], bridges[:width],
+                    None if out is None or every != 1
+                    else [law_out[:width] for law_out in out],
                     refresh_every=every,
                 )
             except SafeguardError as err:
@@ -255,12 +322,17 @@ def simulate_shared(
                 detail = f"{err.detail}, kappa={params.kappa}"
                 raise SafeguardError(err.particle, err.step, err.value, detail,
                                      member=err.member) from err
-            paths[every] = (list(values), activations)
+            # one values view per member, shared by every run on this interval
+            paths[every] = (list(zip(*values)), activations)
         values, activations = paths[every]
-        for member, member_ensembles in enumerate(ensembles):
-            member_ensembles.append(PathEnsemble(
-                values[member], grid, params, replica, activations[member]))
-    return ensembles if stacked else ensembles[0]
+        for k in range(count):
+            for law, member_ensembles in enumerate(ensembles[k]):
+                member_ensembles.append(PathEnsemble(
+                    values[k][law], grid, params, replicas[k],
+                    activations[k * laws + law]))
+    if not stacked:
+        ensembles = [rep_ensembles[0] for rep_ensembles in ensembles]
+    return ensembles if block else ensembles[0]
 
 
 def simulate_full(

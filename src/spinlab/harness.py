@@ -6,18 +6,24 @@ provenance, and a timestamp), and fixed-schema CSV files.  All randomness
 derives from the master seed through named sha256 streams, so re-running a
 command with the same config and seed reproduces every CSV byte for byte;
 the timestamp and wall-clock fields live only in the summary.  Replicas run
-one after another in a single loop; counter-addressed streams make each
-replica's result independent of the order they run in.
+serially in one process; counter-addressed streams make each replica's
+result independent of the order they run in and of which replicas share a
+stack.
 
 Each ``run_*`` command is a body inside one frame, ``_command``, which owns
-the clock, the ``RunSummary`` and persistence.  Shared decisions have one
-owner each: ``_params``, ``_disorder``, ``_norm_row``, ``_guarded`` (names
-the draw behind a safeguard failure), ``_TABLES`` (CSV schemas) and
-``_path_file`` (stored-trajectory names, used by store and replay).
-Integration goes through ``dynamics.simulate_shared``.  Universality and
-simulate loop over replicas at each N: one call per (replica, thermal
-sample) integrates every law's matrix as one stack on the shared noise,
-and at sample 0 also the frozen runs behind the tilt statistic.  A
+the clock, the ``RunSummary`` and persistence: the body writes into a
+fresh sibling directory that replaces the output directory only when the
+run has persisted, so a failed run leaves an older run there intact.
+Shared decisions have one owner each: ``_params``, ``_disorder``,
+``_norm_row``, ``_guarded`` (names the draw behind a safeguard or
+power-iteration failure), ``_TABLES`` (CSV schemas) and ``_path_file``
+(stored-trajectory names, used by store and replay).  Integration goes
+through ``dynamics.simulate_shared``.  Universality and simulate loop over
+blocks of replicas at each N, as many as fit their laws' matrices in
+``_STACK_BYTES``: one call per (block, thermal sample) integrates every
+(replica, law) member as one stack, each replica on its own noise, and at
+sample 0 also the frozen runs behind the tilt statistic; the block's
+norms run as lockstep stacks (``disorder.operator_norm_reports``).  A
 freeze-sweep replica integrates its full path together with one frozen
 path per kappa.
 
@@ -36,6 +42,9 @@ from __future__ import annotations
 import datetime as _dt
 import hashlib
 import json
+import os
+import secrets
+import shutil
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -44,10 +53,12 @@ import numpy as np
 
 from .config import ConfigError, ExperimentConfig, load_config
 from .disorder import (
+    PowerIterationError,
     PowerIterationReport,
     StandardGaussian,
     condition_diagnostics,
     operator_norm_report,
+    operator_norm_reports,
     sample_matrix,
     validate_law,
 )
@@ -196,25 +207,65 @@ def _persist(cfg: ExperimentConfig, summary: RunSummary, out_dir: Path) -> None:
             _write_csv(out_dir / name, header, rows)
 
 
+def _replaceable(out: Path) -> Path:
+    """``out`` as an absolute path, checked to be absent, empty, or a
+    finished run (one with a ``summary.json``) that a new run may replace."""
+    target = Path(os.path.abspath(out))
+    if not target.name:
+        raise ConfigError(f"output directory {out} has no name")
+    if target.exists() and not target.is_dir():
+        raise ConfigError(f"output path {out} exists and is not a directory")
+    if (target.is_dir() and any(target.iterdir())
+            and not (target / "summary.json").is_file()):
+        raise ConfigError(f"output directory {out} holds files but no run "
+                          "(no summary.json); it would be replaced")
+    return target
+
+
+def _publish(work: Path, out: Path) -> None:
+    """Rename the finished ``work`` directory onto ``out``, moving an
+    older run there aside first and deleting it after."""
+    if not out.exists():
+        os.replace(work, out)
+        return
+    aside = work.with_name(work.name + ".old")
+    os.replace(out, aside)
+    os.replace(work, out)
+    shutil.rmtree(aside)
+
+
 def _command(name: str):
     """Frame ``body(cfg, summary, out, store_paths)`` as a command.
 
-    The body fills ``summary`` and may return a NumericalFailure, raised
-    only after persisting, so a failed certificate still leaves its table.
+    The body writes into a fresh sibling of the output directory, which
+    replaces the output directory (and any older run in it) only once
+    everything is persisted; a run that raises leaves the output directory
+    as it was and removes its partial files.  The body fills ``summary``
+    and may return a NumericalFailure, raised only after persisting, so a
+    failed certificate still leaves its table.
     """
     def frame(body):
         def run(cfg: ExperimentConfig, store_paths: bool = False,
                 out_dir: str | Path | None = None) -> RunSummary:
             t0 = time.perf_counter()
             out = Path(out_dir) if out_dir is not None else Path(cfg.output_dir)
-            summary = RunSummary(
-                name, cfg.config_hash(), cfg.master_seed, 0.0,
-                _dt.datetime.now(_dt.timezone.utc).isoformat(), str(out),
-                {"master_seed": cfg.master_seed, "schemes": _SEED_SCHEMES},
-            )
-            failure = body(cfg, summary, out, store_paths)
-            summary.wall_clock_seconds = time.perf_counter() - t0
-            _persist(cfg, summary, out)
+            target = _replaceable(out)
+            target.parent.mkdir(parents=True, exist_ok=True)
+            work = target.with_name(f".{target.name}.partial-{secrets.token_hex(6)}")
+            work.mkdir()
+            try:
+                summary = RunSummary(
+                    name, cfg.config_hash(), cfg.master_seed, 0.0,
+                    _dt.datetime.now(_dt.timezone.utc).isoformat(), str(out),
+                    {"master_seed": cfg.master_seed, "schemes": _SEED_SCHEMES},
+                )
+                failure = body(cfg, summary, work, store_paths)
+                summary.wall_clock_seconds = time.perf_counter() - t0
+                _persist(cfg, summary, work)
+                _publish(work, target)
+            except BaseException:
+                shutil.rmtree(work, ignore_errors=True)
+                raise
             if failure is not None:
                 raise failure
             return summary
@@ -269,14 +320,19 @@ def _norm_row(cfg: ExperimentConfig, label: str, n: int, rep: int, seed: int,
     }
 
 
-def _guarded(simulate, labels, n: int, rep: int, /, *args, **kwargs):
-    """Call a ``simulate_*`` function on the matrices of ``labels``' laws;
-    a safeguard failure names its draw and the failing member's law."""
+def _guarded(call, draws, n: int, /, *args, **kwargs):
+    """Call ``call`` on a stack of matrices whose members are the draws
+    ``draws`` names, as (law label, replica) in stack order; a safeguard
+    or power-iteration failure names the failing member's draw."""
     try:
-        return simulate(*args, **kwargs)
-    except SafeguardError as err:
-        detail = f"{err.detail} [law={labels[err.member]}, N={n}, replica={rep}]"
-        raise SafeguardError(err.particle, err.step, err.value, detail) from err
+        return call(*args, **kwargs)
+    except (SafeguardError, PowerIterationError) as err:
+        label, rep = draws[err.member]
+        where = f"[law={label}, N={n}, replica={rep}]"
+        if isinstance(err, SafeguardError):
+            raise SafeguardError(err.particle, err.step, err.value,
+                                 f"{err.detail} {where}") from err
+        raise PowerIterationError(f"{err} {where}", err.best) from err
 
 
 def _reference_index(laws) -> int:
@@ -289,63 +345,102 @@ def _reference_index(laws) -> int:
 # ---------------------------------------------------------------------------
 # simulation blocks
 
+# Bytes of raw interaction matrices stacked in one integration block of
+# replicas (all laws) or one power-iteration stack.  Past it, the stacked
+# matmul runs slower than one matrix at a time.
+_STACK_BYTES = 512 * 1024
+
+
 def _curve_block(cfg: ExperimentConfig, summary: RunSummary, params: ModelParams,
                  samples: int, store: Path | None, phi_draws: int = 0):
     """Thermal-averaged autocorrelation per disorder draw, for every law at
     one N.
 
-    Loops over replicas; each (replica, thermal sample) draws every law's
-    matrix once and integrates them as one stack in one ``simulate_shared``
-    call.  Returns, per law in config order, (autocorr block,
+    Loops over blocks of replicas; a block holds as many replicas as fit
+    their laws' matrices in ``_STACK_BYTES``.  Each thermal sample of a
+    block draws nothing new and integrates every (replica, law) member of
+    the block as one stack in one ``simulate_shared`` call, each replica
+    on its own noise.  Returns, per law in config order, (autocorr block,
     curves[replicas, G+1], pool, norm rows, phis) and adds the full runs'
     safeguard activations to ``summary``.  The pool stacks the sample-0
     full runs' particles, replica after replica (``replicas * N`` rows),
-    for marginal pooling; those runs are saved under ``store`` as each
-    replica finishes when the run keeps paths.  The first ``phi_draws``
-    draws also integrate the frozen run at sample 0 in the same call and
-    report its interaction tilt in ``phis``; draws past ``replicas`` run
-    only that frozen side.
+    for marginal pooling; when the run keeps paths, those runs are saved
+    under ``store`` once the block's sample 0 is integrated.  The first
+    ``phi_draws`` draws also integrate the frozen run at sample 0 in the
+    same call, as one stack over those replicas of the block, and report
+    its interaction tilt in ``phis``; draws past ``replicas`` run only
+    that frozen side.  The block's norms then run as stacks of at most
+    ``_STACK_BYTES`` of matrices.
     """
     laws, labels = cfg.law_objs(), cfg.law_labels()
     potential = cfg.potential_obj()
     initial = cfg.initial_obj()
     n = params.n_particles
     width = params.n_steps + 1
+    matrix_bytes = n * n * 8
+    block = max(1, _STACK_BYTES // (len(laws) * matrix_bytes))
+    chunk = max(1, _STACK_BYTES // matrix_bytes)
     curves = np.zeros((len(laws), cfg.replicas, width))
-    pools = [np.empty((cfg.replicas * n, width)) for _ in laws]
+    total = max(cfg.replicas, phi_draws)
+    # every replica's sample-0 paths that refresh each step are integrated
+    # in place here, one array per law; a law's pool is its first
+    # ``replicas * N`` rows
+    paths0 = [np.empty((total, n, width)) for _ in laws]
     norm_rows = [[] for _ in laws]
     phis = [[] for _ in laws]
-    for rep in range(max(cfg.replicas, phi_draws)):
-        draws = [_disorder(cfg, law, idx, n, rep) for idx, law in enumerate(laws)]
-        mats = [mat for _, mat in draws]
-        curve = rep < cfg.replicas
-        for s in range(samples if curve else 1):
-            tilt = s == 0 and rep < phi_draws
-            runs = [(params, False)] * curve + [(params, True)] * tilt
-            paths = _guarded(simulate_shared, labels, n, rep, runs, potential,
-                             mats, initial, replica=rep * samples + s)
-            for idx, law_paths in enumerate(paths):
-                if tilt:
+
+    def integrate(s, reps, mats, n_curve, n_tilt):
+        # one thermal sample of one block; its paths are released on return
+        runs = [(params, False, n_curve)] * bool(n_curve)
+        runs += [(params, True, n_tilt)] * bool(s == 0 and n_tilt)
+        active = reps[:max(count for *_, count in runs)]
+        out = None if s else [law_paths[active.start:active.stop]
+                              for law_paths in paths0]
+        paths = _guarded(simulate_shared,
+                         [(label, rep) for rep in active for label in labels], n,
+                         runs, potential, mats[:len(active)], initial,
+                         replica=[rep * samples + s for rep in active], out=out)
+        for k, (rep, rep_paths) in enumerate(zip(active, paths)):
+            for idx, law_paths in enumerate(rep_paths):
+                if s == 0 and k < n_tilt:
                     phis[idx].append(girsanov_stats(
-                        law_paths.pop(), mats[idx], params, potential, c1=cfg.c1).phi)
-                if curve:
+                        law_paths.pop(), mats[k][idx], params, potential,
+                        c1=cfg.c1).phi)
+                if k < n_curve:
                     ens = law_paths[0]
                     curves[idx, rep] += autocorrelation(ens)
                     summary.safeguard_activations += ens.safeguard_activations
-                    if s == 0:
-                        pools[idx][rep * n:(rep + 1) * n] = ens.values
-            if curve and s == 0 and store is not None:
-                _store_ensembles(store, labels, n, rep, [p[0] for p in paths])
-        if curve:
-            curves[:, rep] /= samples
-            for idx, (seed, mat) in enumerate(draws):
-                report = operator_norm_report(mat, beta=cfg.beta)
+            if k < n_curve and s == 0 and store is not None:
+                _store_ensembles(store, labels, n, rep, [p[0] for p in rep_paths])
+
+    for first in range(0, total, block):
+        reps = range(first, min(first + block, total))
+        # curve and tilt replicas are each a prefix of the block
+        n_curve = max(0, min(cfg.replicas, reps.stop) - first)
+        n_tilt = max(0, min(phi_draws, reps.stop) - first)
+        draws = [[_disorder(cfg, law, idx, n, rep) for idx, law in enumerate(laws)]
+                 for rep in reps]
+        mats = [[mat for _, mat in rep_draws] for rep_draws in draws]
+        for s in range(samples if n_curve else 1):
+            integrate(s, reps, mats, n_curve, n_tilt)
+        curves[:, first:first + n_curve] /= samples
+        members = [(idx, rep, seed, mat)
+                   for rep, rep_draws in zip(reps[:n_curve], draws)
+                   for idx, (seed, mat) in enumerate(rep_draws)]
+        for start in range(0, len(members), chunk):
+            part = members[start:start + chunk]
+            reports = _guarded(
+                operator_norm_reports, [(labels[idx], rep) for idx, rep, *_ in part],
+                n, [mat for *_, mat in part], beta=cfg.beta)
+            for (idx, rep, seed, _), report in zip(part, reports):
                 norm_rows[idx].append(_norm_row(cfg, labels[idx], n, rep, seed, report))
     blocks = [{
         "law": label, "n": n, "replica_count": cfg.replicas,
         "t": grid_times(params), "mean": law_curves.mean(axis=0),
         "stderr": law_curves.std(axis=0, ddof=1) / np.sqrt(cfg.replicas),
     } for label, law_curves in zip(labels, curves)]
+    pools = [law_paths[:cfg.replicas].reshape(cfg.replicas * n, width)
+             for law_paths in paths0]
     return list(zip(blocks, curves, pools, norm_rows, phis))
 
 
@@ -385,10 +480,11 @@ def run_universality(cfg, summary, out, store_paths):
     a paired bootstrap standard error and noise floor, plus a pooled
     marginal transport surrogate.  Each law's tilt median reuses the frozen
     runs that the first ``phi_replicas`` draws integrate alongside their
-    sample-0 full runs.  With several failing draws, the first error raised
-    is in replica order, then law order: one replica's laws integrate as
-    one stack, which stops at the earliest step where a law fails, and
-    names that law.
+    sample-0 full runs.  Replicas run in blocks, and a block's laws and
+    replicas integrate as one stack, which stops at the earliest step
+    where a member fails; its norms follow.  With several failing draws,
+    the first error raised is in block order, then by step, then replica,
+    then law, and names that draw.
     """
     laws = cfg.law_objs()
     labels = cfg.law_labels()
@@ -471,7 +567,7 @@ def run_freeze_sweep(cfg, summary, out, store_paths):
         norm_row = _norm_row(cfg, label, n, rep, seed, report)
         norm_rows.append(norm_row)
         full, *frozen_runs = _guarded(
-            simulate_shared, [label], n, rep,
+            simulate_shared, [(label, rep)], n,
             [(sweep[0], False)] + [(p, True) for p in sweep],
             potential, mat, initial, replica=rep)
         for k, (params, frozen) in enumerate(zip(sweep, frozen_runs)):
@@ -599,7 +695,7 @@ def run_simulate(cfg, summary, out, store_paths):
 
     Each replica is a single full-dynamics run (no thermal averaging);
     Brownian streams are shared across laws replica-by-replica, and the
-    laws at one replica are integrated as one stack.
+    laws of a block of replicas are integrated as one stack.
     """
     summary.seed_provenance["schemes"] = dict(
         _SEED_SCHEMES, brownian="stream replica index = replica (single sample)",
@@ -664,7 +760,7 @@ def replay(
         raise ConfigError(f"sample {sample} out of range (run kept {samples})")
 
     seed, mat = _disorder(cfg, cfg.law_objs()[idx], idx, n, replica)
-    ens = _guarded(simulate_full, [law], n, replica,
+    ens = _guarded(simulate_full, [(law, replica)], n,
                    _params(cfg, n), cfg.potential_obj(), mat, cfg.initial_obj(),
                    replica=replica * samples + sample)
 

@@ -13,12 +13,15 @@ from spinlab.disorder import (
     RADEMACHER,
     CustomSampler,
     DisorderMatrix,
+    PowerIterationError,
     condition_diagnostics,
     operator_norm,
     operator_norm_report,
+    operator_norm_reports,
     sample_matrix,
     validate_law,
 )
+from spinlab import disorder
 from spinlab.streams import CounterStream
 
 # Quadrature oracle for E|Exp(1) - 1|^3; the closed form it matches is
@@ -174,6 +177,46 @@ def test_operator_norm_report_brackets_value():
     rep = operator_norm_report(mat, beta=1.0, tol=1e-8)
     assert rep.lower <= rep.value <= rep.upper
     assert rep.iterations > 0
+
+
+def test_stacked_norm_reports_equal_one_report_per_matrix(monkeypatch):
+    # the zero matrix restarts on lambda = 0, the identity and a rank-1
+    # matrix converge at once, and random draws stall and restart or run
+    # long enough to finish alone in the scalar loop
+    tails = []
+    run = disorder._power_run
+
+    def recording(a, v, tol, budget, it=0, *args, **kwargs):
+        tails.append(it)
+        return run(a, v, tol, budget, it, *args, **kwargs)
+
+    monkeypatch.setattr(disorder, "_power_run", recording)
+    for n in (1, 2, 5, 25):
+        mats = [np.zeros((n, n)), math.sqrt(n) * np.eye(n),
+                np.outer(np.arange(1.0, n + 1), np.ones(n))]
+        mats += [sample_matrix(law, n, seed=seed)
+                 for seed in range(8) for law in (GAUSSIAN, RADEMACHER)]
+        for beta in (1.0, 0.7):
+            stacked = operator_norm_reports(mats, beta=beta)
+            single = [operator_norm_report(m, beta=beta) for m in mats]
+            assert stacked == single
+            assert stacked[0].restarted and stacked[0].value == 0.0
+    assert any(r.restarted for r in stacked[3:])
+    assert len({r.iterations for r in stacked}) > 2
+    # some member was handed to the scalar loop part way through its run
+    assert any(it > 0 for it in tails)
+
+
+def test_stacked_norm_cap_names_the_lowest_member_still_running():
+    mats = [np.zeros((6, 6))] + [sample_matrix(GAUSSIAN, 6, seed=s) for s in (1, 2)]
+    with pytest.raises(PowerIterationError) as err:
+        operator_norm_reports(mats, max_iter=3)
+    assert err.value.member == 1
+    with pytest.raises(PowerIterationError) as alone:
+        operator_norm_report(mats[1], max_iter=3)
+    assert alone.value.member == 0
+    assert str(err.value) == str(alone.value)
+    assert err.value.best == alone.value.best
 
 
 def test_validate_builtins_pass_without_sampling():

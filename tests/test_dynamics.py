@@ -198,16 +198,68 @@ def test_stacked_matrices_equal_one_run_per_matrix():
 
 
 def test_stacked_matvec_equals_one_matvec_per_matrix():
-    # the stacked integrator's interaction is np.matmul over the stack; it
-    # must give the bits of one ``entries @ x`` per matrix
+    # the stacked integrator's interaction and the stacked power iteration
+    # are np.matmul over the stack; they must give the bits of one
+    # ``a @ x``, ``a.T @ w`` and ``w @ w`` per matrix
     gen = np.random.default_rng(5)
-    for _ in range(60):
-        n = int(gen.integers(25, 401))
-        stack = gen.standard_normal((int(gen.integers(2, 5)), n, n))
+    for _ in range(120):
+        n = int(gen.integers(1, 401))
+        stack = gen.standard_normal((int(gen.integers(1, 9)), n, n))
         x = gen.uniform(-2.0, 2.0, (len(stack), n))
         stacked = np.matmul(stack, x[:, :, None])[:, :, 0]
-        for entries, xm, row in zip(stack, x, stacked):
+        back = np.matmul(stack.transpose(0, 2, 1), stacked[:, :, None])[:, :, 0]
+        dots = np.matmul(stacked[:, None, :], stacked[:, :, None])[:, 0, 0]
+        for entries, xm, row, back_row, dot in zip(stack, x, stacked, back, dots):
             assert np.array_equal(row, entries @ xm)
+            assert np.array_equal(back_row, entries.T @ row)
+            assert dot == row @ row
+
+
+def test_block_of_replicas_equals_one_call_per_replica():
+    # a ragged frozen prefix, refinements on several members, and each
+    # replica on its own noise
+    sweep, pot, _, init = _safeguarded_sweep()
+    mats = [[sample_matrix(law, 30, seed=10 * rep + seed)
+             for law, seed in ((GAUSSIAN, 1), (RADEMACHER, 2))] for rep in range(3)]
+    runs = [(sweep[0], False), (sweep[1], True, 2)]
+    block = simulate_shared(runs, pot, mats, init, replica=[4, 9, 5])
+    assert len(block) == 3
+    fired = 0
+    for k, (rep, rep_mats, rep_paths) in enumerate(zip([4, 9, 5], mats, block)):
+        alone = simulate_shared([run[:2] for run in runs[:1 + (k < 2)]], pot,
+                                rep_mats, init, replica=rep)
+        assert len(rep_paths) == len(alone) == 2
+        for law_paths, ref_paths in zip(rep_paths, alone):
+            assert len(law_paths) == len(ref_paths) == 1 + (k < 2)
+            for ens, ref in zip(law_paths, ref_paths):
+                np.testing.assert_array_equal(ens.values, ref.values)
+                assert ens.safeguard_activations == ref.safeguard_activations
+                assert (ens.params, ens.replica) == (ref.params, rep)
+                fired += ens.safeguard_activations > 0
+    assert fired >= 4
+    single = simulate_shared([(sweep[0], False)], pot, [m[0] for m in mats], init,
+                             replica=[4, 9, 5])
+    for rep, rep_mats, (ens,) in zip([4, 9, 5], mats, single):
+        np.testing.assert_array_equal(
+            ens.values, simulate_full(sweep[0], pot, rep_mats[0], init, replica=rep).values)
+    with pytest.raises(ValueError, match="one mat entry per replica"):
+        simulate_shared(runs, pot, mats[:2], init, replica=[4, 9, 5])
+    with pytest.raises(ValueError, match="same number of matrices"):
+        simulate_shared(runs, pot, [mats[0], mats[1][:1]], init, replica=[4, 9])
+    with pytest.raises(ValueError, match="cover 1 to 3"):
+        simulate_shared([(sweep[0], False, 4)], pot, mats, init, replica=[4, 9, 5])
+
+
+def test_block_failure_names_its_replica_major_member():
+    # replica 1's second matrix pushes the dynamics out of the box
+    p = ModelParams(30, 1.0, 1.0, 1.0, 2, 6, 31)
+    pot, init = double_well(1.0), uniform_symmetric(0.9, 1.0)
+    mats = [[sample_matrix(GAUSSIAN, 30, seed=2 * rep + k) for k in range(2)]
+            for rep in range(3)]
+    mats[1][1] = DisorderMatrix(1e12 * mats[1][1].entries, GAUSSIAN, 0)
+    with pytest.raises(SafeguardError) as err:
+        simulate_shared([(p, False)], pot, mats, init, replica=[0, 1, 2])
+    assert err.value.member == 1 * 2 + 1
 
 
 def test_stacked_failure_names_its_member():

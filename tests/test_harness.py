@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import spinlab
-from spinlab import dynamics, harness, lindeberg
+from spinlab import disorder, dynamics, harness, lindeberg
 from spinlab.cli import _COMMANDS, main
 from spinlab.config import ConfigError, load_config
 from spinlab.dynamics import SafeguardError
@@ -87,22 +87,23 @@ def test_universality_layout_and_row_invariant(tmp_path):
 
 def test_universality_draws_and_prepares_each_run_once(tmp_path, monkeypatch):
     # 2 laws x 2 sizes x 3 replicas; the tilt runs reuse the first
-    # phi_replicas draws and their sample-0 noise, and both laws at one
-    # (N, replica, sample) share one prepared draw
+    # phi_replicas draws and their sample-0 noise, each replica is prepared
+    # once, and at each N one block holds every replica: one full and one
+    # frozen stack
     draws = _count_calls(monkeypatch, harness, "sample_matrix")
-    prepares = _count_calls(monkeypatch, dynamics, "_prepare")
+    calls = _count_calls(monkeypatch, dynamics, "_prepare", "_integrate")
     run_universality(_small(), out_dir=tmp_path)
     assert draws == {"sample_matrix": 12}
-    assert prepares == {"_prepare": 6}
+    assert calls == {"_prepare": 6, "_integrate": 4}
 
 
 def test_simulate_prepares_each_replica_once(tmp_path, monkeypatch):
-    # 2 laws x 3 replicas, one thermal sample
+    # 2 laws x 3 replicas, one thermal sample, one block
     draws = _count_calls(monkeypatch, harness, "sample_matrix")
-    prepares = _count_calls(monkeypatch, dynamics, "_prepare")
+    calls = _count_calls(monkeypatch, dynamics, "_prepare", "_integrate")
     run_simulate(_small(), out_dir=tmp_path)
     assert draws == {"sample_matrix": 6}
-    assert prepares == {"_prepare": 3}
+    assert calls == {"_prepare": 3, "_integrate": 1}
 
 
 def test_universality_requires_gaussian_reference(tmp_path):
@@ -202,6 +203,27 @@ _GOLDEN_CASES = {
 }
 
 
+def _digests(run_dir: Path) -> dict:
+    """sha256 of every CSV, of ``summary.json`` as sorted-key JSON without
+    its timestamp and wall clock, and of the sorted stored-path names and
+    their contents."""
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in sorted(run_dir.glob("*.csv"))}
+    summary = json.loads((run_dir / "summary.json").read_text())
+    for key in ("timestamp", "wall_clock_seconds"):
+        del summary[key]
+    digests["summary.json"] = hashlib.sha256(
+        json.dumps(summary, sort_keys=True).encode()).hexdigest()
+    names = sorted(p.name for p in run_dir.glob("paths/*"))
+    if names:
+        digests["paths/"] = hashlib.sha256("\n".join(names).encode()).hexdigest()
+        contents = hashlib.sha256()
+        for path in sorted(run_dir.glob("paths/*.npy")):
+            contents.update(path.read_bytes())
+        digests["paths/*.npy"] = contents.hexdigest()
+    return digests
+
+
 @pytest.mark.parametrize("case", sorted(_GOLDEN))
 def test_outputs_match_golden_digests(tmp_path, case):
     """Every CSV, the result blocks of summary.json, the sorted stored-path
@@ -215,21 +237,30 @@ def test_outputs_match_golden_digests(tmp_path, case):
     """
     command, overrides = _GOLDEN_CASES.get(case, (case, {}))
     _COMMANDS[command](_small(**overrides), store_paths=True, out_dir=tmp_path)
-    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-               for p in sorted(tmp_path.glob("*.csv"))}
-    summary = json.loads((tmp_path / "summary.json").read_text())
-    for key in ("timestamp", "wall_clock_seconds"):
-        del summary[key]
-    digests["summary.json"] = hashlib.sha256(
-        json.dumps(summary, sort_keys=True).encode()).hexdigest()
-    names = sorted(p.name for p in tmp_path.glob("paths/*"))
-    if names:
-        digests["paths/"] = hashlib.sha256("\n".join(names).encode()).hexdigest()
-        contents = hashlib.sha256()
-        for path in sorted(tmp_path.glob("paths/*.npy")):
-            contents.update(path.read_bytes())
-        digests["paths/*.npy"] = contents.hexdigest()
-    assert digests == _GOLDEN[case]
+    assert _digests(tmp_path) == _GOLDEN[case]
+
+
+# _STACK_BYTES -> replicas per block at N = 4 and N = 6 with _small()'s
+# two laws (a law's matrix is 128 and 288 bytes); 1 also stacks one
+# matrix per norm call
+_BLOCKINGS = {1: (1, 1), 600: (2, 1), 1200: (4, 2)}
+
+
+@pytest.mark.parametrize("stack_bytes", sorted(_BLOCKINGS))
+@pytest.mark.parametrize(
+    "case", ["universality", "universality-tilt-past-replicas", "simulate"])
+def test_outputs_do_not_depend_on_the_block_size(tmp_path, monkeypatch, case,
+                                                 stack_bytes):
+    # one replica per block, 2 of 3 (a ragged last block), or all of them
+    monkeypatch.setattr(harness, "_STACK_BYTES", stack_bytes)
+    blocks = _count_calls(monkeypatch, harness, "simulate_shared")
+    command, overrides = _GOLDEN_CASES.get(case, (case, {}))
+    cfg = _small(**overrides)
+    _COMMANDS[command](cfg, store_paths=True, out_dir=tmp_path)
+    assert _digests(tmp_path) == _GOLDEN[case]
+    if command == "simulate":
+        assert blocks["simulate_shared"] == math.ceil(
+            cfg.replicas / _BLOCKINGS[stack_bytes][1])
 
 
 def test_summary_output_dir_is_where_the_files_went(tmp_path):
@@ -238,6 +269,58 @@ def test_summary_output_dir_is_where_the_files_went(tmp_path):
     summary = run_validation(cfg, out_dir=out)
     assert (out / "summary.json").exists()
     assert summary.output_dir == str(out) != cfg.output_dir
+
+
+def _tree(run_dir: Path) -> dict:
+    return {str(p.relative_to(run_dir)): p.read_bytes()
+            for p in sorted(run_dir.rglob("*")) if p.is_file()}
+
+
+def test_failed_run_leaves_the_older_run_in_a_reused_out(tmp_path, capsys,
+                                                         monkeypatch):
+    # a freeze sweep saves each pair as soon as it exists; a safeguard
+    # failure at its second replica must not leave those files, or a
+    # summary, next to the older simulate run in the same directory
+    path = _write_cfg(tmp_path)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--out", str(out),
+                 "--store-paths"]) == 0
+    before = _tree(out)
+    integrate = dynamics._integrate
+    calls = []
+
+    def second_replica_fails(params, *args, refresh_every):
+        calls.append(refresh_every)
+        if len(calls) > 2:  # replica 0 integrates its full and frozen stacks
+            raise SafeguardError(1, 2, 3.0, "forced")
+        return integrate(params, *args, refresh_every=refresh_every)
+
+    monkeypatch.setattr(dynamics, "_integrate", second_replica_fails)
+    assert main(["freeze-sweep", "--config", str(path), "--out", str(out),
+                 "--store-paths", "--seed", "8"]) == 2
+    assert "forced [law=gaussian, N=6, replica=1]" in capsys.readouterr().err
+    monkeypatch.setattr(dynamics, "_integrate", integrate)
+    assert _tree(out) == before
+    assert replay(out, "rademacher", replica=1)["matches_stored"] is True
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "out"]
+
+
+def test_run_into_a_reused_out_replaces_the_older_run(tmp_path):
+    cfg = _small()
+    run_simulate(cfg, store_paths=True, out_dir=tmp_path / "out")
+    run_validation(cfg, out_dir=tmp_path / "out")
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+        "config.json", "norms.csv", "summary.json"]
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+    (tmp_path / "file").write_text("")
+    with pytest.raises(ConfigError, match="not a directory"):
+        run_validation(cfg, out_dir=tmp_path / "file")
+    # a directory with files but no finished run is never replaced
+    (tmp_path / "notes").mkdir()
+    (tmp_path / "notes" / "keep.txt").write_text("keep")
+    with pytest.raises(ConfigError, match="no summary.json"):
+        run_validation(cfg, out_dir=tmp_path / "notes")
+    assert [p.name for p in (tmp_path / "notes").iterdir()] == ["keep.txt"]
 
 
 # ---------------------------------------------------------------------------
@@ -642,6 +725,60 @@ def test_cli_safeguard_failure_names_the_failing_law(tmp_path, capsys,
     assert code == 2
     err = capsys.readouterr().err
     assert "[law=rademacher, N=6, replica=0]" in err
+
+
+def test_cli_failure_inside_a_block_names_its_replica(tmp_path, capsys,
+                                                      monkeypatch):
+    # only replica 2's rademacher matrix at N = 6 leaves the box; the whole
+    # block of three replicas integrates as one stack
+    draw = harness.sample_matrix
+    bad_seed = harness.derive_seed(7, "disorder", 1, 6, 2)
+
+    def one_draw_explodes(law, n, seed):
+        mat = draw(law, n, seed)
+        if seed != bad_seed:
+            return mat
+        return type(mat)(1e15 * mat.entries, mat.law, mat.seed)
+
+    monkeypatch.setattr(harness, "sample_matrix", one_draw_explodes)
+    path = _write_cfg(tmp_path)
+    code = main(["universality", "--config", str(path),
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "[law=rademacher, N=6, replica=2]" in capsys.readouterr().err
+
+
+def test_cli_tilt_failure_inside_a_block_names_kappa_and_replica(
+        tmp_path, capsys, monkeypatch):
+    # the frozen stack at N = 4 covers replicas 0 and 1 (phi_replicas 2);
+    # its member 3 is replica 1's rademacher run
+    integrate = dynamics._integrate
+
+    def frozen_fails(params, *args, refresh_every):
+        if refresh_every > 1:
+            raise SafeguardError(1, 2, 3.0, "forced", member=3)
+        return integrate(params, *args, refresh_every=refresh_every)
+
+    monkeypatch.setattr(dynamics, "_integrate", frozen_fails)
+    path = _write_cfg(tmp_path)
+    code = main(["universality", "--config", str(path),
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "forced, kappa=2 [law=rademacher, N=4, replica=1]" in err
+
+
+def test_cli_power_iteration_cap_exit_two_names_the_draw(tmp_path, capsys,
+                                                        monkeypatch):
+    monkeypatch.setattr(disorder, "_MAX_ITER", 1)
+    path = _write_cfg(tmp_path)
+    code = main(["universality", "--config", str(path),
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "numerical failure: power iteration did not converge in 1 steps" in err
+    assert err.rstrip().endswith("[law=gaussian, N=4, replica=0]")
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_frozen_safeguard_failure_names_its_kappa(tmp_path, capsys,

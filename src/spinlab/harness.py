@@ -18,14 +18,15 @@ Shared decisions have one owner each: ``_params``, ``_disorder``,
 ``_norm_row``, ``_guarded`` (names the draw behind a safeguard or
 power-iteration failure), ``_TABLES`` (CSV schemas) and ``_path_file``
 (stored-trajectory names, used by store and replay).  Integration goes
-through ``dynamics.simulate_shared``.  Universality and simulate loop over
-blocks of replicas at each N, as many as fit their laws' matrices in
-``_STACK_BYTES``: one call per (block, thermal sample) integrates every
-(replica, law) member as one stack, each replica on its own noise, and at
-sample 0 also the frozen runs behind the tilt statistic; the block's
-norms run as lockstep stacks (``disorder.operator_norm_reports``).  A
-freeze-sweep replica integrates its full path together with one frozen
-path per kappa.
+through ``dynamics.simulate_shared``.  Every command that integrates
+loops over blocks of replicas, as many as fit their laws' matrices in
+``_STACK_BYTES`` (``_block_size``).  In universality and simulate, one
+call per (block, thermal sample) integrates every (replica, law) member
+as one stack, each replica on its own noise, and at sample 0 also the
+frozen runs behind the tilt statistic; the block's norms run as lockstep
+stacks (``disorder.operator_norm_reports``).  In the freeze sweep, the
+block's norms run one matrix at a time, then one call integrates every
+replica's full path together with one frozen path per kappa.
 
 Seed derivation schemes (also recorded in each summary):
 
@@ -351,6 +352,12 @@ def _reference_index(laws) -> int:
 _STACK_BYTES = 512 * 1024
 
 
+def _block_size(laws: int, n: int) -> int:
+    """Replicas per block: as many as fit ``laws`` matrices of size ``n``
+    each in ``_STACK_BYTES``, and at least one."""
+    return max(1, _STACK_BYTES // (laws * n * n * 8))
+
+
 def _curve_block(cfg: ExperimentConfig, summary: RunSummary, params: ModelParams,
                  samples: int, store: Path | None, phi_draws: int = 0):
     """Thermal-averaged autocorrelation per disorder draw, for every law at
@@ -377,9 +384,8 @@ def _curve_block(cfg: ExperimentConfig, summary: RunSummary, params: ModelParams
     initial = cfg.initial_obj()
     n = params.n_particles
     width = params.n_steps + 1
-    matrix_bytes = n * n * 8
-    block = max(1, _STACK_BYTES // (len(laws) * matrix_bytes))
-    chunk = max(1, _STACK_BYTES // matrix_bytes)
+    block = _block_size(len(laws), n)
+    chunk = _block_size(1, n)
     curves = np.zeros((len(laws), cfg.replicas, width))
     total = max(cfg.replicas, phi_draws)
     # every replica's sample-0 paths that refresh each step are integrated
@@ -538,14 +544,18 @@ def run_freeze_sweep(cfg, summary, out, store_paths):
     held, and only while the frozen path stays near its sub-interval
     anchors).
 
-    The disorder seed does not depend on kappa, so the loop runs over
-    replicas: each draw's matrix, norm, noise and full path are computed
-    once and shared by every kappa (one ``simulate_shared`` call), and stored
-    pairs are written as soon as they exist.  Outputs are those of one
-    coupled run per (kappa, replica): ``norms.csv`` repeats the replica
-    rows once per kappa and the full side's safeguard activations count
-    once per kappa.  With several failing draws, the first one raised is
-    the first in replica order.
+    The disorder seed does not depend on kappa, so each draw's matrix,
+    norm, noise and full path are computed once and shared by every
+    kappa.  Replicas run in blocks of as many as fit their matrices in
+    ``_STACK_BYTES``: a block's matrices are drawn and normed first, one
+    at a time in replica order, then one ``simulate_shared`` call
+    integrates each refresh interval once as one stack over the block,
+    and its stored pairs are written.  Outputs are those of one coupled
+    run per (kappa, replica): ``norms.csv`` repeats the replica rows once
+    per kappa and the full side's safeguard activations count once per
+    kappa.  With several failing draws, the first error raised is in
+    block order, then by step, then replica; a block's norm failures
+    come before its integration's.
     """
     law, label = cfg.law_objs()[0], cfg.law_labels()[0]
     potential = cfg.potential_obj()
@@ -554,6 +564,7 @@ def run_freeze_sweep(cfg, summary, out, store_paths):
     c_dd = max_negative_curvature(potential)
     # every kappa is checked against the total grid before any work starts
     sweep = [_params(cfg, n, kappa) for kappa in cfg.kappa_sweep]
+    runs = [(sweep[0], False)] + [(params, True) for params in sweep]
     times = grid_times(sweep[0])  # the same grid at every kappa
     msds = np.empty((len(sweep), cfg.freeze_replicas))
     violations = [0] * len(sweep)
@@ -561,26 +572,34 @@ def run_freeze_sweep(cfg, summary, out, store_paths):
     if store_paths:
         (out / "paths").mkdir(parents=True, exist_ok=True)
 
-    for rep in range(cfg.freeze_replicas):
-        seed, mat = _disorder(cfg, law, 0, n, rep)
-        report = operator_norm_report(mat, beta=cfg.beta)
-        norm_row = _norm_row(cfg, label, n, rep, seed, report)
-        norm_rows.append(norm_row)
-        full, *frozen_runs = _guarded(
-            simulate_shared, [(label, rep)], n,
-            [(sweep[0], False)] + [(p, True) for p in sweep],
-            potential, mat, initial, replica=rep)
-        for k, (params, frozen) in enumerate(zip(sweep, frozen_runs)):
-            stats = coupling_stats(full, frozen)
-            violations[k] += bool(norm_row["a2_event"] and envelope_violated(
-                stats, times, cfg.a2, c_dd, cfg.rho, n))
-            msds[k, rep] = stats.msd
-            summary.safeguard_activations += (full.safeguard_activations
-                                              + frozen.safeguard_activations)
-            if store_paths:
-                for kind, ens in (("full", full), ("frozen", frozen)):
-                    np.save(_path_file(out, label, params.kappa, rep, kind),
-                            ens.values)
+    def integrate(reps):
+        # one block of draws; its paths are released on return
+        draws = [_disorder(cfg, law, 0, n, rep) for rep in reps]
+        rows = []
+        for rep, (seed, mat) in zip(reps, draws):
+            report = _guarded(operator_norm_report, [(label, rep)], n, mat,
+                              beta=cfg.beta)
+            rows.append(_norm_row(cfg, label, n, rep, seed, report))
+        norm_rows.extend(rows)
+        pairs = _guarded(simulate_shared, [(label, rep) for rep in reps], n,
+                         runs, potential, [mat for _, mat in draws], initial,
+                         replica=list(reps))
+        for rep, norm_row, (full, *frozen_runs) in zip(reps, rows, pairs):
+            for k, (params, frozen) in enumerate(zip(sweep, frozen_runs)):
+                stats = coupling_stats(full, frozen)
+                violations[k] += bool(norm_row["a2_event"] and envelope_violated(
+                    stats, times, cfg.a2, c_dd, cfg.rho, n))
+                msds[k, rep] = stats.msd
+                summary.safeguard_activations += (full.safeguard_activations
+                                                  + frozen.safeguard_activations)
+                if store_paths:
+                    for kind, ens in (("full", full), ("frozen", frozen)):
+                        np.save(_path_file(out, label, params.kappa, rep, kind),
+                                ens.values)
+
+    block = _block_size(1, n)
+    for first in range(0, cfg.freeze_replicas, block):
+        integrate(range(first, min(first + block, cfg.freeze_replicas)))
 
     for params, kappa_msds, kappa_violations in zip(sweep, msds, violations):
         summary.freeze.append({

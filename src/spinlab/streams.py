@@ -47,13 +47,24 @@ def derive_seed(master_seed: int, *parts) -> int:
 
 def _unit_open(words: np.ndarray) -> np.ndarray:
     """Map uint64 words to doubles strictly inside (0, 1)."""
-    return ((words >> np.uint64(11)).astype(np.float64) + 0.5) * _UNIT_SCALE
+    u = (words >> np.uint64(11)).astype(np.float64)
+    u += 0.5
+    u *= _UNIT_SCALE
+    return u
 
 
 def _box_muller(w0: np.ndarray, w1: np.ndarray) -> np.ndarray:
-    u1 = _unit_open(w0)
-    u2 = _unit_open(w1)
-    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+    # sqrt(-2 log u1) * cos(2 pi u2), the same ufuncs in the same order,
+    # in place on the two fresh uniform arrays
+    r = _unit_open(w0)
+    c = _unit_open(w1)
+    np.log(r, out=r)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    c *= 2.0 * np.pi
+    np.cos(c, out=c)
+    r *= c
+    return r
 
 
 class CounterStream:

@@ -178,6 +178,13 @@ _GOLDEN = {
         "paths/*.npy": "5c980e5d3d86136a3ccfe1a25ff8deed67447d0fd4809a208649ebc62de7e1ef",
         "summary.json": "a22682f27243e856dcf30a6c91151fb12478a1dddbfa05f103a46f87f3718ee0",
     },
+    "freeze-sweep-three-replicas": {
+        "freeze.csv": "a33ff176ca7ff4f4a84e18d578f453541be52bc4bb7f1d1c7eed8664acf3f862",
+        "norms.csv": "e7b5f770f25a7a9d5a174f6656e45d6fcbaf82d2d1ed1e3aa7a6e268cc2f694a",
+        "paths/": "3e1cef6533e296389a82b025799ce15cf539ae104b29073efcb45d259222f100",
+        "paths/*.npy": "1f8f076b675c950fafd8c6a270c914da366763c23c61e19c18a73c19b7b31e1e",
+        "summary.json": "048ccf285f6227bbe75f6d9801d49e10125d54292b4774e48b66fd76ae5255cf",
+    },
     "validate": {
         "norms.csv": "20c3d607e3fc86cf40b9016dff0bbd929eacffda4cd214903f2b771e33cfd3bd",
         "summary.json": "69cfaa1f0632e9a8a92b0541f07c44392c61ac2f23245000c32a362e18778c4e",
@@ -200,6 +207,7 @@ _GOLDEN = {
 _GOLDEN_CASES = {
     "universality-tilt-past-replicas":
         ("universality", dict(phi_replicas=5, thermal_samples=2)),
+    "freeze-sweep-three-replicas": ("freeze-sweep", dict(freeze_replicas=3)),
 }
 
 
@@ -241,17 +249,19 @@ def test_outputs_match_golden_digests(tmp_path, case):
 
 
 # _STACK_BYTES -> replicas per block at N = 4 and N = 6 with _small()'s
-# two laws (a law's matrix is 128 and 288 bytes); 1 also stacks one
-# matrix per norm call
-_BLOCKINGS = {1: (1, 1), 600: (2, 1), 1200: (4, 2)}
+# two laws (a law's matrix is 128 and 288 bytes), and at N = 6 with the
+# freeze sweep's one law; 1 also stacks one matrix per norm call
+_BLOCKINGS = {1: (1, 1, 1), 600: (2, 1, 2), 1200: (4, 2, 4)}
 
 
 @pytest.mark.parametrize("stack_bytes", sorted(_BLOCKINGS))
 @pytest.mark.parametrize(
-    "case", ["universality", "universality-tilt-past-replicas", "simulate"])
+    "case", ["universality", "universality-tilt-past-replicas", "simulate",
+             "freeze-sweep", "freeze-sweep-three-replicas"])
 def test_outputs_do_not_depend_on_the_block_size(tmp_path, monkeypatch, case,
                                                  stack_bytes):
-    # one replica per block, 2 of 3 (a ragged last block), or all of them
+    # one replica per block, part of them (a ragged last block with 3
+    # replicas), or all of them
     monkeypatch.setattr(harness, "_STACK_BYTES", stack_bytes)
     blocks = _count_calls(monkeypatch, harness, "simulate_shared")
     command, overrides = _GOLDEN_CASES.get(case, (case, {}))
@@ -261,6 +271,9 @@ def test_outputs_do_not_depend_on_the_block_size(tmp_path, monkeypatch, case,
     if command == "simulate":
         assert blocks["simulate_shared"] == math.ceil(
             cfg.replicas / _BLOCKINGS[stack_bytes][1])
+    if command == "freeze-sweep":
+        assert blocks["simulate_shared"] == math.ceil(
+            cfg.freeze_replicas / _BLOCKINGS[stack_bytes][2])
 
 
 def test_summary_output_dir_is_where_the_files_went(tmp_path):
@@ -278,14 +291,16 @@ def _tree(run_dir: Path) -> dict:
 
 def test_failed_run_leaves_the_older_run_in_a_reused_out(tmp_path, capsys,
                                                          monkeypatch):
-    # a freeze sweep saves each pair as soon as it exists; a safeguard
-    # failure at its second replica must not leave those files, or a
-    # summary, next to the older simulate run in the same directory
+    # a freeze sweep saves each block's pairs as soon as they exist; with
+    # one replica per block, a safeguard failure at its second replica
+    # must not leave the first's files, or a summary, next to the older
+    # simulate run in the same directory
     path = _write_cfg(tmp_path)
     out = tmp_path / "out"
     assert main(["simulate", "--config", str(path), "--out", str(out),
                  "--store-paths"]) == 0
     before = _tree(out)
+    monkeypatch.setattr(harness, "_STACK_BYTES", 1)
     integrate = dynamics._integrate
     calls = []
 
@@ -371,12 +386,16 @@ def test_freeze_sweep_draws_and_norms_each_replica_once(tmp_path, monkeypatch):
 
 def test_freeze_sweep_integrates_each_refresh_interval_once(tmp_path,
                                                             monkeypatch):
-    # kappa 4 on the 4-step grid has one substep: it is the full path
-    cfg = _small()
-    calls = _count_calls(monkeypatch, dynamics, "_prepare", "_integrate")
-    run_freeze_sweep(cfg, out_dir=tmp_path)
-    assert calls == {"_prepare": cfg.freeze_replicas,
-                     "_integrate": 2 * cfg.freeze_replicas}
+    # kappa 4 on the 4-step grid has one substep: it is the full path; each
+    # replica is prepared once, and each block integrates the full and the
+    # kappa-2 interval once (3 replicas: 2 + 1 at 600 bytes, or all in one)
+    cfg = _small(freeze_replicas=3)
+    for stack_bytes, blocks in ((600, 2), (harness._STACK_BYTES, 1)):
+        monkeypatch.setattr(harness, "_STACK_BYTES", stack_bytes)
+        calls = _count_calls(monkeypatch, dynamics, "_prepare", "_integrate")
+        run_freeze_sweep(cfg, out_dir=tmp_path / str(stack_bytes))
+        assert calls == {"_prepare": cfg.freeze_replicas, "_integrate": 2 * blocks}
+        monkeypatch.undo()
 
 
 # ---------------------------------------------------------------------------
@@ -797,6 +816,52 @@ def test_cli_frozen_safeguard_failure_names_its_kappa(tmp_path, capsys,
     assert code == 2
     err = capsys.readouterr().err
     assert "forced, kappa=2 [law=gaussian, N=6, replica=0]" in err
+
+
+def test_cli_frozen_failure_inside_a_freeze_block_names_its_replica(
+        tmp_path, capsys, monkeypatch):
+    # 600 bytes hold both replicas' 6 x 6 matrices: one block, whose
+    # kappa-2 frozen stack fails at member 1, replica 1
+    monkeypatch.setattr(harness, "_STACK_BYTES", 600)
+    integrate = dynamics._integrate
+
+    def frozen_fails(params, *args, refresh_every):
+        if refresh_every > 1:
+            raise SafeguardError(1, 2, 3.0, "forced", member=1)
+        return integrate(params, *args, refresh_every=refresh_every)
+
+    monkeypatch.setattr(dynamics, "_integrate", frozen_fails)
+    path = _write_cfg(tmp_path)
+    code = main(["freeze-sweep", "--config", str(path),
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "forced, kappa=2 [law=gaussian, N=6, replica=1]" in err
+
+
+def test_cli_norm_failure_inside_a_freeze_block_stops_before_integrating(
+        tmp_path, capsys, monkeypatch):
+    # a block's norms run before its integration: replica 1's power
+    # iteration fails, and the block of replicas 0 and 1 never integrates
+    monkeypatch.setattr(harness, "_STACK_BYTES", 600)
+    norm = harness.operator_norm_report
+    bad_seed = harness.derive_seed(7, "disorder", 0, 6, 1)
+
+    def one_norm_fails(mat, **kwargs):
+        if mat.seed == bad_seed:
+            raise disorder.PowerIterationError("forced cap", (0.0, 1.0))
+        return norm(mat, **kwargs)
+
+    monkeypatch.setattr(harness, "operator_norm_report", one_norm_fails)
+    calls = _count_calls(monkeypatch, dynamics, "_integrate")
+    path = _write_cfg(tmp_path)
+    code = main(["freeze-sweep", "--config", str(path),
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert calls == {"_integrate": 0}
+    err = capsys.readouterr().err
+    assert err.rstrip().endswith("forced cap [law=gaussian, N=6, replica=1]")
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_failed_certificate_exit_two_names_instance(tmp_path, capsys,

@@ -183,3 +183,21 @@ def test_normal_block_matches_per_lane():
     assert block.shape == (5, 17)
     for lane in range(5):
         np.testing.assert_array_equal(block[lane], s.normals(lane, 17))
+
+
+def test_box_muller_equals_the_closed_form_bit_for_bit():
+    # the in-place transform must keep every bit of
+    # sqrt(-2 log u1) * cos(2 pi u2), extreme words and strided reads included
+    words = CounterStream(3, "box-muller").raw(0, 0, 4096)
+    words[:4] = [0, 2**64 - 1, 2**64 - 1, 0]
+
+    def closed_form(w0, w1):
+        def unit(w):
+            return ((w >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+        return np.sqrt(-2.0 * np.log(unit(w0))) * np.cos(2.0 * np.pi * unit(w1))
+
+    for w0, w1 in ((words[0::2], words[1::2]), (words[:2048], words[2048:])):
+        got = streams._box_muller(w0, w1)
+        assert got.dtype == np.float64 and np.all(np.isfinite(got))
+        assert got.tobytes() == closed_form(w0, w1).tobytes()
+    np.testing.assert_array_equal(words[:4], [0, 2**64 - 1, 2**64 - 1, 0])

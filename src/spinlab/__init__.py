@@ -32,9 +32,6 @@ from .model import (
     u1_prime,
     u1_double_prime,
     grid_times,
-    confinement_check,
-    ConfinementReport,
-    QuadratureError,
     max_negative_curvature,
 )
 from .disorder import (

@@ -48,6 +48,14 @@ GAUSSIAN_THIRD_ABS_MOMENT = math.sqrt(8.0 / math.pi)
 
 _ENUM_LIMIT = 20
 _ENUM_CHUNK = 1 << 16
+# expectation_mc draws, evaluates and exponentiates about this many normals
+# at a time, so no temporary reaches numpy's 4 MiB huge-page threshold
+_MC_NORMALS = 32768
+# Sub-batches hold a multiple of this many rows, and a last one never gets
+# 1-3 rows of its own: numpy hands a one-row product to gemv or dot, and
+# OpenBLAS's gemv computes the last (rows % 4) rows of a one-column product
+# with another kernel, so other splits change bits of h_eval
+_MC_ROW_GRAIN = 4
 
 
 @dataclass(frozen=True)
@@ -151,6 +159,22 @@ def expectation_exact_discrete(q: QuadraticForm, law: DisorderLaw = RADEMACHER) 
     return total / count
 
 
+def _mc_batch(q: QuadraticForm, law: DisorderLaw, state, e: np.ndarray) -> np.ndarray:
+    """Fill ``e`` with exp(-h) of the next ``len(e)`` draws, in sub-batches."""
+    take = len(e)
+    grain = _MC_ROW_GRAIN
+    rows = max(grain, _MC_NORMALS // q.n // grain * grain)
+    lo = 0
+    while lo < take:
+        hi = lo + rows if take - lo - rows >= grain else take
+        z = law.draw(state, (hi - lo) * q.n).reshape(hi - lo, q.n)
+        h = h_eval(q, z)
+        np.negative(h, out=h)
+        np.exp(h, out=e[lo:hi])
+        lo = hi
+    return e
+
+
 def expectation_mc(
     q: QuadraticForm,
     law: DisorderLaw,
@@ -161,21 +185,22 @@ def expectation_mc(
     """Monte Carlo E[exp(-h(J))] under any entry law.
 
     Returns (estimate, standard_error).  Draws are deterministic in
-    (law, seed) and independent of the batch size.
+    (law, seed) and, for the built-in laws, independent of any chunking.
+    ``batch`` fixes how the sums are grouped, so it fixes the estimate's
+    last bits.  Inside a batch, draws, ``h_eval`` and ``exp`` run in
+    sub-batches of about ``_MC_NORMALS`` normals, split so that they change
+    no bit of the batch's values.
     """
     if n_samples < 1000:
         raise ValueError("n_samples must be >= 1000")
     state = law.sampler_state(seed, purpose="lindeberg-mc")
+    e = np.empty(min(batch, n_samples))
     total = 0.0
     total_sq = 0.0
-    done = 0
-    while done < n_samples:
-        take = min(batch, n_samples - done)
-        z = law.draw(state, take * q.n).reshape(take, q.n)
-        e = np.exp(-h_eval(q, z))
-        total += float(np.sum(e))
-        total_sq += float(np.sum(e * e))
-        done += take
+    for done in range(0, n_samples, batch):
+        eb = _mc_batch(q, law, state, e[: min(batch, n_samples - done)])
+        total += float(np.sum(eb))
+        total_sq += float(np.sum(eb * eb))
     mean = total / n_samples
     var = max(total_sq / n_samples - mean * mean, 0.0)
     return mean, math.sqrt(var / n_samples)

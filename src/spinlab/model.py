@@ -9,8 +9,6 @@ k * substeps.
 
 from __future__ import annotations
 
-import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -18,12 +16,10 @@ import numpy as np
 
 __all__ = [
     "DomainError",
-    "QuadratureError",
     "ModelParams",
     "Potential",
     "InitialLaw",
     "PathEnsemble",
-    "ConfinementReport",
     "log_barrier",
     "double_well",
     "custom_potential",
@@ -33,17 +29,12 @@ __all__ = [
     "u1_prime",
     "u1_double_prime",
     "grid_times",
-    "confinement_check",
     "max_negative_curvature",
 ]
 
 
 class DomainError(ValueError):
     """Raised when a potential is evaluated at |x| >= s."""
-
-
-class QuadratureError(RuntimeError):
-    """Raised when the confinement quadrature cannot certify a value."""
 
 
 @dataclass(frozen=True)
@@ -190,71 +181,6 @@ def u1_prime(p: Potential, x):
 def u1_double_prime(p: Potential, x):
     """U1''(x); raises DomainError when |x| >= s."""
     return _checked(p, x, p._d2u1)
-
-
-@dataclass(frozen=True)
-class ConfinementReport:
-    """Result of the boundary-divergence probe."""
-
-    levels: tuple
-    probe_points: tuple
-    values: tuple
-    growth: float
-    passed: bool
-
-
-def confinement_check(p: Potential, levels=(1, 2, 3, 4, 5, 6), growth_factor: float = 100.0) -> ConfinementReport:
-    """Probe whether F(x) = int_0^x e^{2 U1(t)} int_0^t e^{-2 U1(v)} dv dt diverges.
-
-    F is evaluated at x_j = s * (1 - 10^-j).  Divergence of F at the boundary
-    is what keeps trajectories inside the box; the check passes when the
-    probe values increase strictly in j and the last exceeds the first by
-    ``growth_factor``.  This is a heuristic: it certifies growth across the
-    probed levels, not the limit itself.
-    """
-    from scipy import integrate
-
-    s = p.s_bound
-
-    def inner(t):
-        val, _ = integrate.quad(lambda v: math.exp(-2.0 * p._u1(v)), 0.0, t, limit=200)
-        return val
-
-    def outer_integrand(t):
-        return math.exp(2.0 * p._u1(t)) * inner(t)
-
-    values = []
-    points = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        for j in levels:
-            x = s * (1.0 - 10.0 ** (-j))
-            points.append(x)
-            # split at decade distances from the boundary; the integrand can
-            # rise by orders of magnitude per decade, which defeats a single
-            # adaptive pass over [0, x]
-            breaks = [0.0]
-            breaks += [s * (1.0 - 10.0 ** (-i)) for i in range(1, math.ceil(j))]
-            breaks.append(x)
-            val = 0.0
-            abserr = 0.0
-            for a, b in zip(breaks, breaks[1:]):
-                if b <= a:
-                    continue
-                piece, piece_err = integrate.quad(outer_integrand, a, b, limit=400)
-                val += piece
-                abserr += piece_err
-            if not math.isfinite(val) or (val != 0 and abserr > 0.01 * abs(val)):
-                raise QuadratureError(
-                    f"confinement quadrature unreliable at level {j} "
-                    f"(x = {x}): value {val}, error estimate {abserr}"
-                )
-            values.append(val)
-
-    increasing = all(b > a for a, b in zip(values, values[1:]))
-    growth = values[-1] / values[0] if values[0] > 0 else math.inf
-    passed = increasing and growth > growth_factor
-    return ConfinementReport(tuple(levels), tuple(points), tuple(values), growth, passed)
 
 
 def max_negative_curvature(p: Potential, n_points: int = 200001, margin: float = 1e-6) -> float:

@@ -12,11 +12,12 @@ lay values out as
 where ``lane`` is usually a particle index, ``tag`` an optional extra
 coordinate (a grid step for bridge refinements), and ``word_index`` walks the
 flat 64-bit word sequence of that lane.  Every read, bulk or single-value,
-moves the stream's one generator to the enclosing counter and reads a
-contiguous word range from there, so any entry is recomputable in isolation
-and results do not depend on generation order.  A ``CounterStream`` holds
-that positioned generator as mutable state: one instance must not be shared
-across threads.
+writes the enclosing counter into the state of the stream's one generator
+(which also empties its word buffer) and reads a contiguous word range from
+there, so any entry is recomputable in isolation and results do not depend
+on generation order.  A ``CounterStream`` mutates that generator and the
+state dict it writes on every read: one instance must not be shared across
+threads.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from numpy.random import Philox
 __all__ = ["CounterStream", "BrownianStream", "derive_seed"]
 
 _UINT64_MAX = 2**64 - 1
-_COUNTER_SPAN = 2**256
 
 # (x >> 11) keeps the top 53 bits; +0.5 centers in (0, 1), never hitting 0 or 1.
 _UNIT_SCALE = 2.0**-53
@@ -89,20 +89,26 @@ class CounterStream:
         self.replica = int(replica)
         d = _digest(self.seed, purpose, self.replica)
         self._key = np.frombuffer(d[:16], dtype=np.uint64)
-        # _at is the generator's 256-bit counter; its word buffer is empty there
         self._gen = Philox(key=self._key, counter=0)
-        self._at = 0
+        # the state every read writes: its counter [word_index // 4, lane,
+        # tag, 0], and buffer_pos 4, which drops any words the last read left
+        self._counter = [0, 0, 0, 0]
+        self._state = {
+            "bit_generator": "Philox",
+            "state": {"counter": self._counter, "key": self._key.tolist()},
+            "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+        }
 
     def raw(self, lane: int, start: int, count: int, tag: int = 0) -> np.ndarray:
-        """Words ``start .. start+count-1`` of the given lane."""
-        # int() first: a numpy integer shifted by 64 wraps to a wrong address
+        """Words ``start .. start+count-1`` of the given lane.
+
+        ``lane``, ``tag`` and ``start // 4`` must lie in [0, 2**64); numpy
+        raises ``OverflowError`` for a coordinate outside.
+        """
         base, offset = divmod(int(start), 4)
-        target = base + (int(lane) << 64) + (int(tag) << 128)
-        # advance also drops any words left in numpy's buffer by the last read
-        self._gen.advance((target - self._at) % _COUNTER_SPAN)
-        block = self._gen.random_raw(offset + count)
-        self._at = target + (offset + count + 3) // 4
-        return block[offset : offset + count]
+        self._counter[:3] = base, int(lane), int(tag)
+        self._gen.state = self._state
+        return self._gen.random_raw(offset + count)[offset:]
 
     def raw_lanes(self, n_lanes: int, count: int, tag: int = 0) -> np.ndarray:
         """Shape (n_lanes, count): words ``0 .. count-1`` of lanes ``0 .. n_lanes-1``."""

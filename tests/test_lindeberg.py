@@ -1,11 +1,13 @@
 """Comparison-bound tests: constants, closed forms, enumeration, certificates."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import integrate
 
+from spinlab import lindeberg
 from spinlab.disorder import CENTERED_EXPONENTIAL, GAUSSIAN, RADEMACHER, CustomSampler
 from spinlab.lindeberg import (
     C0,
@@ -177,6 +179,65 @@ def test_mc_is_deterministic_and_guards_sample_count():
     assert a == b
     with pytest.raises(ValueError):
         expectation_mc(q, GAUSSIAN, 999, seed=0)
+
+
+def _whole_batch_mc(q, law, n_samples, seed, batch):
+    # expectation_mc without sub-batches: one draw, h_eval and exp per batch
+    state = law.sampler_state(seed, purpose="lindeberg-mc")
+    total = total_sq = 0.0
+    done = 0
+    while done < n_samples:
+        take = min(batch, n_samples - done)
+        z = law.draw(state, take * q.n).reshape(take, q.n)
+        e = np.exp(-h_eval(q, z))
+        total += float(np.sum(e))
+        total_sq += float(np.sum(e * e))
+        done += take
+    mean = total / n_samples
+    var = max(total_sq / n_samples - mean * mean, 0.0)
+    return mean, math.sqrt(var / n_samples)
+
+
+@pytest.mark.parametrize("normals, batch, n_samples", [
+    (1, 1500, 5003), (7, 1500, 5003), (50, 1500, 5003),
+    (lindeberg._MC_NORMALS, 1500, 5003), (lindeberg._MC_NORMALS, 65536, 70001),
+])
+@pytest.mark.parametrize("kappa", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 5, 12])
+def test_mc_sub_batches_change_no_bit(monkeypatch, n, kappa, normals, batch, n_samples):
+    monkeypatch.setattr(lindeberg, "_MC_NORMALS", normals)
+    rng = np.random.default_rng(100 * n + kappa)
+    q = QuadraticForm(rng.uniform(-1.0, 1.0, (kappa, n)), rng.standard_normal(kappa))
+    want = _whole_batch_mc(q, GAUSSIAN, n_samples, 5, batch)
+    assert expectation_mc(q, GAUSSIAN, n_samples, 5, batch) == want
+
+
+@pytest.mark.parametrize("normals", [1, 7, 50, lindeberg._MC_NORMALS])
+@pytest.mark.parametrize("kappa", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 5, 8, 12])
+def test_mc_sub_batch_values_equal_one_whole_batch_bit_for_bit(monkeypatch, n, kappa, normals):
+    # the sums above can round a one-ulp change away; the values cannot
+    monkeypatch.setattr(lindeberg, "_MC_NORMALS", normals)
+    rng = np.random.default_rng(10 * n + kappa)
+    q = QuadraticForm(rng.uniform(-1.0, 1.0, (kappa, n)), rng.standard_normal(kappa))
+    mine = GAUSSIAN.sampler_state(3, purpose="lindeberg-mc")
+    whole = GAUSSIAN.sampler_state(3, purpose="lindeberg-mc")
+    for take in (1, 2, 5, 1003, 4465, 9000):
+        got = lindeberg._mc_batch(q, GAUSSIAN, mine, np.empty(take))
+        z = GAUSSIAN.draw(whole, take * n).reshape(take, n)
+        np.testing.assert_array_equal(got, np.exp(-h_eval(q, z)))
+
+
+def test_mc_working_set_stays_below_numpy_huge_page_threshold():
+    rng = np.random.default_rng(0)
+    q = QuadraticForm(rng.uniform(-1.0, 1.0, (3, 12)), rng.standard_normal(3))
+    tracemalloc.start()
+    try:
+        expectation_mc(q, GAUSSIAN, 200_000, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_random_instance_shapes_scaling_and_determinism():

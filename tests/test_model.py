@@ -12,7 +12,6 @@ from spinlab.model import (
     InitialLaw,
     ModelParams,
     PathEnsemble,
-    confinement_check,
     custom_potential,
     double_well,
     grid_times,
@@ -68,26 +67,6 @@ def test_derivatives_match_finite_differences():
 def test_max_negative_curvature_double_well():
     # sup of -U1'' on (-2, 2) is attained at 0: 2 - 2 s^2/(s^2)^2 = 1.5 for s=2
     assert max_negative_curvature(double_well(2.0)) == pytest.approx(1.5, abs=1e-6)
-
-
-def test_confinement_log_barrier_passes():
-    rep = confinement_check(log_barrier(2.0))
-    assert rep.passed
-    assert np.all(np.diff(rep.values) > 0)
-
-
-def test_confinement_double_well_passes():
-    rep = confinement_check(double_well(2.0))
-    assert rep.passed
-    assert np.all(np.diff(rep.values) > 0)
-
-
-def test_confinement_flat_potential_fails():
-    flat = custom_potential(
-        lambda x: 0.0 * x, lambda x: 0.0 * x, lambda x: 0.0 * x, 2.0
-    )
-    rep = confinement_check(flat)
-    assert not rep.passed
 
 
 def test_grid_times_examples():

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.random import Philox
 
@@ -111,15 +111,23 @@ def test_raw_window_consistency(seed, lane, start, count):
 _U64 = st.integers(min_value=0, max_value=2**64 - 1)
 
 
+# start up to 2**66 - 8 puts counter word 0 at 2**64 - 2, its largest value
+# that no address carries out of
+_START = st.one_of(st.integers(min_value=0, max_value=10_000),
+                   st.integers(min_value=2**66 - 10_000, max_value=2**66 - 8))
+
+
 @settings(deadline=None, max_examples=50)
 @given(
     seed=_U64,
     reads=st.lists(
-        st.tuples(_U64, st.integers(min_value=0, max_value=10_000),
-                  st.integers(min_value=0, max_value=64), _U64),
+        st.tuples(_U64, _START, st.integers(min_value=0, max_value=64), _U64),
         min_size=1, max_size=8,
     ),
 )
+# the first read leaves a word in numpy's buffer; the next two put every
+# counter word at (or next to) its largest value, then back to 0
+@example(seed=7, reads=[(3, 1, 2, 5), (2**64 - 1, 2**66 - 8, 64, 2**64 - 1), (0, 0, 5, 0)])
 def test_raw_matches_fresh_philox_at_the_counter(seed, reads):
     # oracle: a fresh numpy Philox built at the enclosing counter, whatever
     # the earlier reads left the stream's own generator holding
@@ -137,6 +145,16 @@ def test_numpy_integer_coordinates_address_like_python_ints():
         got = s.raw(np.uint64(lane), np.int64(start), 11, np.uint64(tag))
         np.testing.assert_array_equal(got, want)
     np.testing.assert_array_equal(s.raw(np.int64(7), 0, 6), s.raw(7, 0, 6))
+
+
+@pytest.mark.parametrize("lane, start, tag", [
+    (2**64, 0, 0), (-1, 0, 0), (0, 2**66, 0), (0, -1, 0), (0, 0, 2**64), (0, 0, -1),
+])
+def test_raw_outside_the_counter_range_raises(lane, start, tag):
+    # an address past a coordinate's 64 bits raises instead of aliasing
+    # into the next lane or tag
+    with pytest.raises(OverflowError):
+        CounterStream(4, "range").raw(lane, start, 1, tag)
 
 
 def test_one_generator_per_stream(monkeypatch):

@@ -593,13 +593,16 @@ class ConditionDiagnostics:
     norm_samples: tuple
 
 
+# points of the theta grid behind ConditionDiagnostics.mgf_sup
+_THETA_POINTS = 64
+
+
 def condition_diagnostics(
     law: DisorderLaw,
     n: int,
     gamma: float = 2.25,
     eps: float = 1.0,
     seeds: Sequence[int] = (0, 1, 2, 3, 4),
-    theta_points: int = 64,
 ) -> ConditionDiagnostics:
     """Evaluate the moment growth diagnostics at matrix size ``n``."""
     if not 2.0 <= gamma < 2.5:
@@ -607,7 +610,7 @@ def condition_diagnostics(
     if not eps > 0:
         raise ValueError("eps must be > 0")
 
-    thetas = np.linspace(eps / theta_points, eps, theta_points)
+    thetas = np.linspace(eps / _THETA_POINTS, eps, _THETA_POINTS)
     vals = []
     for t in thetas:
         plus = law.mgf(float(t))

@@ -1,17 +1,15 @@
 """Interacting Langevin dynamics and its piecewise-frozen approximation.
 
-Every integration goes through ``simulate_shared``, which prepares one
-initial draw and noise block for a list of full and frozen runs on one
-grid and integrates them on one matrix or on a stack of matrices.  They
-share one stacked Euler-Maruyama core: every member of the stack starts
-from the same draw and is driven by the same Brownian increments; the full
-dynamics refreshes the interaction vectors A x every step, the frozen
-dynamics only at the kappa sub-interval boundaries, holding them constant
-in between; runs with the same refresh interval are integrated once.  Runs
-are reproducible from (master_seed, replica): Brownian increments, initial
-draws, and safeguard refinements all come from counter-addressed streams,
-so a trajectory does not depend on which runs or matrices share its call,
-or on the order in which replicas are computed.
+Every integration goes through ``simulate_shared``: full and frozen runs on
+one grid over a block of replicas, each on its own initial draw and noise
+and on each of its matrices, in one stacked Euler-Maruyama core.  The full
+dynamics refreshes the interaction vectors A x every step, the frozen one
+at the kappa sub-interval boundaries; runs on one refresh interval are
+integrated once.  ``simulate_full``, ``simulate_frozen`` and
+``simulate_coupled`` integrate a block of one.  Runs are reproducible from
+(master_seed, replica): noise, initial draws and safeguard refinements come
+from counter-addressed streams, so a trajectory does not depend on what
+shares its call or on the order in which replicas are computed.
 """
 
 from __future__ import annotations
@@ -54,7 +52,7 @@ _BRIDGE_PURPOSE = "bridge"
 class SafeguardError(RuntimeError):
     """A coordinate still violated the guard band after the halving cap.
 
-    ``member`` is the index of the failing matrix in a stacked call.
+    ``member`` is the failing member's index in a stacked call.
     """
 
     def __init__(self, particle: int, step: int, value: float, detail: str,
@@ -185,13 +183,13 @@ def _integrate(params, potential, entries, x0, increments, bridges, out, refresh
 
 
 def _prepare(params, mats, init, replica):
-    """One replica's interaction entries (None without interaction),
+    """One replica's interaction entries (None when ``mats`` is None),
     initial draw, Brownian increments and bridge stream."""
     entries = None
-    if len(mats) > 1 or mats[0] is not None:
+    if mats is not None:
         for mat in mats:
             if not isinstance(mat, DisorderMatrix):
-                raise TypeError("mat must be a DisorderMatrix, a sequence of them, or None")
+                raise TypeError(_BLOCK_FORM)
             if mat.n != params.n_particles:
                 raise ValueError(f"matrix size {mat.n} != n_particles {params.n_particles}")
         entries = [mat.entries for mat in mats]
@@ -203,53 +201,42 @@ def _prepare(params, mats, init, replica):
     return entries, x0, increments, bridge
 
 
-# Fields that fix a run's grid, initial draw and noise; runs sharing one
-# ``simulate_shared`` call may differ only in how the steps split into
-# sub-intervals.
+# Fields that fix a run's grid, initial draw and noise: the runs of one
+# ``simulate_shared`` call may differ only in how their steps split.
 _GRID_FIELDS = ("n_particles", "beta", "s_bound", "horizon", "n_steps", "master_seed")
+
+_BLOCK_FORM = ("simulate_shared takes the block form: a sequence of replicas, and mats "
+               "None or holding one sequence of DisorderMatrix per replica")
 
 
 def simulate_shared(
     runs,
     potential: Potential,
-    mat,
+    mats,
     init: InitialLaw,
-    replica=0,
-    out: np.ndarray | None = None,
+    replicas,
+    out: list[np.ndarray] | None = None,
 ) -> list:
-    """Integrate several runs on one initial draw and noise block, or on
-    each of a block of them.
+    """Integrate several runs on each of a block of replicas.
 
-    ``runs`` is a list of ``(params, frozen)`` pairs whose params share one
-    grid (the ``_GRID_FIELDS``); they may differ only in kappa.  ``mat`` is
-    one DisorderMatrix, None, or a sequence of L matrices; every run is
-    integrated on each of them.  The initial draw, the Brownian block and
-    the bridge stream are prepared once.  A full run refreshes the
-    interaction every step, a frozen run every ``params.substeps`` steps;
-    runs with the same refresh interval are integrated once, as one stack
-    over the matrices, and share one read-only values array per matrix.
+    ``runs`` holds ``(params, frozen)`` pairs whose params share one grid
+    (the ``_GRID_FIELDS``) and differ only in kappa; ``(params, frozen,
+    count)`` covers only the first ``count`` replicas.  ``replicas`` is a
+    sequence of R stream replica indices, each prepared once, and ``mats``
+    holds one sequence of L DisorderMatrix per replica, or is None for runs
+    without interaction (L = 1).  The runs on one refresh interval (every
+    step for a full run, every ``params.substeps`` for a frozen one) share
+    one integration, a stack over the block in replica-major order
+    (``member = k * L + l``, block position k, matrix l), and its values.
 
-    Returns one PathEnsemble per run, in order (one such list per matrix
-    when ``mat`` is a sequence), each equal to ``simulate_full`` or
-    ``simulate_frozen`` on that run and matrix alone.  Refresh intervals
-    are integrated in the order they first appear, and a stack stops at
-    the earliest step where a member fails, lowest member first; the
-    SafeguardError carries that ``member`` index, and a frozen run's names
-    its kappa.
-
-    Block form: ``replica`` is a sequence of R stream replica indices and
-    ``mat`` holds one entry per replica, each as above and all with the
-    same number of matrices.  Each replica is prepared once, every
-    refresh interval is integrated once over the whole block as one stack
-    in replica-major order (``member = k * L + l`` for block position k
-    and matrix l), and the result holds one entry per replica, each what
-    the call on that replica alone returns.  A run given as ``(params,
-    frozen, count)`` covers only the first ``count`` replicas of the
-    block, and is left out of the other replicas' entries.  ``out``, a
-    sequence of L writable (R, N, G+1) arrays, one per matrix (block
-    position, particle, grid point), receives the paths of the runs that
-    refresh every step in place of new arrays, and their values are views
-    of it.
+    Returns ``result[k][l]``: one PathEnsemble per run covering block
+    position k, in order, on its matrix l, each equal to ``simulate_full``
+    or ``simulate_frozen`` on that run, replica and matrix alone.  Refresh
+    intervals are integrated in the order they first appear; a stack stops
+    at the earliest step where a member fails, lowest member first, and
+    its SafeguardError carries that ``member`` (a frozen run's names its
+    kappa).  ``out``, a sequence of L writable (R, N, G+1) arrays, one per
+    matrix, holds the paths of the runs that refresh every step, as views.
     """
     runs = list(runs)
     if not runs:
@@ -259,26 +246,21 @@ def simulate_shared(
         differ = [f for f in _GRID_FIELDS if getattr(params, f) != getattr(base, f)]
         if differ:
             raise ValueError(f"runs must share one grid; {', '.join(differ)} differ")
-    if potential.s_bound != base.s_bound:
-        raise ValueError(
-            f"potential s_bound {potential.s_bound} != params s_bound {base.s_bound}"
-        )
-    if init.s_bound != base.s_bound:
-        raise ValueError(
-            f"initial law s_bound {init.s_bound} != params s_bound {base.s_bound}"
-        )
-    block = not isinstance(replica, (int, np.integer))
-    replicas = list(replica) if block else [replica]
-    per_replica = list(mat) if block else [mat]
+    for what, bound in (("potential", potential.s_bound), ("initial law", init.s_bound)):
+        if bound != base.s_bound:
+            raise ValueError(f"{what} s_bound {bound} != params s_bound {base.s_bound}")
+    try:
+        replicas = list(replicas)
+        per_replica = [None] * len(replicas) if mats is None else [list(m) for m in mats]
+    except TypeError as exc:
+        raise TypeError(_BLOCK_FORM) from exc
     if not replicas or len(per_replica) != len(replicas):
         raise ValueError("a block needs one mat entry per replica, and at least one")
-    stacked = isinstance(per_replica[0], (list, tuple))
-    per_replica = [list(m) if stacked else [m] for m in per_replica]
-    laws = len(per_replica[0])
-    if not laws:
-        raise ValueError("mat must hold at least one matrix")
-    if any(len(mats) != laws for mats in per_replica):
-        raise ValueError("every replica of a block needs the same number of matrices")
+    counts = {1} if mats is None else {len(rep_mats) for rep_mats in per_replica}
+    if len(counts) > 1 or 0 in counts:
+        raise ValueError("every replica of a block needs the same number of matrices, "
+                         "and at least one")
+    laws = counts.pop()
     runs = [(run[0], run[1], run[2] if len(run) > 2 else len(replicas))
             for run in runs]
     if any(not 1 <= count <= len(replicas) for *_, count in runs):
@@ -288,16 +270,11 @@ def simulate_shared(
     x0 = np.empty((len(replicas), n))
     increments = np.empty((len(replicas), n, base.n_steps))
     bridges, entries = [], []
-    for k, (mats, rep) in enumerate(zip(per_replica, replicas)):
-        rep_entries, x0[k], increments[k], bridge = _prepare(base, mats, init, rep)
+    for k, (rep_mats, rep) in enumerate(zip(per_replica, replicas)):
+        rep_entries, x0[k], increments[k], bridge = _prepare(base, rep_mats, init, rep)
         bridges.append(bridge)
-        entries.append(rep_entries)
-    if all(e is None for e in entries):
-        entries = None
-    elif any(e is None for e in entries):
-        raise TypeError("mat must be a DisorderMatrix, a sequence of them, or None")
-    else:
-        entries = np.stack([e for rep_entries in entries for e in rep_entries])
+        entries += rep_entries or []
+    entries = np.stack(entries) if entries else None
 
     grid = grid_times(base)
     paths = {}  # refresh interval -> (values per replica and matrix, activations)
@@ -330,9 +307,13 @@ def simulate_shared(
                 member_ensembles.append(PathEnsemble(
                     values[k][law], grid, params, replicas[k],
                     activations[k * laws + law]))
-    if not stacked:
-        ensembles = [rep_ensembles[0] for rep_ensembles in ensembles]
-    return ensembles if block else ensembles[0]
+    return ensembles
+
+
+def _alone(runs, potential, mat, init, replica):
+    """One PathEnsemble per run, on one replica and one matrix (or None)."""
+    mats = None if mat is None else [[mat]]
+    return simulate_shared(runs, potential, mats, init, [replica])[0][0]
 
 
 def simulate_full(
@@ -343,7 +324,7 @@ def simulate_full(
     replica: int = 0,
 ) -> PathEnsemble:
     """Integrate the fully-coupled dynamics: interaction refreshed every step."""
-    return simulate_shared([(params, False)], potential, mat, init, replica)[0]
+    return _alone([(params, False)], potential, mat, init, replica)[0]
 
 
 def simulate_frozen(
@@ -359,7 +340,7 @@ def simulate_frozen(
     kappa sub-intervals and held constant across its substeps.  With
     substeps = 1 this is the same code path as simulate_full.
     """
-    return simulate_shared([(params, True)], potential, mat, init, replica)[0]
+    return _alone([(params, True)], potential, mat, init, replica)[0]
 
 
 @dataclass(frozen=True)
@@ -398,8 +379,7 @@ def simulate_coupled(
 
     Returns (full, frozen, CouplingStats).
     """
-    full, frozen = simulate_shared(
-        [(params, False), (params, True)], potential, mat, init, replica)
+    full, frozen = _alone([(params, False), (params, True)], potential, mat, init, replica)
     return full, frozen, coupling_stats(full, frozen)
 
 

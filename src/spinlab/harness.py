@@ -18,7 +18,8 @@ Shared decisions have one owner each: ``_params``, ``_disorder``,
 ``_norm_row``, ``_guarded`` (names the draw behind a safeguard or
 power-iteration failure), ``_TABLES`` (CSV schemas) and ``_path_file``
 (stored-trajectory names, used by store and replay).  Integration goes
-through ``dynamics.simulate_shared``.  Every command that integrates
+through ``dynamics.simulate_shared``, which takes a block of replicas
+and one sequence of matrices per replica.  Every command that integrates
 loops over blocks of replicas, as many as fit their laws' matrices in
 ``_STACK_BYTES`` (``_block_size``).  In universality and simulate, one
 call per (block, thermal sample) integrates every (replica, law) member
@@ -405,7 +406,7 @@ def _curve_block(cfg: ExperimentConfig, summary: RunSummary, params: ModelParams
         paths = _guarded(simulate_shared,
                          [(label, rep) for rep in active for label in labels], n,
                          runs, potential, mats[:len(active)], initial,
-                         replica=[rep * samples + s for rep in active], out=out)
+                         replicas=[rep * samples + s for rep in active], out=out)
         for k, (rep, rep_paths) in enumerate(zip(active, paths)):
             for idx, law_paths in enumerate(rep_paths):
                 if s == 0 and k < n_tilt:
@@ -582,9 +583,9 @@ def run_freeze_sweep(cfg, summary, out, store_paths):
             rows.append(_norm_row(cfg, label, n, rep, seed, report))
         norm_rows.extend(rows)
         pairs = _guarded(simulate_shared, [(label, rep) for rep in reps], n,
-                         runs, potential, [mat for _, mat in draws], initial,
-                         replica=list(reps))
-        for rep, norm_row, (full, *frozen_runs) in zip(reps, rows, pairs):
+                         runs, potential, [[mat] for _, mat in draws], initial,
+                         replicas=reps)
+        for rep, norm_row, ((full, *frozen_runs),) in zip(reps, rows, pairs):
             for k, (params, frozen) in enumerate(zip(sweep, frozen_runs)):
                 stats = coupling_stats(full, frozen)
                 violations[k] += bool(norm_row["a2_event"] and envelope_violated(
@@ -738,11 +739,13 @@ def replay(
 
     Reads config.json, re-checks the config hash recorded in summary.json,
     re-simulates the requested (law, N, replica, sample), and compares
-    against the stored path when the run kept trajectories.  A request
-    for a trajectory the command never ran (a law, N, replica or sample
-    outside it, or a run without trajectories) raises ConfigError.  Returns a
-    dict with the values, the fingerprint, and the match verdict; a stored
-    path that fails to match raises NumericalFailure.
+    against the stored paths when the run kept trajectories: the
+    ``_N{n}`` file, or for a freeze sweep the full side of the draw's pair
+    at every kappa.  A request for a trajectory the command never ran (a
+    law, N, replica or sample outside it, or a run without trajectories)
+    raises ConfigError.  Returns a dict with the values, the fingerprint,
+    and the match verdict (``stored_path`` names the first file compared);
+    a stored path that fails to match raises NumericalFailure.
     """
     run_dir = Path(run_dir)
     try:
@@ -794,14 +797,17 @@ def replay(
             raise ConfigError(f"particle {particle} out of range for N={n}")
         result["particle_values"] = ens.values[particle]
 
-    stored = _path_file(run_dir, law, n, replica)
-    if sample == 0 and stored.exists():
-        reference = np.load(stored)
-        result["stored_path"] = str(stored)
-        result["matches_stored"] = bool(np.array_equal(reference, ens.values))
-        if not result["matches_stored"]:
-            raise NumericalFailure(
-                f"replayed trajectory does not match stored {stored}"
-            )
+    if command == "freeze-sweep":
+        # the full side does not depend on kappa: every pair of the draw holds it
+        stored = [_path_file(run_dir, law, kappa, replica, "full")
+                  for kappa in cfg.kappa_sweep]
+    else:
+        stored = [_path_file(run_dir, law, n, replica)]
+    stored = [path for path in stored if sample == 0 and path.exists()]
+    for path in stored:
+        if not np.array_equal(np.load(path), ens.values):
+            raise NumericalFailure(f"replayed trajectory does not match stored {path}")
+    if stored:
+        result["stored_path"], result["matches_stored"] = str(stored[0]), True
     result["values"] = ens.values
     return result

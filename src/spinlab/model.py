@@ -183,13 +183,19 @@ def u1_double_prime(p: Potential, x):
     return _checked(p, x, p._d2u1)
 
 
-def max_negative_curvature(p: Potential, n_points: int = 200001, margin: float = 1e-6) -> float:
-    """sup of -U1'' over a dense grid in |x| <= s * (1 - margin).
+# grid of max_negative_curvature: points, and the margin kept from the boundary
+_CURVATURE_POINTS = 200001
+_CURVATURE_MARGIN = 1e-6
+
+
+def max_negative_curvature(p: Potential) -> float:
+    """sup of -U1'' over a dense grid in |x| <= s * (1 - _CURVATURE_MARGIN).
 
     For barrier-type potentials -U1'' falls to -inf at the boundary, so the
     interior grid captures the supremum.
     """
-    xs = np.linspace(-p.s_bound * (1.0 - margin), p.s_bound * (1.0 - margin), n_points)
+    edge = p.s_bound * (1.0 - _CURVATURE_MARGIN)
+    xs = np.linspace(-edge, edge, _CURVATURE_POINTS)
     return float(np.max(-p._d2u1(xs)))
 
 

@@ -128,8 +128,8 @@ def _safeguarded_sweep():
 
 def test_shared_sweep_equals_one_coupled_run_per_kappa():
     sweep, pot, mat, init = _safeguarded_sweep()
-    full, *frozen_runs = simulate_shared(
-        [(sweep[0], False)] + [(p, True) for p in sweep], pot, mat, init, replica=3)
+    [[(full, *frozen_runs)]] = simulate_shared(
+        [(sweep[0], False)] + [(p, True) for p in sweep], pot, [[mat]], init, [3])
     assert len(frozen_runs) == len(sweep)
     assert full.safeguard_activations > 0
     ref_full = simulate_full(sweep[0], pot, mat, init, replica=3)
@@ -166,7 +166,8 @@ def test_shared_runs_with_one_refresh_interval_integrate_once(monkeypatch):
     monkeypatch.setattr(dynamics, "_integrate", counting)
     runs = [(sweep[0], False), (one_substep, True), (sweep[0], True),
             (sweep[1], False)]
-    full, frozen_one, frozen, full_again = simulate_shared(runs, pot, mat, init)
+    [[(full, frozen_one, frozen, full_again)]] = simulate_shared(
+        runs, pot, [[mat]], init, [0])
     assert calls == [1, sweep[0].substeps]
     assert frozen_one.values is full.values is full_again.values
     assert frozen_one.params == one_substep
@@ -182,7 +183,7 @@ def test_stacked_matrices_equal_one_run_per_matrix():
     mats = [sample_matrix(law, 30, seed=seed)
             for law, seed in ((GAUSSIAN, 7), (RADEMACHER, 8), (GAUSSIAN, 9))]
     runs = [(sweep[0], False), (sweep[0], True), (sweep[2], True)]
-    stacked = simulate_shared(runs, pot, mats, init, replica=3)
+    [stacked] = simulate_shared(runs, pot, [mats], init, [3])
     assert len(stacked) == len(mats)
     fired = 0
     for mat, (full, frozen, frozen_4) in zip(mats, stacked):
@@ -222,12 +223,12 @@ def test_block_of_replicas_equals_one_call_per_replica():
     mats = [[sample_matrix(law, 30, seed=10 * rep + seed)
              for law, seed in ((GAUSSIAN, 1), (RADEMACHER, 2))] for rep in range(3)]
     runs = [(sweep[0], False), (sweep[1], True, 2)]
-    block = simulate_shared(runs, pot, mats, init, replica=[4, 9, 5])
+    block = simulate_shared(runs, pot, mats, init, [4, 9, 5])
     assert len(block) == 3
     fired = 0
     for k, (rep, rep_mats, rep_paths) in enumerate(zip([4, 9, 5], mats, block)):
-        alone = simulate_shared([run[:2] for run in runs[:1 + (k < 2)]], pot,
-                                rep_mats, init, replica=rep)
+        [alone] = simulate_shared([run[:2] for run in runs[:1 + (k < 2)]], pot,
+                                  [rep_mats], init, [rep])
         assert len(rep_paths) == len(alone) == 2
         for law_paths, ref_paths in zip(rep_paths, alone):
             assert len(law_paths) == len(ref_paths) == 1 + (k < 2)
@@ -237,17 +238,17 @@ def test_block_of_replicas_equals_one_call_per_replica():
                 assert (ens.params, ens.replica) == (ref.params, rep)
                 fired += ens.safeguard_activations > 0
     assert fired >= 4
-    single = simulate_shared([(sweep[0], False)], pot, [m[0] for m in mats], init,
-                             replica=[4, 9, 5])
-    for rep, rep_mats, (ens,) in zip([4, 9, 5], mats, single):
+    single = simulate_shared([(sweep[0], False)], pot, [m[:1] for m in mats], init,
+                             [4, 9, 5])
+    for rep, rep_mats, [(ens,)] in zip([4, 9, 5], mats, single):
         np.testing.assert_array_equal(
             ens.values, simulate_full(sweep[0], pot, rep_mats[0], init, replica=rep).values)
     with pytest.raises(ValueError, match="one mat entry per replica"):
-        simulate_shared(runs, pot, mats[:2], init, replica=[4, 9, 5])
+        simulate_shared(runs, pot, mats[:2], init, [4, 9, 5])
     with pytest.raises(ValueError, match="same number of matrices"):
-        simulate_shared(runs, pot, [mats[0], mats[1][:1]], init, replica=[4, 9])
+        simulate_shared(runs, pot, [mats[0], mats[1][:1]], init, [4, 9])
     with pytest.raises(ValueError, match="cover 1 to 3"):
-        simulate_shared([(sweep[0], False, 4)], pot, mats, init, replica=[4, 9, 5])
+        simulate_shared([(sweep[0], False, 4)], pot, mats, init, [4, 9, 5])
 
 
 def test_block_failure_names_its_replica_major_member():
@@ -258,7 +259,7 @@ def test_block_failure_names_its_replica_major_member():
             for rep in range(3)]
     mats[1][1] = DisorderMatrix(1e12 * mats[1][1].entries, GAUSSIAN, 0)
     with pytest.raises(SafeguardError) as err:
-        simulate_shared([(p, False)], pot, mats, init, replica=[0, 1, 2])
+        simulate_shared([(p, False)], pot, mats, init, [0, 1, 2])
     assert err.value.member == 1 * 2 + 1
 
 
@@ -269,10 +270,22 @@ def test_stacked_failure_names_its_member():
     mats = [sample_matrix(GAUSSIAN, 30, seed=s) for s in (7, 8)]
     mats.append(DisorderMatrix(1e12 * mats[1].entries, GAUSSIAN, 0))
     with pytest.raises(SafeguardError) as err:
-        simulate_shared([(p, False)], pot, mats, init)
+        simulate_shared([(p, False)], pot, [mats], init, [0])
     assert err.value.member == 2
     with pytest.raises(TypeError):
-        simulate_shared([(p, False)], pot, [mats[0], None], init)
+        simulate_shared([(p, False)], pot, [[mats[0], None]], init, [0])
+
+
+def test_removed_call_forms_fail_naming_the_block_form():
+    # an integer replica, a bare matrix, a flat list of matrices, and a
+    # missing matrix sequence are no longer accepted
+    sweep, pot, mat, init = _safeguarded_sweep()
+    runs = [(sweep[0], False)]
+    for mats, replicas in ((mat, [3]), ([[mat]], 3), ([[mat]], np.int64(3)),
+                           ([mat], [3]), ([mat, mat], [3, 4]), ([[mat], None], [3, 4]),
+                           ([[mat, None]], [3])):
+        with pytest.raises(TypeError, match="block form"):
+            simulate_shared(runs, pot, mats, init, replicas)
 
 
 def test_shared_rejects_runs_on_different_grids():
@@ -280,12 +293,12 @@ def test_shared_rejects_runs_on_different_grids():
     runs = [(p, True) for p in sweep]
     with pytest.raises(ValueError, match="n_steps"):
         simulate_shared(runs + [(ModelParams(30, 1.0, 1.0, 1.0, 2, 5, 31), False)],
-                        pot, mat, init)
+                        pot, [[mat]], init, [0])
     with pytest.raises(ValueError, match="horizon"):
         simulate_shared(runs + [(ModelParams(30, 1.0, 1.0, 2.0, 2, 6, 31), True)],
-                        pot, mat, init)
+                        pot, [[mat]], init, [0])
     with pytest.raises(ValueError, match="at least one"):
-        simulate_shared([], pot, mat, init)
+        simulate_shared([], pot, [[mat]], init, [0])
 
 
 def test_frozen_safeguard_failure_names_its_kappa():
@@ -295,7 +308,7 @@ def test_frozen_safeguard_failure_names_its_kappa():
     )
     init = point_mass(0.5, 1.0)
     with pytest.raises(SafeguardError, match=r"kappa=3\)$"):
-        simulate_shared([(sweep[1], True), (sweep[0], False)], repel, mat, init)
+        simulate_shared([(sweep[1], True), (sweep[0], False)], repel, [[mat]], init, [0])
     with pytest.raises(SafeguardError) as err:
         simulate_full(sweep[1], repel, mat, init)
     assert "kappa" not in str(err.value)

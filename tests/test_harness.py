@@ -563,6 +563,23 @@ def test_freeze_sweep_stored_path_names(tmp_path):
     }
 
 
+def test_replay_checks_every_stored_freeze_pair_full_side(tmp_path, capsys):
+    cfg = _small()
+    run_freeze_sweep(cfg, store_paths=True, out_dir=tmp_path)
+    result = replay(tmp_path, "gaussian", replica=1)
+    assert result["matches_stored"] is True
+    assert result["stored_path"].endswith("paths/gaussian_k2_rep1_full.npy")
+    # one byte of the last kappa's full side changes
+    tampered = tmp_path / "paths" / f"gaussian_k{cfg.kappa_sweep[-1]}_rep1_full.npy"
+    data = bytearray(tampered.read_bytes())
+    data[-1] ^= 1
+    tampered.write_bytes(bytes(data))
+    argv = ["replay", str(tmp_path), "--law", "gaussian", "--replica"]
+    assert main(argv + ["1"]) == 2
+    assert f"does not match stored {tampered}" in capsys.readouterr().err
+    assert main(argv + ["0"]) == 0
+
+
 def test_replay_replica_bound_follows_the_command(tmp_path):
     cfg = _small(freeze_replicas=5)
     run_universality(cfg, out_dir=tmp_path / "uni")

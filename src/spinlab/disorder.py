@@ -212,6 +212,8 @@ class DisorderMatrix:
         entries = np.asarray(self.entries, dtype=float)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise ValueError(f"entries must be square, got shape {entries.shape}")
+        if entries.flags.writeable:  # the caller may still hold and write it
+            entries = entries.copy()
         entries.flags.writeable = False
         object.__setattr__(self, "entries", entries)
 
@@ -221,7 +223,14 @@ class DisorderMatrix:
 
     def scaled(self, beta: float) -> np.ndarray:
         """The interaction matrix A = (beta / sqrt(N)) J, computed on demand."""
-        return (beta / math.sqrt(self.n)) * self.entries
+        return _as_interaction([self], beta)[0]
+
+
+def _aligned(shape) -> np.ndarray:
+    """Empty float array of ``shape`` at a 64-byte boundary, for faster gemv."""
+    raw = np.empty(math.prod(shape) + 7)
+    skip = -raw.ctypes.data % 64 // 8
+    return raw[skip:skip + raw.size - 7].reshape(shape)
 
 
 def sample_matrix(law: DisorderLaw, n: int, seed: int) -> DisorderMatrix:
@@ -239,6 +248,7 @@ def sample_matrix(law: DisorderLaw, n: int, seed: int) -> DisorderMatrix:
     else:
         stream = CounterStream(seed, _DISORDER_PURPOSE)
         entries = law._from_words(stream.raw_lanes(n, law.words_per_value * n))
+        entries.flags.writeable = False  # fresh, so DisorderMatrix need not copy it
     return DisorderMatrix(entries, law, int(seed))
 
 
@@ -272,13 +282,13 @@ class PowerIterationReport:
     restarted: bool
 
 
-def _as_interaction(mat, beta: float) -> np.ndarray:
-    if isinstance(mat, DisorderMatrix):
-        return mat.scaled(beta)
-    arr = np.asarray(mat, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+def _as_interaction(mats, beta: float) -> np.ndarray:
+    """The stack of (beta/sqrt(N)) J over same-size matrices, 64-byte aligned."""
+    arr = np.stack([m.entries if isinstance(m, DisorderMatrix)
+                    else np.asarray(m, dtype=float) for m in mats])
+    if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
         raise ValueError("matrix must be square")
-    return (beta / math.sqrt(arr.shape[0])) * arr
+    return np.multiply(beta / math.sqrt(arr.shape[-1]), arr, out=_aligned(arr.shape))
 
 
 # default step cap of the power iteration, read at call time
@@ -295,13 +305,14 @@ def _power_run(a, v, tol, budget, it=0, lam_prev=-1.0, stall=0, lam=0.0, resid=0
     target is met, False on a stall, None at the budget (with the last
     step's lam and resid, or the ones passed in if no step was left).
     """
+    # ndarray.dot makes @'s dgemv and ddot calls, and sqrt(x.dot(x)) is
+    # numpy's own 2-norm of a real vector, bit for bit, with less dispatch
+    at = a.T
     for it in range(it + 1, budget + 1):
-        w = a @ v
-        lam = float(w @ w)
-        u = a.T @ w
+        w = a.dot(v)
+        lam = float(w.dot(w))
+        u = at.dot(w)
         r = u - lam * v
-        # sqrt(x.dot(x)) is numpy's own 2-norm of a real vector, bit for
-        # bit, without the dispatch of the generic norm routine
         resid = math.sqrt(r.dot(r))
         if resid <= tol * lam or (lam == 0.0 and resid == 0.0):
             return lam, resid, it, True
@@ -346,7 +357,7 @@ def operator_norm_reports(
     the lowest of them as ``member``.
     """
     max_iter = _MAX_ITER if max_iter is None else max_iter
-    a = np.stack([_as_interaction(mat, beta) for mat in mats])
+    a = _as_interaction(mats, beta)
     count, n = a.shape[:2]
     reports = [None] * count
     ones = np.ones(n)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .disorder import DisorderMatrix
+from .disorder import DisorderMatrix, _aligned
 from .model import InitialLaw, ModelParams, PathEnsemble, Potential, grid_times
 from .observables import coupling_msd
 from .streams import BrownianStream, CounterStream, _unit_open
@@ -274,7 +274,7 @@ def simulate_shared(
         rep_entries, x0[k], increments[k], bridge = _prepare(base, rep_mats, init, rep)
         bridges.append(bridge)
         entries += rep_entries or []
-    entries = np.stack(entries) if entries else None
+    entries = np.stack(entries, out=_aligned((len(entries), n, n))) if entries else None
 
     grid = grid_times(base)
     paths = {}  # refresh interval -> (values per replica and matrix, activations)

@@ -25,9 +25,9 @@ loops over blocks of replicas, as many as fit their laws' matrices in
 call per (block, thermal sample) integrates every (replica, law) member
 as one stack, each replica on its own noise, and at sample 0 also the
 frozen runs behind the tilt statistic; the block's norms run as lockstep
-stacks (``disorder.operator_norm_reports``).  In the freeze sweep, the
-block's norms run one matrix at a time, then one call integrates every
-replica's full path together with one frozen path per kappa.
+stacks (``disorder.operator_norm_reports``), alone below ``_LOCKSTEP_MIN``;
+in the freeze sweep they run one at a time, then one call integrates
+every replica's full path together with one frozen path per kappa.
 
 Seed derivation schemes (also recorded in each summary):
 
@@ -351,6 +351,10 @@ def _reference_index(laws) -> int:
 # replicas (all laws) or one power-iteration stack.  Past it, the stacked
 # matmul runs slower than one matrix at a time.
 _STACK_BYTES = 512 * 1024
+# Smallest lockstep norm stack; where fewer fit, each matrix runs alone.  On
+# the default config's 600 draws at N = 100, alone took 5.6-6.5 s and 6-member
+# stacks 8.2-8.7 s; at N = 50, 26-member stacks won, 1.9-2.2 s to 2.4-2.9 s.
+_LOCKSTEP_MIN = 8
 
 
 def _block_size(laws: int, n: int) -> int:
@@ -378,7 +382,7 @@ def _curve_block(cfg: ExperimentConfig, summary: RunSummary, params: ModelParams
     same call, as one stack over those replicas of the block, and report
     its interaction tilt in ``phis``; draws past ``replicas`` run only
     that frozen side.  The block's norms then run as stacks of at most
-    ``_STACK_BYTES`` of matrices.
+    ``_STACK_BYTES`` of matrices, or alone when fewer than ``_LOCKSTEP_MIN`` fit.
     """
     laws, labels = cfg.law_objs(), cfg.law_labels()
     potential = cfg.potential_obj()
@@ -386,7 +390,7 @@ def _curve_block(cfg: ExperimentConfig, summary: RunSummary, params: ModelParams
     n = params.n_particles
     width = params.n_steps + 1
     block = _block_size(len(laws), n)
-    chunk = _block_size(1, n)
+    chunk = _block_size(1, n) if _LOCKSTEP_MIN * n * n * 8 <= _STACK_BYTES else 1
     curves = np.zeros((len(laws), cfg.replicas, width))
     total = max(cfg.replicas, phi_draws)
     # every replica's sample-0 paths that refresh each step are integrated

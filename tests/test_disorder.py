@@ -1,5 +1,6 @@
 """Entry laws, matrix sampling, operator norms, and condition diagnostics."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -21,7 +22,9 @@ from spinlab.disorder import (
     sample_matrix,
     validate_law,
 )
-from spinlab import disorder
+from spinlab import disorder, dynamics
+from spinlab.dynamics import simulate_shared
+from spinlab.model import ModelParams, double_well, uniform_symmetric
 from spinlab.streams import CounterStream
 
 # Quadrature oracle for E|Exp(1) - 1|^3; the closed form it matches is
@@ -146,10 +149,141 @@ def test_matrix_row_is_lane_of_disorder_stream(law):
 
 
 def test_scaled_view():
-    mat = sample_matrix(RADEMACHER, 16, seed=1)
-    np.testing.assert_allclose(
-        mat.scaled(0.5), 0.5 / 4.0 * mat.entries, rtol=1e-15
-    )
+    # the norm's bytes rest on these being the bits of the plain product
+    for law, n, beta in ((RADEMACHER, 16, 0.5), (GAUSSIAN, 25, 1.3), (GAUSSIAN, 7, 0.7)):
+        mat = sample_matrix(law, n, seed=1)
+        expected = (beta / math.sqrt(n)) * mat.entries
+        np.testing.assert_array_equal(mat.scaled(beta), expected)
+        raw = np.array(mat.entries)
+        np.testing.assert_array_equal(disorder._as_interaction([raw], beta)[0], expected)
+
+
+def test_disorder_matrix_leaves_the_callers_array_writable():
+    held = np.zeros((3, 3))
+    mat = DisorderMatrix(held, GAUSSIAN, 0)
+    assert held.flags.writeable
+    held[0, 0] = 1.0
+    assert mat.entries[0, 0] == 0.0 and not mat.entries.flags.writeable
+    # a read-only array, as sample_matrix hands over, is kept without a copy
+    assert DisorderMatrix(mat.entries, GAUSSIAN, 0).entries is mat.entries
+    assert not sample_matrix(GAUSSIAN, 4, seed=2).entries.flags.writeable
+
+
+def _at_offset(arr, slots):
+    """A copy of ``arr`` starting ``slots`` float64s past a 64-byte boundary."""
+    raw = np.empty(arr.size + 15)
+    skip = -raw.ctypes.data % 64 // 8 + slots
+    out = raw[skip:skip + arr.size].reshape(arr.shape)
+    out[...] = arr
+    assert out.ctypes.data % 64 == 8 * slots
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 25, 100, 200])
+def test_gemv_bits_do_not_depend_on_alignment(n):
+    # aligning the interaction matrices is a pure speed change only if
+    # every offset gives the aligned matrix's bits
+    gen = np.random.default_rng(n)
+    a, stack = gen.standard_normal((n, n)), gen.standard_normal((3, n, n))
+    v, w, x = gen.standard_normal(n), gen.standard_normal(n), gen.standard_normal((3, n, 1))
+    first = None
+    for slots in range(8):
+        ak, sk = _at_offset(a, slots), _at_offset(stack, slots)
+        got = [ak @ v, ak.T @ w, ak.dot(v), ak.T.dot(w), np.matmul(sk, x),
+               np.matmul(sk.transpose(0, 2, 1), x)]
+        got = [g.view(np.uint64) for g in got]
+        first = first or got
+        for g, f in zip(got, first):
+            np.testing.assert_array_equal(g, f)
+
+
+def test_interaction_matrices_start_on_a_cache_line(monkeypatch):
+    starts = []
+    run, integrate = disorder._power_run, dynamics._integrate
+
+    def recording_run(a, *args, **kwargs):
+        starts.append(("norm stack", a.ctypes.data % 64))
+        return run(a, *args, **kwargs)
+
+    def recording_integrate(params, potential, entries, *args, **kwargs):
+        starts.append(("entries stack", entries.ctypes.data % 64))
+        return integrate(params, potential, entries, *args, **kwargs)
+
+    monkeypatch.setattr(disorder, "_power_run", recording_run)
+    monkeypatch.setattr(dynamics, "_integrate", recording_integrate)
+    for n in (1, 2, 7, 25, 100, 200):
+        mats = [sample_matrix(law, n, seed=n) for law in (GAUSSIAN, RADEMACHER)]
+        for beta in (1.0, 0.3):
+            starts.append(("scaled", mats[0].scaled(beta).ctypes.data % 64))
+            raw = np.array(mats[1].entries)
+            starts.append(("raw stack",
+                           disorder._as_interaction([raw, raw], beta).ctypes.data % 64))
+        operator_norm_report(mats[1])
+        params = ModelParams(n, 1.0, 2.0, 0.1, 2, 1, 7)
+        simulate_shared([(params, False)], double_well(2.0), [mats],
+                        uniform_symmetric(1.0, 2.0), [0])
+    assert {kind for kind, _ in starts} == {"scaled", "raw stack", "norm stack",
+                                            "entries stack"}
+    assert [s for s in starts if s[1]] == []
+
+
+def _reference_power_run(a, v, tol, budget, it=0, lam_prev=-1.0, stall=0, lam=0.0,
+                         resid=0.0):
+    # the operator form of disorder._power_run, which the dot form must match
+    for it in range(it + 1, budget + 1):
+        w = a @ v
+        lam = float(w @ w)
+        u = a.T @ w
+        r = u - lam * v
+        resid = math.sqrt(r.dot(r))
+        if resid <= tol * lam or (lam == 0.0 and resid == 0.0):
+            return lam, resid, it, True
+        if abs(lam - lam_prev) <= 1e-15 * max(lam, 1e-300):
+            stall += 1
+            if stall >= disorder._STALL_STEPS:
+                return lam, resid, it, False
+        else:
+            stall = 0
+        lam_prev = lam
+        v = u / math.sqrt(u.dot(u))
+    return lam, resid, budget, None
+
+
+def _reference_report(mat, beta, tol=1e-10, max_iter=200000):
+    # one matrix: the all-ones start, then one restart from e1 on a stall
+    n = mat.n
+    a = (beta / math.sqrt(n)) * mat.entries
+    ones = np.ones(n)
+    lam, resid, used, status = _reference_power_run(
+        a, ones / math.sqrt(ones.dot(ones)), tol, max_iter)
+    restarted = status is False or lam == 0.0
+    if restarted:
+        e1 = np.zeros(n)
+        e1[0] = 1.0
+        lam, resid, it, status = _reference_power_run(
+            a, e1, tol, max_iter - used, lam=lam, resid=resid)
+        used += it
+    assert status is not None  # a stall after the restart is final
+    value = math.sqrt(max(lam, 0.0))
+    return (value, value, math.sqrt(max(lam + resid, 0.0)), resid, used, restarted)
+
+
+@pytest.mark.parametrize("n", [1, 5, 25, 100, 200])
+def test_norm_reports_equal_the_operator_form_reference(n):
+    mats = [DisorderMatrix(m, GAUSSIAN, 0) for m in (
+        np.zeros((n, n)), math.sqrt(n) * np.eye(n),
+        np.outer(np.arange(1.0, n + 1), np.ones(n)))]
+    mats += [sample_matrix(law, n, seed=seed)
+             for seed in range(100, 104) for law in (GAUSSIAN, RADEMACHER)]
+    reference = [_reference_report(m, 0.7) for m in mats]
+    stacked = operator_norm_reports(mats, beta=0.7)
+    for mat, ref, stacked_report in zip(mats, reference, stacked):
+        assert dataclasses.astuple(operator_norm_report(mat, beta=0.7)) == ref
+        assert dataclasses.astuple(stacked_report) == ref
+    # the zero matrix restarts on lambda = 0; from N = 25 random draws stall
+    # and restart too
+    assert reference[0][-1]
+    assert n < 25 or any(ref[-1] for ref in reference[3:])
 
 
 def test_operator_norm_identity_and_zero():

@@ -42,7 +42,6 @@ from .disorder import (
     RADEMACHER,
     CENTERED_EXPONENTIAL,
     sample_matrix,
-    operator_norm,
     operator_norm_report,
     PowerIterationError,
     PowerIterationReport,

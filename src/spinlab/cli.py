@@ -4,7 +4,8 @@ Exit codes: 0 on success, 1 for configuration problems (bad flags, bad
 config file, bad law/potential specs), 2 for numerical failures (boundary
 safeguard, power-iteration cap, certificate violation, replay mismatch).
 Seed precedence: ``--seed`` beats the ``SPINLAB_SEED`` environment
-variable, which beats the config file.  Every command runs its replicas
+variable, which beats the config file; ``replay`` has only its own flags
+and takes config and seed from the run.  Every command runs its replicas
 serially; ``--threads`` is still accepted and checked (values below 1 exit
 1), and outputs are byte-identical at any value.
 """
@@ -74,8 +75,7 @@ def _build_parser() -> _Parser:
                    help="entry-law moment and norm diagnostics")
     sub.add_parser("lindeberg", parents=[common],
                    help="comparison-bound certificate suite")
-    rp = sub.add_parser("replay", parents=[common],
-                        help="re-derive one trajectory from a run directory")
+    rp = sub.add_parser("replay", help="re-derive one trajectory from a run directory")
     rp.add_argument("run_dir", help="directory written by a previous command")
     rp.add_argument("--law", required=True, help="law label from the run")
     rp.add_argument("--replica", type=int, required=True)
@@ -141,15 +141,6 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        seed = _resolve_seed(args)
-        cfg = load_config(args.config)
-        if seed is not None:
-            cfg = cfg.with_seed(seed)
-        if args.out is not None:
-            cfg = cfg.with_output_dir(args.out)
-        if args.threads < 1:
-            raise ConfigError("--threads must be >= 1")
-
         if args.command == "replay":
             result = replay(args.run_dir, args.law, args.replica,
                             particle=args.particle, n=args.n,
@@ -166,6 +157,14 @@ def main(argv=None) -> int:
                       f"end={float(vals[-1])!r}")
             return 0
 
+        seed = _resolve_seed(args)
+        cfg = load_config(args.config)
+        if seed is not None:
+            cfg = cfg.with_seed(seed)
+        if args.out is not None:
+            cfg = cfg.with_output_dir(args.out)
+        if args.threads < 1:
+            raise ConfigError("--threads must be >= 1")
         summary = _COMMANDS[args.command](cfg, store_paths=args.store_paths)
         _print_summary(summary)
         return 0

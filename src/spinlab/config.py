@@ -23,15 +23,8 @@ from .disorder import (
     CustomSampler,
     DisorderLaw,
 )
-from .dynamics import default_a2
-from .model import (
-    InitialLaw,
-    Potential,
-    double_well,
-    log_barrier,
-    point_mass,
-    uniform_symmetric,
-)
+from .dynamics import GUARD_FRACTION, default_a2
+from .model import InitialLaw, Potential, double_well, log_barrier
 
 __all__ = [
     "ConfigError",
@@ -183,14 +176,18 @@ def parse_initial(spec: str, s_bound: float) -> InitialLaw:
         value = float(arg)
     except ValueError as exc:
         raise ConfigError(f"bad numeric parameter in initial spec {spec!r}") from exc
+    if kind not in ("point", "uniform"):
+        raise ConfigError(f"unknown initial kind {kind!r}; expected point or uniform")
     try:
-        if kind == "point":
-            return point_mass(value, s_bound)
-        if kind == "uniform":
-            return uniform_symmetric(value, s_bound)
+        law = InitialLaw(kind, value, float(s_bound))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    raise ConfigError(f"unknown initial kind {kind!r}; expected point or uniform")
+    # the integrator refuses a start on or past its guard band
+    guard = s_bound * (1.0 - GUARD_FRACTION)
+    if abs(value) >= guard:
+        raise ConfigError(f"initial spec {spec!r} reaches the guard band: |{value!r}| "
+                          f"must be below s * (1 - {GUARD_FRACTION}) = {guard!r}")
+    return law
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,6 @@ __all__ = [
     "CENTERED_EXPONENTIAL",
     "DisorderMatrix",
     "sample_matrix",
-    "operator_norm",
     "operator_norm_report",
     "operator_norm_reports",
     "PowerIterationReport",
@@ -255,7 +254,7 @@ def sample_matrix(law: DisorderLaw, n: int, seed: int) -> DisorderMatrix:
 class PowerIterationError(RuntimeError):
     """Iteration cap hit; ``best`` carries the last (value, residual) pair.
 
-    ``member`` is the index of the failing matrix in a stacked call.
+    ``member`` is the index of the failing matrix in the caller's list.
     """
 
     def __init__(self, message, best, member: int = 0):
@@ -291,7 +290,14 @@ def _as_interaction(mats, beta: float) -> np.ndarray:
     return np.multiply(beta / math.sqrt(arr.shape[-1]), arr, out=_aligned(arr.shape))
 
 
-# default step cap of the power iteration, read at call time
+# Bytes of raw matrices in one lockstep norm stack or harness integration
+# block.  Past it, the stacked matmul runs slower than one matrix at a time.
+_STACK_BYTES = 512 * 1024
+# Smallest lockstep norm stack; where fewer fit, each matrix runs alone.  On
+# the default config's 600 draws at N = 100, alone took 5.6-6.5 s and 6-member
+# stacks 8.2-8.7 s; at N = 50, 26-member stacks won, 1.9-2.2 s to 2.4-2.9 s.
+_LOCKSTEP_MIN = 8
+# step cap of the power iteration, read at call time
 _MAX_ITER = 200000
 # a run whose Rayleigh quotient repeats this many steps in a row has stalled
 _STALL_STEPS = 50
@@ -333,20 +339,18 @@ def _report(lam, resid, used, restarted) -> PowerIterationReport:
     return PowerIterationReport(value, value, upper, resid, used, restarted)
 
 
-def _cap_error(max_iter, lam, resid, member) -> PowerIterationError:
+def _cap_error(lam, resid, member) -> PowerIterationError:
     best = (math.sqrt(max(lam, 0.0)), resid)
     return PowerIterationError(
-        f"power iteration did not converge in {max_iter} steps "
+        f"power iteration did not converge in {_MAX_ITER} steps "
         f"(best value {best[0]}, residual {best[1]})",
         best, member,
     )
 
 
-def operator_norm_reports(
-    mats, beta: float = 1.0, tol: float = 1e-10, max_iter: int | None = None
-) -> list:
-    """``operator_norm_report`` of each of several same-size matrices,
-    bit for bit, with their iterations run in lockstep over one stack.
+def _lockstep(a, tol: float) -> list:
+    """Power-iteration reports of every member of the interaction stack
+    ``a``, with their iterations run in lockstep.
 
     Each member keeps its own Rayleigh quotient, stall count, step count
     and restart flag; a stalled member, or one whose quotient is 0,
@@ -354,10 +358,8 @@ def operator_norm_reports(
     (the stack is compacted only then).  The last member left finishes in
     the scalar loop.  Every member takes one step per pass, so members
     still running reach the cap together; the PowerIterationError names
-    the lowest of them as ``member``.
+    the lowest of them as ``member``, its index in ``a``.
     """
-    max_iter = _MAX_ITER if max_iter is None else max_iter
-    a = _as_interaction(mats, beta)
     count, n = a.shape[:2]
     reports = [None] * count
     ones = np.ones(n)
@@ -371,7 +373,7 @@ def operator_norm_reports(
     start = np.zeros(count, dtype=int)  # step at which the current run began
     restarted = np.zeros(count, dtype=bool)
     step = 0
-    while len(live) > 1 and step < max_iter:
+    while len(live) > 1 and step < _MAX_ITER:
         step += 1
         # stacked matmul gives each member the bits of its own a @ v,
         # w @ w and a.T @ w (pinned by a test)
@@ -405,44 +407,60 @@ def operator_norm_reports(
                 arr[keep] for arr in (live, a, v, lam_prev, lam, resid, stall,
                                       start, restarted))
     if len(live) > 1:
-        raise _cap_error(max_iter, float(lam[0]), float(resid[0]), int(live[0]))
+        raise _cap_error(float(lam[0]), float(resid[0]), int(live[0]))
     if len(live) == 1:
         j = int(live[0])
         used, was_restarted = int(start[0]), bool(restarted[0])
         run_lam, run_resid, it, status = _power_run(
-            a[0], v[0], tol, max_iter - used, step - used, float(lam_prev[0]),
+            a[0], v[0], tol, _MAX_ITER - used, step - used, float(lam_prev[0]),
             int(stall[0]), float(lam[0]), float(resid[0]))
         used += it
         if not was_restarted and (status is False or run_lam == 0.0):
             # stalled short of the target: one deterministic restart
             was_restarted = True
             run_lam, run_resid, it, status = _power_run(
-                a[0], e1, tol, max_iter - used, lam=run_lam, resid=run_resid)
+                a[0], e1, tol, _MAX_ITER - used, lam=run_lam, resid=run_resid)
             used += it
         if status is None:
-            raise _cap_error(max_iter, run_lam, run_resid, j)
+            raise _cap_error(run_lam, run_resid, j)
         reports[j] = _report(run_lam, run_resid, used, was_restarted)
     return reports
 
 
-def operator_norm_report(
-    mat, beta: float = 1.0, tol: float = 1e-10, max_iter: int | None = None
-) -> PowerIterationReport:
+def operator_norm_reports(mats, beta: float = 1.0, tol: float = 1e-10) -> list:
+    """``operator_norm_report`` of each of several same-size matrices, bit
+    for bit.  The one norm entry point, it decides how they are normed:
+    where at least ``_LOCKSTEP_MIN`` matrices fit in ``_STACK_BYTES`` (N up
+    to 90), in lockstep stacks of as many as fit, in list order; elsewhere
+    each alone through ``operator_norm_report``.  A PowerIterationError's
+    ``member`` is the failing matrix's index in ``mats``.
+    """
+    mats = list(mats)
+    n = len(getattr(mats[0], "entries", mats[0])) if mats else 1
+    fit = _STACK_BYTES // (n * n * 8)
+    stack = fit if fit >= _LOCKSTEP_MIN else 1
+    reports = []
+    for first in range(0, len(mats), stack):
+        part = mats[first:first + stack]
+        try:
+            reports += (_lockstep(_as_interaction(part, beta), tol) if stack > 1
+                        else [operator_norm_report(part[0], beta, tol)])
+        except PowerIterationError as err:
+            err.member += first
+            raise
+    return reports
+
+
+def operator_norm_report(mat, beta: float = 1.0, tol: float = 1e-10) -> PowerIterationReport:
     """Spectral norm of A = (beta/sqrt(N)) J by power iteration on A^T A.
 
     Deterministic: starts from the normalized all-ones vector and restarts
     once from the first basis vector if the Rayleigh quotient stalls without
     meeting the residual target (which guards against starts orthogonal to
     the top singular subspace).  Raises PowerIterationError at the step cap
-    (``max_iter``, 200000 by default).
+    (``_MAX_ITER``, 200000).
     """
-    return operator_norm_reports([mat], beta, tol, max_iter)[0]
-
-
-def operator_norm(mat, beta: float = 1.0, tol: float = 1e-10,
-                  max_iter: int | None = None) -> float:
-    """||(beta/sqrt(N)) J||_{2->2}; see operator_norm_report for certificates."""
-    return operator_norm_report(mat, beta, tol, max_iter).value
+    return _lockstep(_as_interaction([mat], beta), tol)[0]
 
 
 @dataclass(frozen=True)
@@ -635,7 +653,7 @@ def condition_diagnostics(
     third = law.third_abs_moment
     third_scaled = None if third is None else float(n ** (2.0 - gamma) * third)
 
-    norms = tuple(
-        operator_norm(sample_matrix(law, n, s), beta=1.0, tol=1e-8) for s in seeds
-    )
+    reports = operator_norm_reports([sample_matrix(law, n, s) for s in seeds],
+                                    beta=1.0, tol=1e-8)
+    norms = tuple(report.value for report in reports)
     return ConditionDiagnostics(n, gamma, eps, mgf_sup, third_scaled, norms)

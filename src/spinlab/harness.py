@@ -21,13 +21,13 @@ power-iteration failure), ``_TABLES`` (CSV schemas) and ``_path_file``
 through ``dynamics.simulate_shared``, which takes a block of replicas
 and one sequence of matrices per replica.  Every command that integrates
 loops over blocks of replicas, as many as fit their laws' matrices in
-``_STACK_BYTES`` (``_block_size``).  In universality and simulate, one
-call per (block, thermal sample) integrates every (replica, law) member
-as one stack, each replica on its own noise, and at sample 0 also the
-frozen runs behind the tilt statistic; the block's norms run as lockstep
-stacks (``disorder.operator_norm_reports``), alone below ``_LOCKSTEP_MIN``;
-in the freeze sweep they run one at a time, then one call integrates
-every replica's full path together with one frozen path per kappa.
+``disorder._STACK_BYTES`` (``_block_size``), and norms each block's draws
+in one ``disorder.operator_norm_reports`` call, which decides between
+lockstep stacks and one matrix at a time.  In universality and simulate,
+one call per (block, thermal sample) integrates every (replica, law)
+member as one stack, each replica on its own noise, and at sample 0 also
+the frozen runs behind the tilt statistic; in the freeze sweep one call
+integrates every replica's full path with one frozen path per kappa.
 
 Seed derivation schemes (also recorded in each summary):
 
@@ -53,13 +53,13 @@ from pathlib import Path
 
 import numpy as np
 
+from . import disorder
 from .config import ConfigError, ExperimentConfig, load_config
 from .disorder import (
     PowerIterationError,
     PowerIterationReport,
     StandardGaussian,
     condition_diagnostics,
-    operator_norm_report,
     operator_norm_reports,
     sample_matrix,
     validate_law,
@@ -347,20 +347,10 @@ def _reference_index(laws) -> int:
 # ---------------------------------------------------------------------------
 # simulation blocks
 
-# Bytes of raw interaction matrices stacked in one integration block of
-# replicas (all laws) or one power-iteration stack.  Past it, the stacked
-# matmul runs slower than one matrix at a time.
-_STACK_BYTES = 512 * 1024
-# Smallest lockstep norm stack; where fewer fit, each matrix runs alone.  On
-# the default config's 600 draws at N = 100, alone took 5.6-6.5 s and 6-member
-# stacks 8.2-8.7 s; at N = 50, 26-member stacks won, 1.9-2.2 s to 2.4-2.9 s.
-_LOCKSTEP_MIN = 8
-
-
 def _block_size(laws: int, n: int) -> int:
     """Replicas per block: as many as fit ``laws`` matrices of size ``n``
-    each in ``_STACK_BYTES``, and at least one."""
-    return max(1, _STACK_BYTES // (laws * n * n * 8))
+    each in ``disorder._STACK_BYTES``, and at least one."""
+    return max(1, disorder._STACK_BYTES // (laws * n * n * 8))
 
 
 def _curve_block(cfg: ExperimentConfig, summary: RunSummary, params: ModelParams,
@@ -369,20 +359,20 @@ def _curve_block(cfg: ExperimentConfig, summary: RunSummary, params: ModelParams
     one N.
 
     Loops over blocks of replicas; a block holds as many replicas as fit
-    their laws' matrices in ``_STACK_BYTES``.  Each thermal sample of a
-    block draws nothing new and integrates every (replica, law) member of
-    the block as one stack in one ``simulate_shared`` call, each replica
-    on its own noise.  Returns, per law in config order, (autocorr block,
-    curves[replicas, G+1], pool, norm rows, phis) and adds the full runs'
-    safeguard activations to ``summary``.  The pool stacks the sample-0
+    their laws' matrices in ``disorder._STACK_BYTES``.  Each thermal
+    sample of a block draws nothing new and integrates every (replica,
+    law) member of the block as one stack in one ``simulate_shared``
+    call, each replica on its own noise.  Returns, per law in config
+    order, (autocorr block, curves[replicas, G+1], pool, norm rows, phis)
+    and adds the full runs' safeguard activations to ``summary``.  The pool stacks the sample-0
     full runs' particles, replica after replica (``replicas * N`` rows),
     for marginal pooling; when the run keeps paths, those runs are saved
     under ``store`` once the block's sample 0 is integrated.  The first
     ``phi_draws`` draws also integrate the frozen run at sample 0 in the
     same call, as one stack over those replicas of the block, and report
     its interaction tilt in ``phis``; draws past ``replicas`` run only
-    that frozen side.  The block's norms then run as stacks of at most
-    ``_STACK_BYTES`` of matrices, or alone when fewer than ``_LOCKSTEP_MIN`` fit.
+    that frozen side.  The block's curve draws are then normed in one
+    ``operator_norm_reports`` call.
     """
     laws, labels = cfg.law_objs(), cfg.law_labels()
     potential = cfg.potential_obj()
@@ -390,7 +380,6 @@ def _curve_block(cfg: ExperimentConfig, summary: RunSummary, params: ModelParams
     n = params.n_particles
     width = params.n_steps + 1
     block = _block_size(len(laws), n)
-    chunk = _block_size(1, n) if _LOCKSTEP_MIN * n * n * 8 <= _STACK_BYTES else 1
     curves = np.zeros((len(laws), cfg.replicas, width))
     total = max(cfg.replicas, phi_draws)
     # every replica's sample-0 paths that refresh each step are integrated
@@ -438,13 +427,11 @@ def _curve_block(cfg: ExperimentConfig, summary: RunSummary, params: ModelParams
         members = [(idx, rep, seed, mat)
                    for rep, rep_draws in zip(reps[:n_curve], draws)
                    for idx, (seed, mat) in enumerate(rep_draws)]
-        for start in range(0, len(members), chunk):
-            part = members[start:start + chunk]
-            reports = _guarded(
-                operator_norm_reports, [(labels[idx], rep) for idx, rep, *_ in part],
-                n, [mat for *_, mat in part], beta=cfg.beta)
-            for (idx, rep, seed, _), report in zip(part, reports):
-                norm_rows[idx].append(_norm_row(cfg, labels[idx], n, rep, seed, report))
+        reports = _guarded(
+            operator_norm_reports, [(labels[idx], rep) for idx, rep, *_ in members],
+            n, [mat for *_, mat in members], beta=cfg.beta)
+        for (idx, rep, seed, _), report in zip(members, reports):
+            norm_rows[idx].append(_norm_row(cfg, labels[idx], n, rep, seed, report))
     blocks = [{
         "law": label, "n": n, "replica_count": cfg.replicas,
         "t": grid_times(params), "mean": law_curves.mean(axis=0),
@@ -552,10 +539,10 @@ def run_freeze_sweep(cfg, summary, out, store_paths):
     The disorder seed does not depend on kappa, so each draw's matrix,
     norm, noise and full path are computed once and shared by every
     kappa.  Replicas run in blocks of as many as fit their matrices in
-    ``_STACK_BYTES``: a block's matrices are drawn and normed first, one
-    at a time in replica order, then one ``simulate_shared`` call
-    integrates each refresh interval once as one stack over the block,
-    and its stored pairs are written.  Outputs are those of one coupled
+    ``disorder._STACK_BYTES``: a block's matrices are drawn and normed
+    first, in one ``operator_norm_reports`` call, then one
+    ``simulate_shared`` call integrates each refresh interval once as one
+    stack over the block, and its stored pairs are written.  Outputs are those of one coupled
     run per (kappa, replica): ``norms.csv`` repeats the replica rows once
     per kappa and the full side's safeguard activations count once per
     kappa.  With several failing draws, the first error raised is in
@@ -580,11 +567,10 @@ def run_freeze_sweep(cfg, summary, out, store_paths):
     def integrate(reps):
         # one block of draws; its paths are released on return
         draws = [_disorder(cfg, law, 0, n, rep) for rep in reps]
-        rows = []
-        for rep, (seed, mat) in zip(reps, draws):
-            report = _guarded(operator_norm_report, [(label, rep)], n, mat,
-                              beta=cfg.beta)
-            rows.append(_norm_row(cfg, label, n, rep, seed, report))
+        reports = _guarded(operator_norm_reports, [(label, rep) for rep in reps], n,
+                           [mat for _, mat in draws], beta=cfg.beta)
+        rows = [_norm_row(cfg, label, n, rep, seed, report)
+                for rep, (seed, _), report in zip(reps, draws, reports)]
         norm_rows.extend(rows)
         pairs = _guarded(simulate_shared, [(label, rep) for rep in reps], n,
                          runs, potential, [[mat] for _, mat in draws], initial,

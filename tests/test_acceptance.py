@@ -19,7 +19,6 @@ from spinlab.config import load_config
 from spinlab.disorder import (
     GAUSSIAN,
     RADEMACHER,
-    operator_norm,
     operator_norm_report,
     sample_matrix,
 )
@@ -57,6 +56,7 @@ def freeze_run(default_cfg, tmp_path_factory):
     return summary, time.perf_counter() - t0
 
 
+@pytest.mark.slow
 def test_criterion_1_comparison_certificate(default_cfg):
     t0 = time.perf_counter()
     rows = certificate_suite(
@@ -77,6 +77,7 @@ def test_criterion_1_comparison_certificate(default_cfg):
     )
 
 
+@pytest.mark.slow
 def test_criterion_2_gaussian_identity_mc(default_cfg):
     t0 = time.perf_counter()
     rows = gaussian_mc_check(
@@ -130,6 +131,7 @@ def test_criterion_3_stationary_density():
     )
 
 
+@pytest.mark.slow
 def test_criterion_4_universality_gap_decay(default_cfg, universality_run):
     summary, dt = universality_run
     rad = [g for g in summary.gaps if g["law"] == "rademacher"]
@@ -153,6 +155,7 @@ def test_criterion_4_universality_gap_decay(default_cfg, universality_run):
     )
 
 
+@pytest.mark.slow
 def test_criterion_5_freeze_refinement(default_cfg, freeze_run):
     summary, dt = freeze_run
     kappas = [f["kappa"] for f in summary.freeze]
@@ -174,6 +177,7 @@ def test_criterion_5_freeze_refinement(default_cfg, freeze_run):
     )
 
 
+@pytest.mark.slow
 def test_criterion_6_operator_norm_band(default_cfg):
     t0 = time.perf_counter()
     values = {}
@@ -195,7 +199,7 @@ def test_criterion_6_operator_norm_band(default_cfg):
                 seed = derive_seed(default_cfg.master_seed, "norm-oracle",
                                    law.name, n, k)
                 mat = sample_matrix(law, n, seed)
-                pi = operator_norm(mat, beta=1.0, tol=1e-10)
+                pi = operator_norm_report(mat, beta=1.0, tol=1e-10).value
                 dense = float(np.linalg.norm(mat.entries, 2)) / math.sqrt(n)
                 worst_rel = max(worst_rel, abs(pi - dense) / dense)
     dt = time.perf_counter() - t0
@@ -209,6 +213,7 @@ def test_criterion_6_operator_norm_band(default_cfg):
     )
 
 
+@pytest.mark.slow
 def test_criterion_7_tilt_statistic_decay(default_cfg, universality_run):
     summary, _ = universality_run
     med = {p["n"]: p["phi_median"] for p in summary.phi_medians
@@ -222,6 +227,7 @@ def test_criterion_7_tilt_statistic_decay(default_cfg, universality_run):
     )
 
 
+@pytest.mark.slow
 def test_criterion_8_thread_count_determinism(tmp_path):
     # both runs write to the same --out (the first is moved aside), so
     # config.json records the same output_dir on both sides

@@ -16,7 +16,6 @@ from spinlab.disorder import (
     DisorderMatrix,
     PowerIterationError,
     condition_diagnostics,
-    operator_norm,
     operator_norm_report,
     operator_norm_reports,
     sample_matrix,
@@ -289,9 +288,10 @@ def test_norm_reports_equal_the_operator_form_reference(n):
 def test_operator_norm_identity_and_zero():
     n = 12
     eye = DisorderMatrix(math.sqrt(n) * np.eye(n), GAUSSIAN, seed=0)
-    assert operator_norm(eye, beta=1.0, tol=1e-12) == pytest.approx(1.0, abs=1e-9)
+    assert operator_norm_report(eye, beta=1.0, tol=1e-12).value == pytest.approx(
+        1.0, abs=1e-9)
     zero = DisorderMatrix(np.zeros((n, n)), GAUSSIAN, seed=0)
-    assert operator_norm(zero, beta=1.0, tol=1e-12) == 0.0
+    assert operator_norm_report(zero, beta=1.0, tol=1e-12).value == 0.0
 
 
 def test_operator_norm_against_dense_svd():
@@ -341,16 +341,60 @@ def test_stacked_norm_reports_equal_one_report_per_matrix(monkeypatch):
     assert any(it > 0 for it in tails)
 
 
-def test_stacked_norm_cap_names_the_lowest_member_still_running():
+def test_stacked_norm_cap_names_the_lowest_member_still_running(monkeypatch):
+    monkeypatch.setattr(disorder, "_MAX_ITER", 3)
     mats = [np.zeros((6, 6))] + [sample_matrix(GAUSSIAN, 6, seed=s) for s in (1, 2)]
     with pytest.raises(PowerIterationError) as err:
-        operator_norm_reports(mats, max_iter=3)
+        operator_norm_reports(mats)
     assert err.value.member == 1
     with pytest.raises(PowerIterationError) as alone:
-        operator_norm_report(mats[1], max_iter=3)
+        operator_norm_report(mats[1])
     assert alone.value.member == 0
     assert str(err.value) == str(alone.value)
     assert err.value.best == alone.value.best
+
+
+@pytest.mark.parametrize("n", [1, 5, 25])
+def test_norm_reports_over_several_stacks_equal_one_report_per_matrix(
+        monkeypatch, n):
+    # stacks of _LOCKSTEP_MIN matrices: 19 matrices make stacks of 8, 8 and 3
+    monkeypatch.setattr(disorder, "_STACK_BYTES", disorder._LOCKSTEP_MIN * n * n * 8)
+    mats = [np.zeros((n, n)), math.sqrt(n) * np.eye(n),
+            np.outer(np.arange(1.0, n + 1), np.ones(n))]
+    mats += [sample_matrix(law, n, seed=seed)
+             for seed in range(8) for law in (GAUSSIAN, RADEMACHER)]
+    stacks = []
+    lockstep = disorder._lockstep
+
+    def recording(a, tol):
+        stacks.append(len(a))
+        return lockstep(a, tol)
+
+    monkeypatch.setattr(disorder, "_lockstep", recording)
+    stacked = operator_norm_reports(mats, beta=0.7)
+    assert stacks == [8, 8, 3]
+    single = [operator_norm_report(m, beta=0.7) for m in mats]
+    assert [dataclasses.astuple(r) for r in stacked] == [
+        dataclasses.astuple(r) for r in single]
+
+
+@pytest.mark.parametrize("stacked", [True, False])
+def test_norm_cap_in_a_later_stack_names_its_index_in_the_list(monkeypatch,
+                                                               stacked):
+    # the identity converges at step 1, so the first stack of 8 finishes
+    # under a 3-step cap and the second stack fails at the list's index 9
+    n = 5
+    limit = disorder._LOCKSTEP_MIN * n * n * 8
+    monkeypatch.setattr(disorder, "_STACK_BYTES", limit if stacked else limit - 1)
+    monkeypatch.setattr(disorder, "_MAX_ITER", 3)
+    mats = [math.sqrt(n) * np.eye(n)] * 9 + [sample_matrix(GAUSSIAN, n, seed=s)
+                                             for s in (1, 2)]
+    with pytest.raises(PowerIterationError) as err:
+        operator_norm_reports(mats)
+    assert err.value.member == 9
+    with pytest.raises(PowerIterationError) as alone:
+        operator_norm_report(mats[9])
+    assert str(err.value) == str(alone.value)
 
 
 def test_validate_builtins_pass_without_sampling():

@@ -262,7 +262,7 @@ def test_outputs_do_not_depend_on_the_block_size(tmp_path, monkeypatch, case,
                                                  stack_bytes):
     # one replica per block, part of them (a ragged last block with 3
     # replicas), or all of them
-    monkeypatch.setattr(harness, "_STACK_BYTES", stack_bytes)
+    monkeypatch.setattr(disorder, "_STACK_BYTES", stack_bytes)
     blocks = _count_calls(monkeypatch, harness, "simulate_shared")
     command, overrides = _GOLDEN_CASES.get(case, (case, {}))
     cfg = _small(**overrides)
@@ -300,7 +300,7 @@ def test_failed_run_leaves_the_older_run_in_a_reused_out(tmp_path, capsys,
     assert main(["simulate", "--config", str(path), "--out", str(out),
                  "--store-paths"]) == 0
     before = _tree(out)
-    monkeypatch.setattr(harness, "_STACK_BYTES", 1)
+    monkeypatch.setattr(disorder, "_STACK_BYTES", 1)
     integrate = dynamics._integrate
     calls = []
 
@@ -377,11 +377,21 @@ def _count_calls(monkeypatch, module, *names) -> dict:
 
 
 def test_freeze_sweep_draws_and_norms_each_replica_once(tmp_path, monkeypatch):
-    calls = _count_calls(monkeypatch, harness, "operator_norm_report",
-                         "sample_matrix")
+    normed = []  # the seeds of each norm call's matrices
+    norm = harness.operator_norm_reports
+
+    def recording(mats, **kwargs):
+        normed.append([mat.seed for mat in mats])
+        return norm(mats, **kwargs)
+
+    monkeypatch.setattr(harness, "operator_norm_reports", recording)
+    calls = _count_calls(monkeypatch, harness, "sample_matrix")
     run_freeze_sweep(_small(kappa_sweep=[1, 2, 4], freeze_replicas=3),
                      out_dir=tmp_path)
-    assert calls == {"operator_norm_report": 3, "sample_matrix": 3}
+    # the three replicas fit one block: one call norms each of them once
+    assert normed == [[harness.derive_seed(7, "disorder", 0, 6, rep)
+                       for rep in range(3)]]
+    assert calls == {"sample_matrix": 3}
 
 
 def test_freeze_sweep_integrates_each_refresh_interval_once(tmp_path,
@@ -390,8 +400,8 @@ def test_freeze_sweep_integrates_each_refresh_interval_once(tmp_path,
     # replica is prepared once, and each block integrates the full and the
     # kappa-2 interval once (3 replicas: 2 + 1 at 600 bytes, or all in one)
     cfg = _small(freeze_replicas=3)
-    for stack_bytes, blocks in ((600, 2), (harness._STACK_BYTES, 1)):
-        monkeypatch.setattr(harness, "_STACK_BYTES", stack_bytes)
+    for stack_bytes, blocks in ((600, 2), (disorder._STACK_BYTES, 1)):
+        monkeypatch.setattr(disorder, "_STACK_BYTES", stack_bytes)
         calls = _count_calls(monkeypatch, dynamics, "_prepare", "_integrate")
         run_freeze_sweep(cfg, out_dir=tmp_path / str(stack_bytes))
         assert calls == {"_prepare": cfg.freeze_replicas, "_integrate": 2 * blocks}
@@ -709,6 +719,39 @@ def test_cli_bad_threads_exit_one(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("initial", ["point:1.9999999", "point:-1.9999999",
+                                     "uniform:1.9999999"])
+def test_cli_initial_law_in_the_guard_band_exit_one(tmp_path, capsys, initial):
+    # s = 2: the guard band starts at 2 * (1 - GUARD_FRACTION) = 1.999998
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"initial": initial, "s_bound": 2.0}))
+    for command in ("simulate", "universality", "freeze-sweep"):
+        code = main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "guard band" in err
+    assert not (tmp_path / "out").exists()
+    # just inside the band, the same law loads
+    inside = initial.replace("1.9999999", "1.999997")
+    assert load_config(overrides={"initial": inside}).initial == inside
+
+
+def test_cli_replay_has_only_its_own_flags(tmp_path, capsys, monkeypatch):
+    run_simulate(_small(), out_dir=tmp_path / "run")
+    argv = ["replay", str(tmp_path / "run"), "--law", "gaussian", "--replica", "0"]
+    for flag in (["--seed", "5"], ["--config", "missing.json"], ["--threads", "2"],
+                 ["--out", "x"], ["--store-paths"]):
+        with pytest.raises(SystemExit) as err:
+            main(argv + flag)
+        assert err.value.code == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+    # replay takes its seed from the run, never from the environment
+    monkeypatch.setenv("SPINLAB_SEED", "abc")
+    assert main(argv) == 0
+    assert "disorder seed: " + str(harness.derive_seed(7, "disorder", 0, 6, 0)) \
+        in capsys.readouterr().out
+
+
 def test_cli_usage_error_exit_one():
     with pytest.raises(SystemExit) as err:
         main(["no-such-command"])
@@ -839,7 +882,7 @@ def test_cli_frozen_failure_inside_a_freeze_block_names_its_replica(
         tmp_path, capsys, monkeypatch):
     # 600 bytes hold both replicas' 6 x 6 matrices: one block, whose
     # kappa-2 frozen stack fails at member 1, replica 1
-    monkeypatch.setattr(harness, "_STACK_BYTES", 600)
+    monkeypatch.setattr(disorder, "_STACK_BYTES", 600)
     integrate = dynamics._integrate
 
     def frozen_fails(params, *args, refresh_every):
@@ -860,16 +903,18 @@ def test_cli_norm_failure_inside_a_freeze_block_stops_before_integrating(
         tmp_path, capsys, monkeypatch):
     # a block's norms run before its integration: replica 1's power
     # iteration fails, and the block of replicas 0 and 1 never integrates
-    monkeypatch.setattr(harness, "_STACK_BYTES", 600)
-    norm = harness.operator_norm_report
+    monkeypatch.setattr(disorder, "_STACK_BYTES", 600)
+    norm = harness.operator_norm_reports
     bad_seed = harness.derive_seed(7, "disorder", 0, 6, 1)
 
-    def one_norm_fails(mat, **kwargs):
-        if mat.seed == bad_seed:
-            raise disorder.PowerIterationError("forced cap", (0.0, 1.0))
-        return norm(mat, **kwargs)
+    def one_norm_fails(mats, **kwargs):
+        seeds = [mat.seed for mat in mats]
+        if bad_seed in seeds:
+            raise disorder.PowerIterationError("forced cap", (0.0, 1.0),
+                                               member=seeds.index(bad_seed))
+        return norm(mats, **kwargs)
 
-    monkeypatch.setattr(harness, "operator_norm_report", one_norm_fails)
+    monkeypatch.setattr(harness, "operator_norm_reports", one_norm_fails)
     calls = _count_calls(monkeypatch, dynamics, "_integrate")
     path = _write_cfg(tmp_path)
     code = main(["freeze-sweep", "--config", str(path),

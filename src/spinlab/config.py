@@ -107,6 +107,10 @@ def _load_custom_law(path: Path) -> CustomSampler:
         raise ConfigError(
             f"custom law file {path}: third_abs_moment must be >= 0, got {third!r}"
         )
+    floor = 1.0 if variance is None else variance * math.sqrt(variance)
+    if third is not None and third < floor:  # E|J|^3 >= (E J^2)^(3/2) >= floor
+        raise ConfigError(f"custom law file {path}: third_abs_moment {third!r} is below "
+                          f"variance**1.5 = {floor!r} (Lyapunov's inequality)")
     try:
         frozen = dist_gen(*args, loc=loc, scale=scale)
         support = frozen.support()

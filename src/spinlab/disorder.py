@@ -320,7 +320,7 @@ def _power_run(a, v, tol, budget, it=0, lam_prev=-1.0, stall=0, lam=0.0, resid=0
         u = at.dot(w)
         r = u - lam * v
         resid = math.sqrt(r.dot(r))
-        if resid <= tol * lam or (lam == 0.0 and resid == 0.0):
+        if resid <= tol * lam:  # for a finite tol, also met at lam = resid = 0
             return lam, resid, it, True
         if abs(lam - lam_prev) <= 1e-15 * max(lam, 1e-300):
             stall += 1
@@ -355,57 +355,60 @@ def _lockstep(a, tol: float) -> list:
     Each member keeps its own Rayleigh quotient, stall count, step count
     and restart flag; a stalled member, or one whose quotient is 0,
     restarts from e1 in place, and a finished member leaves the stack
-    (the stack is compacted only then).  The last member left finishes in
-    the scalar loop.  Every member takes one step per pass, so members
+    (the stack is compacted only then); this bookkeeping runs only on a
+    pass where a member leaves or restarts.  The last member left finishes
+    in the scalar loop.  Every member takes one step per pass, so members
     still running reach the cap together; the PowerIterationError names
     the lowest of them as ``member``, its index in ``a``.
     """
     count, n = a.shape[:2]
     reports = [None] * count
-    ones = np.ones(n)
-    e1 = np.zeros(n)
-    e1[0] = 1.0
-    v = np.tile(ones / math.sqrt(ones.dot(ones)), (count, 1))
+    e1 = np.eye(1, n)[0]
+    v = np.full((count, n), 1.0 / math.sqrt(n))  # the normalized all-ones start
     live = np.arange(count)
     lam_prev = np.full(count, -1.0)
     lam = resid = np.zeros(count)
     stall = np.zeros(count, dtype=int)
     start = np.zeros(count, dtype=int)  # step at which the current run began
     restarted = np.zeros(count, dtype=bool)
+    at = a.transpose(0, 2, 1)
     step = 0
-    while len(live) > 1 and step < _MAX_ITER:
-        step += 1
-        # stacked matmul gives each member the bits of its own a @ v,
-        # w @ w and a.T @ w (pinned by a test)
-        w = np.matmul(a, v[:, :, None])[:, :, 0]
-        lam = np.matmul(w[:, None, :], w[:, :, None])[:, 0, 0]
-        u = np.matmul(a.transpose(0, 2, 1), w[:, :, None])[:, :, 0]
-        r = u - lam[:, None] * v
-        resid = np.sqrt(np.matmul(r[:, None, :], r[:, :, None])[:, 0, 0])
-        done = (resid <= tol * lam) | ((lam == 0.0) & (resid == 0.0))
-        stall = np.where(np.abs(lam - lam_prev) <= 1e-15 * np.maximum(lam, 1e-300),
-                         stall + 1, 0)
-        stalled = ~done & (stall >= _STALL_STEPS)
-        lam_prev = lam
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # a finished member's u may be 0; its v is never read again
-            v = u / np.sqrt(np.matmul(u[:, None, :], u[:, :, None])[:, 0])
-        restart = ~restarted & (stalled | (done & (lam == 0.0)))
-        if restart.any():
-            restarted |= restart
-            start[restart] = step
-            v[restart] = e1
-            lam_prev = np.where(restart, -1.0, lam)
-            stall[restart] = 0
-        leave = (done | stalled) & ~restart
-        if leave.any():
-            for j in np.flatnonzero(leave):
-                reports[live[j]] = _report(float(lam[j]), float(resid[j]), step,
-                                           bool(restarted[j]))
-            keep = ~leave
-            live, a, v, lam_prev, lam, resid, stall, start, restarted = (
-                arr[keep] for arr in (live, a, v, lam_prev, lam, resid, stall,
-                                      start, restarted))
+    # a finished member's u may be 0; its v is never read again
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while len(live) > 1 and step < _MAX_ITER:
+            step += 1
+            # stacked matmul and vecdot give each member the bits of its own
+            # a.dot(v), w.dot(w) and a.T.dot(w) (pinned by a test)
+            w = np.matmul(a, v[:, :, None])[:, :, 0]
+            lam = np.vecdot(w, w)
+            u = np.matmul(at, w[:, :, None])[:, :, 0]
+            r = u - lam[:, None] * v
+            resid = np.sqrt(np.vecdot(r, r))
+            done = resid <= tol * lam
+            stall = np.where(np.abs(lam - lam_prev) <= 1e-15 * np.maximum(lam, 1e-300),
+                             stall + 1, 0)
+            lam_prev = lam
+            v = u / np.sqrt(np.vecdot(u, u))[:, None]
+            if not done.any() and stall.max() < _STALL_STEPS:
+                continue
+            stalled = ~done & (stall >= _STALL_STEPS)
+            restart = ~restarted & (stalled | (done & (lam == 0.0)))
+            if restart.any():
+                restarted |= restart
+                start[restart] = step
+                v[restart] = e1
+                lam_prev = np.where(restart, -1.0, lam)
+                stall[restart] = 0
+            leave = (done | stalled) & ~restart
+            if leave.any():
+                for j in np.flatnonzero(leave):
+                    reports[live[j]] = _report(float(lam[j]), float(resid[j]), step,
+                                               bool(restarted[j]))
+                keep = ~leave
+                live, a, v, lam_prev, lam, resid, stall, start, restarted = (
+                    arr[keep] for arr in (live, a, v, lam_prev, lam, resid, stall,
+                                          start, restarted))
+                at = a.transpose(0, 2, 1)
     if len(live) > 1:
         raise _cap_error(float(lam[0]), float(resid[0]), int(live[0]))
     if len(live) == 1:

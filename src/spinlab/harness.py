@@ -448,18 +448,21 @@ def _bootstrap_gap(diff: np.ndarray, resamples: int, seed: int):
     Returns (sup gap, bootstrap standard error, noise floor).  The floor is
     the 99th percentile of the same statistic after centering each time
     slice, i.e. the distribution of the sup under the no-signal null with
-    the observed per-draw covariance.
+    the observed per-draw covariance.  Resamples are drawn in chunks that
+    fit ``diff[idx]`` in ``disorder._STACK_BYTES``; Philox keeps its
+    buffered word between calls, so a chunk changes no draw.
     """
     reps = diff.shape[0]
     gap = float(np.abs(diff.mean(axis=0)).max())
     gen = np.random.Generator(np.random.Philox(key=seed))
     centered = diff - diff.mean(axis=0)
-    sups = np.empty(resamples)
-    floors = np.empty(resamples)
-    for b in range(resamples):
-        idx = gen.integers(0, reps, reps)
-        sups[b] = np.abs(diff[idx].mean(axis=0)).max()
-        floors[b] = np.abs(centered[idx].mean(axis=0)).max()
+    sups, floors = np.empty((2, resamples))
+    chunk = max(1, disorder._STACK_BYTES // diff.nbytes)
+    for first in range(0, resamples, chunk):
+        idx = gen.integers(0, reps, (min(chunk, resamples - first), reps))
+        part = slice(first, first + len(idx))
+        sups[part] = np.abs(diff[idx].mean(axis=1)).max(axis=1)
+        floors[part] = np.abs(centered[idx].mean(axis=1)).max(axis=1)
     return gap, float(sups.std(ddof=1)), float(np.quantile(floors, 0.99))
 
 

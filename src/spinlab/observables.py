@@ -183,30 +183,19 @@ def girsanov_stats(
             f"law {mat.law.name!r} has no declared third absolute moment"
         )
 
-    n = params.n_particles
-    kappa = params.kappa
-    m = params.substeps
-    h = params.grid_step
-    v = frozen.values
-    grid = frozen.grid
-
+    n, kappa, m, v = params.n_particles, params.kappa, params.substeps, frozen.values
+    # row i * kappa + k: particle i over sub-interval k (2-D keeps each row's bits)
+    cols = np.arange(kappa)[:, None] * m + np.arange(m + 1)
+    seg = potential._du1(v)[:, cols].reshape(n * kappa, m + 1)
+    drift_int = np.trapezoid(seg, dx=params.grid_step, axis=1).reshape(n, kappa)
+    dt = frozen.grid[m::m] - frozen.grid[:-1:m]
     b = np.empty((kappa, n))
-    x_mat = np.empty((kappa, n))
-    x_scale = params.beta * math.sqrt(params.horizon) / math.sqrt(n * kappa)
-    for k in range(kappa):
-        left = k * m
-        right = (k + 1) * m
-        seg = potential._du1(v[:, left : right + 1])
-        drift_int = np.trapezoid(seg, dx=h, axis=1)
-        dt = grid[right] - grid[left]
-        b[k] = (v[:, right] - v[:, left] + drift_int) / math.sqrt(dt)
-        x_mat[k] = x_scale * v[:, left]
+    np.divide((v[:, m::m] - v[:, :-1:m] + drift_int).T, np.sqrt(dt)[:, None], out=b)
+    x_mat = np.ascontiguousarray(v[:, :-1:m].T)
+    x_mat *= params.beta * math.sqrt(params.horizon) / math.sqrt(n * kappa)
 
     g = x_mat @ mat.entries.T
     m_big = 0.5 * np.sum(b * b, axis=0)
     delta = np.full(n, c1 * third / math.sqrt(n))
-    if c1 == 0.0:
-        phi = 0.0
-    else:
-        phi = float(np.mean(np.logaddexp(0.0, np.log(delta) + m_big)))
+    phi = 0.0 if c1 == 0.0 else float(np.mean(np.logaddexp(0.0, np.log(delta) + m_big)))
     return GirsanovRecord(b, g, m_big, delta, phi, float(c1))

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import pytest
 
@@ -227,6 +228,26 @@ def test_custom_law_bad_values_rejected(tmp_path, change, match):
     path.write_text(json.dumps(doc))
     with pytest.raises(ConfigError, match=match):
         parse_law(f"custom:{path}")
+
+
+@pytest.mark.parametrize("change, floor", [
+    ({"third_abs_moment": 0.999}, 1.0),  # no variance declared: E J^2 = 1
+    ({"variance": 4.0, "third_abs_moment": 7.9}, 8.0),
+])
+def test_custom_law_third_moment_below_the_lyapunov_bound_rejected(tmp_path, change,
+                                                                  floor):
+    doc = {**_triangular_free_doc(), **change}
+    if "variance" not in change:
+        del doc["variance"]
+    path = tmp_path / "flat.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match=re.escape(
+            f"third_abs_moment {change['third_abs_moment']!r} is below "
+            f"variance**1.5 = {floor!r}")):
+        parse_law(f"custom:{path}")
+    # a two-point law meets the bound with equality
+    path.write_text(json.dumps({**doc, "third_abs_moment": floor}))
+    assert parse_law(f"custom:{path}").third_abs_moment == floor
 
 
 def test_custom_law_scipy_value_error_is_config_error(tmp_path, monkeypatch):

@@ -354,6 +354,33 @@ def test_stacked_norm_cap_names_the_lowest_member_still_running(monkeypatch):
     assert err.value.best == alone.value.best
 
 
+def test_lockstep_members_leave_and_restart_on_their_own_passes(monkeypatch):
+    # a short stall window makes random draws stall and restart on different
+    # passes; the zero matrix restarts on lambda = 0 and a rank-1 matrix
+    # finishes at once; the error state is the caller's again afterwards
+    monkeypatch.setattr(disorder, "_STALL_STEPS", 15)
+    n = 12
+    mats = [np.zeros((n, n)), np.outer(np.arange(1.0, n + 1), np.ones(n))]
+    mats += [sample_matrix(law, n, seed=seed)
+             for seed in range(10) for law in (GAUSSIAN, RADEMACHER)]
+    with np.errstate(over="raise"):
+        before = np.geterr()
+        reports = disorder._lockstep(disorder._as_interaction(mats, 0.7), 1e-10)
+        assert np.geterr() == before
+        single = [operator_norm_report(m, beta=0.7) for m in mats]
+        assert [dataclasses.astuple(r) for r in reports] == [
+            dataclasses.astuple(r) for r in single]
+        assert reports[0].restarted and reports[0].value == 0.0
+        assert not reports[1].restarted
+        restarted = {r.iterations for r in reports if r.restarted}
+        finished = {r.iterations for r in reports if not r.restarted}
+        assert len(restarted) > 3 and len(finished) > 3
+        monkeypatch.setattr(disorder, "_MAX_ITER", 2)
+        with pytest.raises(PowerIterationError):
+            disorder._lockstep(disorder._as_interaction(mats, 0.7), 1e-10)
+        assert np.geterr() == before
+
+
 @pytest.mark.parametrize("n", [1, 5, 25])
 def test_norm_reports_over_several_stacks_equal_one_report_per_matrix(
         monkeypatch, n):

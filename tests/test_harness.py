@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,8 @@ from spinlab.harness import (
     run_universality,
     run_validation,
 )
+from spinlab.model import ModelParams, PathEnsemble, double_well, grid_times
+from spinlab.observables import girsanov_stats
 
 
 def _small(**kw):
@@ -680,6 +683,19 @@ def test_cli_bad_custom_law_exit_one(tmp_path, capsys):
     assert "config error:" in err and "scale must be finite" in err
 
 
+def test_cli_custom_law_below_the_lyapunov_bound_exit_one(tmp_path, capsys):
+    # E|J|^3 < (E J^2)^(3/2) describes no law, and would understate the tilt
+    (tmp_path / "law.json").write_text(json.dumps(
+        {"distribution": "norm", "variance": 4.0, "third_abs_moment": 7.9}))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"laws": ["gaussian", "custom:law.json"]}))
+    code = main(["validate", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "config error:" in err and "third_abs_moment 7.9 is below variance**1.5" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_bad_env_seed_exit_one(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("SPINLAB_SEED", "not-a-number")
     path = _write_cfg(tmp_path, laws=["gaussian"], n_particles=16)
@@ -960,3 +976,57 @@ def test_cli_replay_round_trip(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "matches stored trajectory: True" in out
     assert "fingerprint:" in out
+
+
+# ---------------------------------------------------------------------------
+# bootstrap and tilt in batched form
+
+def _reference_bootstrap_gap(diff, resamples, seed):
+    # the one-resample-per-call loop that the chunked draws must match
+    reps = diff.shape[0]
+    gen = np.random.Generator(np.random.Philox(key=seed))
+    centered = diff - diff.mean(axis=0)
+    sups, floors = np.empty(resamples), np.empty(resamples)
+    for b in range(resamples):
+        idx = gen.integers(0, reps, reps)
+        sups[b] = np.abs(diff[idx].mean(axis=0)).max()
+        floors[b] = np.abs(centered[idx].mean(axis=0)).max()
+    return (float(np.abs(diff.mean(axis=0)).max()), float(sups.std(ddof=1)),
+            float(np.quantile(floors, 0.99)))
+
+
+@pytest.mark.parametrize("reps", [2, 3, 40, 201])
+def test_bootstrap_gap_equals_one_draw_per_resample(monkeypatch, reps):
+    diff = np.random.default_rng(reps).standard_normal((reps, 9))
+    # chunks of 1 and 5 resamples, and the default (one chunk of them all);
+    # the resample counts fall below, on and above a chunk of 5
+    for stack_bytes in (diff.nbytes - 1, 5 * diff.nbytes, disorder._STACK_BYTES):
+        monkeypatch.setattr(disorder, "_STACK_BYTES", stack_bytes)
+        for resamples in (2, 5, 12, 400):
+            seed = 1000 * reps + resamples
+            assert harness._bootstrap_gap(diff, resamples, seed) == (
+                _reference_bootstrap_gap(diff, resamples, seed))
+
+
+def test_bootstrap_and_tilt_allocate_under_4_mib_at_the_default_shape():
+    # numpy asks for huge pages on arrays of 4 MiB or more, which makes the
+    # process's peak RSS depend on the kernel; the peak of traced memory
+    # during a call bounds every allocation it makes
+    cfg = load_config()
+    assert (cfg.replicas, cfg.total_steps() + 1, cfg.bootstrap_resamples) == (200, 201, 400)
+    params = ModelParams(200, 1.0, 2.0, 2.0, 10, 20, 1)
+    gen = np.random.default_rng(3)
+    ens = PathEnsemble(gen.uniform(-1.0, 1.0, (200, 201)), grid_times(params), params, 0, 0)
+    mat = disorder.sample_matrix(disorder.GAUSSIAN, 200, seed=4)
+    diff = gen.standard_normal((cfg.replicas, cfg.total_steps() + 1))
+    calls = [lambda: harness._bootstrap_gap(diff, cfg.bootstrap_resamples, 5),
+             lambda: girsanov_stats(ens, mat, params, double_well(2.0))]
+    tracemalloc.start()
+    try:
+        for call in calls:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            call()
+            assert tracemalloc.get_traced_memory()[1] - before < 4 * 2**20
+    finally:
+        tracemalloc.stop()

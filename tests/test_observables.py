@@ -1,5 +1,6 @@
 """Observable tests: path distances, autocorrelation, W2, Girsanov statistics."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -22,6 +23,7 @@ from spinlab.model import (
     PathEnsemble,
     double_well,
     grid_times,
+    log_barrier,
     point_mass,
     uniform_symmetric,
 )
@@ -262,3 +264,41 @@ def test_girsanov_validates_inputs():
     bare_mat = DisorderMatrix(mat.entries, bare, seed=0)
     with pytest.raises(ValueError):
         girsanov_stats(ens, bare_mat, p, pot)
+
+
+def _reference_girsanov(frozen, mat, params, potential, c1=1.0):
+    # the loop form of girsanov_stats, one call per sub-interval, which the
+    # batched form must match bit for bit
+    n, kappa, m, h = params.n_particles, params.kappa, params.substeps, params.grid_step
+    v, grid = frozen.values, frozen.grid
+    b = np.empty((kappa, n))
+    x_mat = np.empty((kappa, n))
+    x_scale = params.beta * math.sqrt(params.horizon) / math.sqrt(n * kappa)
+    for k in range(kappa):
+        left, right = k * m, (k + 1) * m
+        drift_int = np.trapezoid(potential._du1(v[:, left:right + 1]), dx=h, axis=1)
+        b[k] = (v[:, right] - v[:, left] + drift_int) / math.sqrt(grid[right] - grid[left])
+        x_mat[k] = x_scale * v[:, left]
+    g = x_mat @ mat.entries.T
+    m_big = 0.5 * np.sum(b * b, axis=0)
+    delta = np.full(n, c1 * mat.law.third_abs_moment / math.sqrt(n))
+    phi = 0.0 if c1 == 0.0 else float(np.mean(np.logaddexp(0.0, np.log(delta) + m_big)))
+    return b, g, m_big, delta, phi, float(c1)
+
+
+@pytest.mark.parametrize("potential", [double_well(2.0), log_barrier(2.0)],
+                         ids=["doublewell", "logbarrier"])
+@pytest.mark.parametrize("kappa, substeps", [
+    (1, 1), (1, 7), (3, 1), (3, 5), (4, 7), (10, 20), (20, 1), (20, 5)])
+def test_girsanov_equals_the_per_interval_loop_bit_for_bit(potential, kappa, substeps):
+    n = 17
+    params = ModelParams(n, 1.0, 2.0, 2.0, kappa, substeps, 5)
+    mat = sample_matrix(GAUSSIAN, n, seed=6)
+    ens = simulate_frozen(params, potential, mat, uniform_symmetric(1.0, 2.0), replica=0)
+    record = girsanov_stats(ens, mat, params, potential, c1=1.5)
+    reference = _reference_girsanov(ens, mat, params, potential, c1=1.5)
+    for name, got, want in zip(("b", "g", "m_big", "delta", "phi", "c1"),
+                               dataclasses.astuple(record), reference):
+        got, want = np.asarray(got), np.asarray(want)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+    assert record.b.flags.c_contiguous

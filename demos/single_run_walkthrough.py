@@ -10,7 +10,7 @@ import numpy as np
 
 from spinlab.disorder import GAUSSIAN, operator_norm_report, sample_matrix
 from spinlab.dynamics import simulate_coupled, simulate_full
-from spinlab.model import ModelParams, double_well, grid_times, uniform_symmetric
+from spinlab.model import InitialLaw, ModelParams, double_well, grid_times
 from spinlab.observables import autocorrelation
 from spinlab.streams import derive_seed
 
@@ -20,7 +20,7 @@ params = ModelParams(
     kappa=10, substeps=20, master_seed=2026,
 )
 potential = double_well(params.s_bound)
-initial = uniform_symmetric(1.0, params.s_bound)
+initial = InitialLaw("uniform", 1.0, params.s_bound)
 
 mat = sample_matrix(GAUSSIAN, N, derive_seed(params.master_seed, "demo", 0))
 norm = operator_norm_report(mat, beta=params.beta)

@@ -13,6 +13,7 @@ serially; ``--threads`` is still accepted and checked (values below 1 exit
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -160,9 +161,9 @@ def main(argv=None) -> int:
         seed = _resolve_seed(args)
         cfg = load_config(args.config)
         if seed is not None:
-            cfg = cfg.with_seed(seed)
+            cfg = dataclasses.replace(cfg, master_seed=seed)
         if args.out is not None:
-            cfg = cfg.with_output_dir(args.out)
+            cfg = dataclasses.replace(cfg, output_dir=args.out)
         if args.threads < 1:
             raise ConfigError("--threads must be >= 1")
         summary = _COMMANDS[args.command](cfg, store_paths=args.store_paths)

@@ -58,7 +58,7 @@ def _load_custom_law(path: Path) -> CustomSampler:
         raw = json.loads(path.read_text())
     except OSError as exc:
         raise ConfigError(f"cannot read custom law file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or not UTF-8
         raise ConfigError(f"custom law file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"custom law file {path} must hold a JSON object")
@@ -348,16 +348,6 @@ class ExperimentConfig:
         canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode()).hexdigest()
 
-    def with_seed(self, master_seed: int) -> "ExperimentConfig":
-        payload = self.as_dict()
-        payload["master_seed"] = master_seed
-        return ExperimentConfig(base_dir=self.base_dir, **payload)
-
-    def with_output_dir(self, output_dir: str) -> "ExperimentConfig":
-        payload = self.as_dict()
-        payload["output_dir"] = output_dir
-        return ExperimentConfig(base_dir=self.base_dir, **payload)
-
 
 _FIELD_NAMES = {f.name for f in fields(ExperimentConfig)} - {"base_dir"}
 
@@ -378,7 +368,7 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
             raw = json.loads(path.read_text())
         except OSError as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # not JSON, or not UTF-8
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError(f"config file {path} must hold a JSON object")

@@ -220,10 +220,6 @@ class DisorderMatrix:
     def n(self) -> int:
         return self.entries.shape[0]
 
-    def scaled(self, beta: float) -> np.ndarray:
-        """The interaction matrix A = (beta / sqrt(N)) J, computed on demand."""
-        return _as_interaction([self], beta)[0]
-
 
 def _aligned(shape) -> np.ndarray:
     """Empty float array of ``shape`` at a 64-byte boundary, for faster gemv."""

@@ -156,9 +156,9 @@ def _json_default(obj):
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(
-        json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n"
-    )
+    # strict JSON: a non-finite float raises instead of writing Infinity
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False,
+                               default=_json_default) + "\n")
 
 
 def _curve_rows(summary: RunSummary) -> list[dict]:
@@ -252,7 +252,10 @@ def _command(name: str):
             t0 = time.perf_counter()
             out = Path(out_dir) if out_dir is not None else Path(cfg.output_dir)
             target = _replaceable(out)
-            target.parent.mkdir(parents=True, exist_ok=True)
+            try:
+                target.parent.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:  # e.g. a regular file on the way
+                raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
             work = target.with_name(f".{target.name}.partial-{secrets.token_hex(6)}")
             work.mkdir()
             try:
@@ -621,6 +624,8 @@ def run_validation(cfg, summary, out, store_paths):
             return "FAIL" if any(word in f for f in report.failures) else "PASS"
 
         def check(name, status, value=None):
+            if isinstance(value, float) and not np.isfinite(value):
+                value = str(value)  # "inf": summary.json stays strict JSON
             summary.validation.append(
                 {"law": label, "check": name, "status": status, "value": value})
 
@@ -741,11 +746,17 @@ def replay(
     a stored path that fails to match raises NumericalFailure.
     """
     run_dir = Path(run_dir)
-    try:
-        stored_cfg = json.loads((run_dir / "config.json").read_text())
-        stored_summary = json.loads((run_dir / "summary.json").read_text())
-    except OSError as exc:
-        raise ConfigError(f"cannot read run directory {run_dir}: {exc}") from exc
+    docs = []
+    for name in ("config.json", "summary.json"):
+        try:
+            docs.append(json.loads((run_dir / name).read_text()))
+        except OSError as exc:
+            raise ConfigError(f"cannot read run directory {run_dir}: {exc}") from exc
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise ConfigError(f"{run_dir / name} is not valid JSON: {exc}") from exc
+        if not isinstance(docs[-1], dict):
+            raise ConfigError(f"{run_dir / name} must hold a JSON object")
+    stored_cfg, stored_summary = docs
 
     cfg = load_config(overrides=stored_cfg)
     if cfg.config_hash() != stored_summary.get("config_hash"):

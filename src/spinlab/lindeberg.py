@@ -26,7 +26,6 @@ from .streams import derive_seed
 
 __all__ = [
     "C0",
-    "GAUSSIAN_THIRD_ABS_MOMENT",
     "QuadraticForm",
     "h_eval",
     "lindeberg_bound",
@@ -44,8 +43,13 @@ __all__ = [
 # C0 = (1/2) e^{-sqrt(3)/2} (3^{1/4} + 3^{-1/4}); 6*C0 = sup_r e^{-r^2/2}(3r + r^3)
 C0 = 0.5 * math.exp(-math.sqrt(3.0) / 2.0) * (3.0**0.25 + 3.0**-0.25)
 
-GAUSSIAN_THIRD_ABS_MOMENT = math.sqrt(8.0 / math.pi)
-
+_KAPPA_MAX = 3  # instance shapes: kappa <= _KAPPA_MAX, N <= _N_MAX
+_N_MAX = 12
+_CERT_TOL = 1e-10  # certificate slack on the bound and on the lower bound
+_Z_TOL = 4.0  # standard errors a Gaussian MC estimate may be off by
+# expectation_mc sums over batches of this many samples; the grouping
+# fixes the estimate's last bits
+_MC_BATCH = 65536
 _ENUM_LIMIT = 20
 _ENUM_CHUNK = 1 << 16
 # expectation_mc draws, evaluates and exponentiates about this many normals
@@ -112,7 +116,7 @@ def lindeberg_bound(q: QuadraticForm, law: DisorderLaw) -> float:
     if third is None:
         raise ValueError(f"law {law.name!r} has no declared third absolute moment")
     col_sq = np.sum(q.x_mat * q.x_mat, axis=0)
-    return float(C0 * (third + GAUSSIAN_THIRD_ABS_MOMENT) * np.sum(col_sq**1.5))
+    return float(C0 * (third + GAUSSIAN.third_abs_moment) * np.sum(col_sq**1.5))
 
 
 @dataclass(frozen=True)
@@ -175,30 +179,24 @@ def _mc_batch(q: QuadraticForm, law: DisorderLaw, state, e: np.ndarray) -> np.nd
     return e
 
 
-def expectation_mc(
-    q: QuadraticForm,
-    law: DisorderLaw,
-    n_samples: int,
-    seed: int,
-    batch: int = 65536,
-):
+def expectation_mc(q: QuadraticForm, law: DisorderLaw, n_samples: int, seed: int):
     """Monte Carlo E[exp(-h(J))] under any entry law.
 
     Returns (estimate, standard_error).  Draws are deterministic in
     (law, seed) and, for the built-in laws, independent of any chunking.
-    ``batch`` fixes how the sums are grouped, so it fixes the estimate's
-    last bits.  Inside a batch, draws, ``h_eval`` and ``exp`` run in
-    sub-batches of about ``_MC_NORMALS`` normals, split so that they change
-    no bit of the batch's values.
+    The sums run over batches of ``_MC_BATCH`` samples.  Inside a batch,
+    draws, ``h_eval`` and ``exp`` run in sub-batches of about
+    ``_MC_NORMALS`` normals, split so that they change no bit of the
+    batch's values.
     """
     if n_samples < 1000:
         raise ValueError("n_samples must be >= 1000")
     state = law.sampler_state(seed, purpose="lindeberg-mc")
-    e = np.empty(min(batch, n_samples))
+    e = np.empty(min(_MC_BATCH, n_samples))
     total = 0.0
     total_sq = 0.0
-    for done in range(0, n_samples, batch):
-        eb = _mc_batch(q, law, state, e[: min(batch, n_samples - done)])
+    for done in range(0, n_samples, _MC_BATCH):
+        eb = _mc_batch(q, law, state, e[: min(_MC_BATCH, n_samples - done)])
         total += float(np.sum(eb))
         total_sq += float(np.sum(eb * eb))
     mean = total / n_samples
@@ -209,22 +207,20 @@ def expectation_mc(
 def random_instance(
     master_seed: int,
     index: int,
-    kappa_max: int = 3,
-    n_max: int = 12,
     beta: float = 1.0,
     horizon: float = 2.0,
     s_bound: float = 2.0,
 ) -> QuadraticForm:
     """Instance ``index`` of the certificate family.
 
-    Shapes kappa <= kappa_max, N <= n_max; entries of X are
+    Shapes kappa <= _KAPPA_MAX, N <= _N_MAX; entries of X are
     beta sqrt(horizon / (N kappa)) times uniforms in (-s, s), matching the
     scaling of the frozen-state coefficient rows, and b is standard normal.
     """
     key = derive_seed(master_seed, "lindeberg-instance", index)
     gen = np.random.Generator(np.random.Philox(key=key))
-    kappa = int(gen.integers(1, kappa_max + 1))
-    n = int(gen.integers(1, n_max + 1))
+    kappa = int(gen.integers(1, _KAPPA_MAX + 1))
+    n = int(gen.integers(1, _N_MAX + 1))
     scale = beta * math.sqrt(horizon / (n * kappa))
     x = scale * gen.uniform(-s_bound, s_bound, size=(kappa, n))
     b = gen.standard_normal(kappa)
@@ -252,9 +248,6 @@ class CertificateRow:
 def certificate_suite(
     n_instances: int = 500,
     master_seed: int = 0,
-    tol: float = 1e-10,
-    kappa_max: int = 3,
-    n_max: int = 12,
     beta: float = 1.0,
     horizon: float = 2.0,
     s_bound: float = 2.0,
@@ -262,20 +255,21 @@ def certificate_suite(
     """Certify the comparison bound on a family of random instances.
 
     Per instance: |E_rademacher[e^{-h}] - E_gaussian[e^{-h}]| must not
-    exceed the bound by more than ``tol``, and the Gaussian value must
-    dominate its determinant lower bound up to ``tol``.  Both expectations
-    are exact (enumeration and closed form), so failures are real.
+    exceed the bound by more than ``_CERT_TOL``, and the Gaussian value
+    must dominate its determinant lower bound up to ``_CERT_TOL``.  Both
+    expectations are exact (enumeration and closed form), so failures are
+    real.
     """
     rows = []
     for idx in range(n_instances):
-        q = random_instance(master_seed, idx, kappa_max, n_max, beta, horizon, s_bound)
+        q = random_instance(master_seed, idx, beta, horizon, s_bound)
         seed = derive_seed(master_seed, "lindeberg-instance", idx)
         disc = expectation_exact_discrete(q, RADEMACHER)
         gauss = gaussian_expectation_exact(q)
         bound = lindeberg_bound(q, RADEMACHER)
         diff = abs(disc - gauss.value)
-        lower_ok = gauss.value >= gauss.lower - tol
-        passed = (diff <= bound + tol) and lower_ok
+        lower_ok = gauss.value >= gauss.lower - _CERT_TOL
+        passed = (diff <= bound + _CERT_TOL) and lower_ok
         rows.append(
             CertificateRow(
                 idx, seed, q.kappa, q.n, disc, gauss.value, gauss.lower,
@@ -305,29 +299,24 @@ def gaussian_mc_check(
     n_instances: int = 50,
     n_samples: int = 1_000_000,
     master_seed: int = 0,
-    z_tol: float = 4.0,
-    kappa_max: int = 3,
-    n_max: int = 12,
     beta: float = 1.0,
     horizon: float = 2.0,
     s_bound: float = 2.0,
 ) -> list[GaussianCheckRow]:
     """Cross-check the determinant identity against Gaussian Monte Carlo.
 
-    Each instance must agree within ``z_tol`` standard errors and satisfy
+    Each instance must agree within ``_Z_TOL`` standard errors and satisfy
     the determinant lower bound.
     """
     rows = []
     for idx in range(n_instances):
-        q = random_instance(
-            master_seed, idx, kappa_max, n_max, beta, horizon, s_bound
-        )
+        q = random_instance(master_seed, idx, beta, horizon, s_bound)
         seed = derive_seed(master_seed, "lindeberg-mc", idx)
         exact = gaussian_expectation_exact(q)
         est, se = expectation_mc(q, GAUSSIAN, n_samples, seed)
         z = abs(est - exact.value) / se if se > 0 else 0.0
         lower_ok = exact.value >= exact.lower - 1e-12
-        passed = (z <= z_tol) and lower_ok
+        passed = (z <= _Z_TOL) and lower_ok
         rows.append(
             GaussianCheckRow(
                 idx, seed, q.kappa, q.n, exact.value, est, se, z, lower_ok, passed

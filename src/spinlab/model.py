@@ -22,9 +22,6 @@ __all__ = [
     "PathEnsemble",
     "log_barrier",
     "double_well",
-    "custom_potential",
-    "point_mass",
-    "uniform_symmetric",
     "u1_eval",
     "u1_prime",
     "u1_double_prime",
@@ -102,7 +99,8 @@ def grid_times(params: ModelParams) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Potential:
-    """Single-site potential on (-s, s) given by value/derivative maps."""
+    """Single-site potential on (-s, s) given by value/derivative maps; a
+    user's own maps go in as ``Potential("custom", s, u1, du1, d2u1)``."""
 
     kind: str
     s_bound: float
@@ -148,11 +146,6 @@ def double_well(s: float) -> Potential:
         return (2.0 * s2 + 2.0 * x2) / ((s2 - x2) * (s2 - x2)) - 2.0 + 4.0 * x2
 
     return Potential("doublewell", float(s), u1, du1, d2u1)
-
-
-def custom_potential(u1: Callable, u1p: Callable, u1pp: Callable, s: float) -> Potential:
-    """Wrap user-supplied value/derivative maps defined on (-s, s)."""
-    return Potential("custom", float(s), u1, u1p, u1pp)
 
 
 def _checked(p: Potential, x, fn) -> np.ndarray | float:
@@ -224,14 +217,6 @@ class InitialLaw:
                 )
         else:
             raise ValueError(f"unknown initial law kind {self.kind!r}")
-
-
-def point_mass(x0: float, s_bound: float) -> InitialLaw:
-    return InitialLaw("point", float(x0), float(s_bound))
-
-
-def uniform_symmetric(a: float, s_bound: float) -> InitialLaw:
-    return InitialLaw("uniform", float(a), float(s_bound))
 
 
 @dataclass(frozen=True)

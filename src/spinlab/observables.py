@@ -17,7 +17,6 @@ from .disorder import DisorderMatrix
 from .model import ModelParams, PathEnsemble, Potential
 
 __all__ = [
-    "d2_path",
     "coupling_msd",
     "autocorrelation",
     "marginal_w2_distance",
@@ -26,27 +25,6 @@ __all__ = [
     "GirsanovRecord",
     "girsanov_stats",
 ]
-
-
-def d2_path(x, y, horizon: float) -> float:
-    """Normalized L2 path distance ((1/T) int (x_t - y_t)^2 dt)^(1/2).
-
-    x and y are trajectories sampled on the same uniform grid over
-    [0, horizon]; the integral is a trapezoid sum.
-    """
-    xa = np.asarray(x, dtype=float)
-    ya = np.asarray(y, dtype=float)
-    if xa.ndim != 1 or ya.ndim != 1:
-        raise ValueError("paths must be one-dimensional")
-    if xa.shape != ya.shape:
-        raise ValueError(f"grid mismatch: {xa.shape} vs {ya.shape}")
-    if xa.size < 2:
-        raise ValueError("paths need at least two grid points")
-    if not horizon > 0:
-        raise ValueError("horizon must be > 0")
-    h = horizon / (xa.size - 1)
-    diff = xa - ya
-    return math.sqrt(np.trapezoid(diff * diff, dx=h) / horizon)
 
 
 def _check_same_grid(a: PathEnsemble, b: PathEnsemble):

@@ -25,7 +25,7 @@ from spinlab.disorder import (
 from spinlab.dynamics import simulate_full
 from spinlab.harness import run_freeze_sweep, run_universality
 from spinlab.lindeberg import certificate_suite, gaussian_mc_check
-from spinlab.model import ModelParams, double_well, point_mass, u1_eval
+from spinlab.model import InitialLaw, ModelParams, double_well, u1_eval
 from spinlab.streams import derive_seed
 
 
@@ -111,7 +111,7 @@ def test_criterion_3_stationary_density():
     # 10 time units of burn-in plus 10^5 retained samples at spacing 0.1
     params = ModelParams(1, 0.0, s, 10010.0, 1001, 1000,
                          derive_seed(31416, "stationarity"))
-    ens = simulate_full(params, potential, None, point_mass(1.0, s), replica=0)
+    ens = simulate_full(params, potential, None, InitialLaw("point", 1.0, s), replica=0)
     samples = np.sort(ens.values[0, 1010::10])
     assert samples.size == 100_000
 

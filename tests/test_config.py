@@ -1,5 +1,6 @@
 """Config file parsing: strict keys, value validation, hashing, law specs."""
 
+import dataclasses
 import json
 import math
 import re
@@ -43,6 +44,17 @@ def test_malformed_json_rejected(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text("{not json")
     with pytest.raises(ConfigError, match="not valid JSON"):
+        load_config(path)
+
+
+def test_non_utf8_config_and_law_files_rejected(tmp_path):
+    (tmp_path / "law.json").write_bytes(b"\xff{}")
+    path = tmp_path / "cfg.json"
+    path.write_bytes(b"\xff{}")
+    with pytest.raises(ConfigError, match="config file .* is not valid JSON"):
+        load_config(path)
+    path.write_text(json.dumps({"laws": ["gaussian", "custom:law.json"]}))
+    with pytest.raises(ConfigError, match="custom law file .* is not valid JSON"):
         load_config(path)
 
 
@@ -297,15 +309,19 @@ def test_config_hash_ignores_output_dir():
 
 
 def test_config_hash_tracks_seed():
+    # the CLI applies --seed and --out with dataclasses.replace, which
+    # validates the new value as the loader does
     a = load_config()
-    b = a.with_seed(a.master_seed + 1)
+    b = dataclasses.replace(a, master_seed=a.master_seed + 1)
     assert a.config_hash() != b.config_hash()
     assert b.master_seed == a.master_seed + 1
     assert b.n_particles == a.n_particles
+    with pytest.raises(ConfigError, match="master_seed"):
+        dataclasses.replace(a, master_seed=-1)
 
 
-def test_with_output_dir_round_trip():
-    cfg = load_config().with_output_dir("elsewhere")
+def test_replaced_output_dir_keeps_config_hash():
+    cfg = dataclasses.replace(load_config(), output_dir="elsewhere")
     assert cfg.output_dir == "elsewhere"
     assert cfg.config_hash() == load_config().config_hash()
 

@@ -23,7 +23,7 @@ from spinlab.disorder import (
 )
 from spinlab import disorder, dynamics
 from spinlab.dynamics import simulate_shared
-from spinlab.model import ModelParams, double_well, uniform_symmetric
+from spinlab.model import InitialLaw, ModelParams, double_well
 from spinlab.streams import CounterStream
 
 # Quadrature oracle for E|Exp(1) - 1|^3; the closed form it matches is
@@ -148,11 +148,12 @@ def test_matrix_row_is_lane_of_disorder_stream(law):
 
 
 def test_scaled_view():
-    # the norm's bytes rest on these being the bits of the plain product
+    # the norm's bytes rest on the scaled interaction matrix having the bits
+    # of the plain product, from a DisorderMatrix or a raw array alike
     for law, n, beta in ((RADEMACHER, 16, 0.5), (GAUSSIAN, 25, 1.3), (GAUSSIAN, 7, 0.7)):
         mat = sample_matrix(law, n, seed=1)
         expected = (beta / math.sqrt(n)) * mat.entries
-        np.testing.assert_array_equal(mat.scaled(beta), expected)
+        np.testing.assert_array_equal(disorder._as_interaction([mat], beta)[0], expected)
         raw = np.array(mat.entries)
         np.testing.assert_array_equal(disorder._as_interaction([raw], beta)[0], expected)
 
@@ -213,15 +214,16 @@ def test_interaction_matrices_start_on_a_cache_line(monkeypatch):
     for n in (1, 2, 7, 25, 100, 200):
         mats = [sample_matrix(law, n, seed=n) for law in (GAUSSIAN, RADEMACHER)]
         for beta in (1.0, 0.3):
-            starts.append(("scaled", mats[0].scaled(beta).ctypes.data % 64))
+            starts.append(("one matrix",
+                           disorder._as_interaction(mats[:1], beta).ctypes.data % 64))
             raw = np.array(mats[1].entries)
             starts.append(("raw stack",
                            disorder._as_interaction([raw, raw], beta).ctypes.data % 64))
         operator_norm_report(mats[1])
         params = ModelParams(n, 1.0, 2.0, 0.1, 2, 1, 7)
         simulate_shared([(params, False)], double_well(2.0), [mats],
-                        uniform_symmetric(1.0, 2.0), [0])
-    assert {kind for kind, _ in starts} == {"scaled", "raw stack", "norm stack",
+                        InitialLaw("uniform", 1.0, 2.0), [0])
+    assert {kind for kind, _ in starts} == {"one matrix", "raw stack", "norm stack",
                                             "entries stack"}
     assert [s for s in starts if s[1]] == []
 

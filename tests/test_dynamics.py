@@ -19,13 +19,7 @@ from spinlab.dynamics import (
     simulate_full,
     simulate_shared,
 )
-from spinlab.model import (
-    ModelParams,
-    custom_potential,
-    double_well,
-    point_mass,
-    uniform_symmetric,
-)
+from spinlab.model import InitialLaw, ModelParams, Potential, double_well
 from spinlab.streams import BrownianStream, CounterStream
 
 
@@ -34,13 +28,13 @@ def _params(n=10, beta=1.0, s=2.0, horizon=1.0, kappa=5, substeps=4, seed=7):
 
 
 def test_sample_initial_point_mass_consumes_no_randomness():
-    law = point_mass(0.3, 2.0)
+    law = InitialLaw("point", 0.3, 2.0)
     x = sample_initial(law, 8, CounterStream(1, "init-test"))
     np.testing.assert_array_equal(x, np.full(8, 0.3))
 
 
 def test_sample_initial_uniform_bounded_and_centered():
-    law = uniform_symmetric(1.5, 2.0)
+    law = InitialLaw("uniform", 1.5, 2.0)
     x = sample_initial(law, 20_000, CounterStream(1, "init-test"))
     assert np.all(np.abs(x) < 1.5)
     assert abs(x.mean()) < 0.03
@@ -48,7 +42,7 @@ def test_sample_initial_uniform_bounded_and_centered():
 
 
 def test_sample_initial_uniform_is_per_lane_uniform():
-    law = uniform_symmetric(1.5, 2.0)
+    law = InitialLaw("uniform", 1.5, 2.0)
     stream = CounterStream(9, "init-test")
     x = sample_initial(law, 12, stream)
     lanes = [law.value * (2 * stream.uniforms(i, 1)[0] - 1) for i in range(12)]
@@ -58,7 +52,7 @@ def test_sample_initial_uniform_is_per_lane_uniform():
 def test_no_matrix_equals_zero_matrix_bitwise():
     p = _params()
     pot = double_well(2.0)
-    init = uniform_symmetric(1.0, 2.0)
+    init = InitialLaw("uniform", 1.0, 2.0)
     zero = DisorderMatrix(np.zeros((p.n_particles, p.n_particles)), GAUSSIAN, seed=0)
     a = simulate_full(p, pot, None, init, replica=2)
     b = simulate_full(p, pot, zero, init, replica=2)
@@ -68,7 +62,7 @@ def test_no_matrix_equals_zero_matrix_bitwise():
 def test_beta_zero_ignores_disorder_bitwise():
     p0 = _params(beta=0.0)
     pot = double_well(2.0)
-    init = uniform_symmetric(1.0, 2.0)
+    init = InitialLaw("uniform", 1.0, 2.0)
     mat = sample_matrix(RADEMACHER, p0.n_particles, seed=11)
     a = simulate_full(p0, pot, mat, init, replica=0)
     b = simulate_full(p0, pot, None, init, replica=0)
@@ -79,7 +73,7 @@ def test_frozen_with_one_substep_is_the_full_dynamics():
     # refresh_every = substeps = 1 must take the identical code path
     p = _params(substeps=1, kappa=20)
     pot = double_well(2.0)
-    init = uniform_symmetric(1.0, 2.0)
+    init = InitialLaw("uniform", 1.0, 2.0)
     mat = sample_matrix(GAUSSIAN, p.n_particles, seed=3)
     full = simulate_full(p, pot, mat, init, replica=1)
     frozen = simulate_frozen(p, pot, mat, init, replica=1)
@@ -89,7 +83,7 @@ def test_frozen_with_one_substep_is_the_full_dynamics():
 def test_coupled_without_interaction_has_zero_distance():
     p = _params(beta=0.0)
     pot = double_well(2.0)
-    init = uniform_symmetric(1.0, 2.0)
+    init = InitialLaw("uniform", 1.0, 2.0)
     full, frozen, stats = simulate_coupled(p, pot, None, init, replica=0)
     np.testing.assert_array_equal(full.values, frozen.values)
     assert stats.msd == 0.0
@@ -100,7 +94,7 @@ def test_coupled_msd_matches_definition():
     """msd must equal (1/(N T)) trapezoid of ||X - X~||^2 over the grid."""
     p = _params(n=20, kappa=4, substeps=5)
     pot = double_well(2.0)
-    init = uniform_symmetric(1.0, 2.0)
+    init = InitialLaw("uniform", 1.0, 2.0)
     mat = sample_matrix(RADEMACHER, p.n_particles, seed=5)
     full, frozen, stats = simulate_coupled(p, pot, mat, init, replica=4)
     diff2 = np.sum((frozen.values - full.values) ** 2, axis=0)
@@ -112,7 +106,7 @@ def test_coupled_msd_matches_definition():
 def test_coupled_l_t_vanishes_at_freeze_points():
     p = _params(n=6, kappa=5, substeps=4)
     pot = double_well(2.0)
-    init = uniform_symmetric(1.0, 2.0)
+    init = InitialLaw("uniform", 1.0, 2.0)
     mat = sample_matrix(GAUSSIAN, p.n_particles, seed=9)
     _, _, stats = simulate_coupled(p, pot, mat, init, replica=0)
     for k in range(p.kappa + 1):
@@ -123,7 +117,7 @@ def _safeguarded_sweep():
     # tight box and coarse grid, so both sides need the boundary safeguard
     sweep = [ModelParams(30, 1.0, 1.0, 1.0, k, 12 // k, 31) for k in (2, 3, 4, 6)]
     mat = sample_matrix(GAUSSIAN, 30, seed=7)
-    return sweep, double_well(1.0), mat, uniform_symmetric(0.9, 1.0)
+    return sweep, double_well(1.0), mat, InitialLaw("uniform", 0.9, 1.0)
 
 
 def test_shared_sweep_equals_one_coupled_run_per_kappa():
@@ -254,7 +248,7 @@ def test_block_of_replicas_equals_one_call_per_replica():
 def test_block_failure_names_its_replica_major_member():
     # replica 1's second matrix pushes the dynamics out of the box
     p = ModelParams(30, 1.0, 1.0, 1.0, 2, 6, 31)
-    pot, init = double_well(1.0), uniform_symmetric(0.9, 1.0)
+    pot, init = double_well(1.0), InitialLaw("uniform", 0.9, 1.0)
     mats = [[sample_matrix(GAUSSIAN, 30, seed=2 * rep + k) for k in range(2)]
             for rep in range(3)]
     mats[1][1] = DisorderMatrix(1e12 * mats[1][1].entries, GAUSSIAN, 0)
@@ -266,7 +260,7 @@ def test_block_failure_names_its_replica_major_member():
 def test_stacked_failure_names_its_member():
     # only the third matrix pushes the dynamics out of the box
     p = ModelParams(30, 1.0, 1.0, 1.0, 2, 6, 31)
-    pot, init = double_well(1.0), uniform_symmetric(0.9, 1.0)
+    pot, init = double_well(1.0), InitialLaw("uniform", 0.9, 1.0)
     mats = [sample_matrix(GAUSSIAN, 30, seed=s) for s in (7, 8)]
     mats.append(DisorderMatrix(1e12 * mats[1].entries, GAUSSIAN, 0))
     with pytest.raises(SafeguardError) as err:
@@ -303,10 +297,11 @@ def test_shared_rejects_runs_on_different_grids():
 
 def test_frozen_safeguard_failure_names_its_kappa():
     sweep, pot, mat, _ = _safeguarded_sweep()
-    repel = custom_potential(
-        lambda x: -25.0 * x**2, lambda x: -50.0 * x, lambda x: -50.0 + 0.0 * x, 1.0
+    repel = Potential(
+        "custom", 1.0,
+        lambda x: -25.0 * x**2, lambda x: -50.0 * x, lambda x: -50.0 + 0.0 * x,
     )
-    init = point_mass(0.5, 1.0)
+    init = InitialLaw("point", 0.5, 1.0)
     with pytest.raises(SafeguardError, match=r"kappa=3\)$"):
         simulate_shared([(sweep[1], True), (sweep[0], False)], repel, [[mat]], init, [0])
     with pytest.raises(SafeguardError) as err:
@@ -318,7 +313,7 @@ def test_shared_streams_same_initials_different_paths():
     # same replica index reuses initial draws and increments across matrices
     p = _params()
     pot = double_well(2.0)
-    init = uniform_symmetric(1.0, 2.0)
+    init = InitialLaw("uniform", 1.0, 2.0)
     a = simulate_full(p, pot, sample_matrix(GAUSSIAN, p.n_particles, seed=1), init, replica=6)
     b = simulate_full(p, pot, sample_matrix(RADEMACHER, p.n_particles, seed=2), init, replica=6)
     np.testing.assert_array_equal(a.values[:, 0], b.values[:, 0])
@@ -328,7 +323,7 @@ def test_shared_streams_same_initials_different_paths():
 def test_simulation_is_deterministic():
     p = _params()
     pot = double_well(2.0)
-    init = uniform_symmetric(1.0, 2.0)
+    init = InitialLaw("uniform", 1.0, 2.0)
     mat = sample_matrix(GAUSSIAN, p.n_particles, seed=8)
     a = simulate_full(p, pot, mat, init, replica=5)
     b = simulate_full(p, pot, mat, init, replica=5)
@@ -341,7 +336,7 @@ def test_trajectories_stay_strictly_inside_even_with_coarse_steps():
     # tight box and coarse grid: per-step noise sd 0.32 against walls at 1
     p = ModelParams(50, 0.0, 1.0, 1.0, 5, 2, 31)
     pot = double_well(1.0)
-    init = uniform_symmetric(0.9, 1.0)
+    init = InitialLaw("uniform", 0.9, 1.0)
     ens = simulate_full(p, pot, None, init, replica=0)
     assert np.all(np.abs(ens.values) < 2.0)
     assert ens.safeguard_activations > 0
@@ -349,11 +344,12 @@ def test_trajectories_stay_strictly_inside_even_with_coarse_steps():
 
 def test_safeguard_raises_loudly_when_dynamics_escape():
     # outward drift: the true solution exits the box, refinement cannot save it
-    repel = custom_potential(
-        lambda x: -25.0 * x**2, lambda x: -50.0 * x, lambda x: -50.0 + 0.0 * x, 1.0
+    repel = Potential(
+        "custom", 1.0,
+        lambda x: -25.0 * x**2, lambda x: -50.0 * x, lambda x: -50.0 + 0.0 * x,
     )
     p = ModelParams(1, 0.0, 1.0, 1.0, 10, 1, 17)
-    init = point_mass(0.5, 1.0)
+    init = InitialLaw("point", 0.5, 1.0)
     with pytest.raises(SafeguardError):
         simulate_full(p, repel, None, init, replica=0)
 
@@ -396,10 +392,10 @@ def test_weak_error_halves_with_step():
     Monte Carlo noise in the mean difference is O(h/sqrt(N)) and the
     deterministic O(h) bias dominates.
     """
-    ou = custom_potential(
-        lambda x: 0.5 * x**2, lambda x: x, lambda x: 1.0 + 0.0 * x, 50.0
+    ou = Potential(
+        "custom", 50.0, lambda x: 0.5 * x**2, lambda x: x, lambda x: 1.0 + 0.0 * x
     )
-    init = point_mass(1.0, 50.0)
+    init = InitialLaw("point", 1.0, 50.0)
 
     def mean_bias(substeps):
         p = ModelParams(20_000, 0.0, 50.0, 1.0, 10, substeps, 23)

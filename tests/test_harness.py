@@ -735,6 +735,58 @@ def test_cli_bad_threads_exit_one(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("below", ["sub", "a/b"])
+def test_cli_out_below_a_regular_file_exit_one(tmp_path, capsys, below):
+    path = _write_cfg(tmp_path, laws=["gaussian"])
+    (tmp_path / "file").write_text("")
+    code = main(["validate", "--config", str(path),
+                 "--out", str(tmp_path / "file" / below)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "cannot create output directory" in err
+
+
+def _replay_with(tmp_path, name, content):
+    """Exit code of replaying a finished run whose ``name`` holds ``content``."""
+    run_simulate(_small(), out_dir=tmp_path / "run")
+    (tmp_path / "run" / name).write_bytes(content)
+    return main(["replay", str(tmp_path / "run"), "--law", "gaussian", "--replica", "0"])
+
+
+@pytest.mark.parametrize("content", [b"{not json", b"\xff{}"],
+                         ids=["garbled", "not-utf8"])
+@pytest.mark.parametrize("name", ["config.json", "summary.json"])
+def test_cli_replay_of_a_run_file_that_is_not_json_exit_one(tmp_path, capsys, name,
+                                                           content):
+    assert _replay_with(tmp_path, name, content) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"{name} is not valid JSON" in err
+
+
+@pytest.mark.parametrize("name", ["config.json", "summary.json"])
+def test_cli_replay_of_a_run_file_that_is_not_an_object_exit_one(tmp_path, capsys, name):
+    assert _replay_with(tmp_path, name, b"[1, 2]") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"{name} must hold a JSON object" in err
+
+
+def test_validate_summary_is_strict_json_with_an_infinite_trend(tmp_path, capsys):
+    # cexp's mgf is infinite at theta = 1, so eps = 1 makes its mgf-bounded row inf
+    path = _write_cfg(tmp_path, eps=1.0, laws=["cexp", "gaussian"])
+    assert main(["validate", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert "check law=cexp mgf-bounded: TREND (inf)" in capsys.readouterr().out
+
+    def reject(constant):
+        raise ValueError(f"summary.json holds the non-standard constant {constant}")
+
+    text = (tmp_path / "out" / "summary.json").read_text()
+    rows = json.loads(text, parse_constant=reject)["validation"]
+    assert [r["value"] for r in rows
+            if r["law"] == "cexp" and r["check"] == "mgf-bounded"] == ["inf"]
+    with pytest.raises(ValueError):
+        harness._write_json(tmp_path / "nan.json", {"value": math.nan})
+
+
 @pytest.mark.parametrize("initial", ["point:1.9999999", "point:-1.9999999",
                                      "uniform:1.9999999"])
 def test_cli_initial_law_in_the_guard_band_exit_one(tmp_path, capsys, initial):

@@ -11,7 +11,6 @@ from spinlab import lindeberg
 from spinlab.disorder import CENTERED_EXPONENTIAL, GAUSSIAN, RADEMACHER, CustomSampler
 from spinlab.lindeberg import (
     C0,
-    GAUSSIAN_THIRD_ABS_MOMENT,
     QuadraticForm,
     certificate_suite,
     expectation_exact_discrete,
@@ -206,10 +205,11 @@ def _whole_batch_mc(q, law, n_samples, seed, batch):
 @pytest.mark.parametrize("n", [1, 5, 12])
 def test_mc_sub_batches_change_no_bit(monkeypatch, n, kappa, normals, batch, n_samples):
     monkeypatch.setattr(lindeberg, "_MC_NORMALS", normals)
+    monkeypatch.setattr(lindeberg, "_MC_BATCH", batch)
     rng = np.random.default_rng(100 * n + kappa)
     q = QuadraticForm(rng.uniform(-1.0, 1.0, (kappa, n)), rng.standard_normal(kappa))
     want = _whole_batch_mc(q, GAUSSIAN, n_samples, 5, batch)
-    assert expectation_mc(q, GAUSSIAN, n_samples, 5, batch) == want
+    assert expectation_mc(q, GAUSSIAN, n_samples, 5) == want
 
 
 @pytest.mark.parametrize("normals", [1, 7, 50, lindeberg._MC_NORMALS])
@@ -242,8 +242,7 @@ def test_mc_working_set_stays_below_numpy_huge_page_threshold():
 
 def test_random_instance_shapes_scaling_and_determinism():
     for idx in range(20):
-        q = random_instance(42, idx, kappa_max=3, n_max=12, beta=1.5,
-                            horizon=2.0, s_bound=2.0)
+        q = random_instance(42, idx, beta=1.5, horizon=2.0, s_bound=2.0)
         assert 1 <= q.kappa <= 3 and 1 <= q.n <= 12
         cap = 1.5 * math.sqrt(2.0 / (q.n * q.kappa)) * 2.0
         assert np.max(np.abs(q.x_mat)) <= cap

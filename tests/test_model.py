@@ -12,16 +12,13 @@ from spinlab.model import (
     InitialLaw,
     ModelParams,
     PathEnsemble,
-    custom_potential,
     double_well,
     grid_times,
     log_barrier,
     max_negative_curvature,
-    point_mass,
     u1_double_prime,
     u1_eval,
     u1_prime,
-    uniform_symmetric,
 )
 
 
@@ -113,14 +110,14 @@ def test_model_params_validation():
 
 def test_initial_law_rejects_boundary_support():
     with pytest.raises(ValueError):
-        point_mass(2.0, 2.0)
+        InitialLaw("point", 2.0, 2.0)
     with pytest.raises(ValueError):
-        point_mass(-2.3, 2.0)
+        InitialLaw("point", -2.3, 2.0)
     with pytest.raises(ValueError):
-        uniform_symmetric(2.0, 2.0)
+        InitialLaw("uniform", 2.0, 2.0)
     with pytest.raises(ValueError):
-        uniform_symmetric(0.0, 2.0)
-    assert isinstance(point_mass(1.9, 2.0), InitialLaw)
+        InitialLaw("uniform", 0.0, 2.0)
+    assert isinstance(InitialLaw("point", 1.9, 2.0), InitialLaw)
 
 
 def test_path_ensemble_rejects_boundary_values():

@@ -19,18 +19,16 @@ from spinlab.disorder import (
 )
 from spinlab.dynamics import simulate_coupled, simulate_frozen, simulate_full
 from spinlab.model import (
+    InitialLaw,
     ModelParams,
     PathEnsemble,
     double_well,
     grid_times,
     log_barrier,
-    point_mass,
-    uniform_symmetric,
 )
 from spinlab.observables import (
     autocorrelation,
     coupling_msd,
-    d2_path,
     girsanov_stats,
     marginal_w2_distance,
     w2_empirical,
@@ -39,54 +37,26 @@ from spinlab.observables import (
 _TWELVE_OVER_E_MINUS_TWO = 12.0 / math.e - 2.0
 
 
-def test_d2_identical_paths_is_zero():
-    x = np.sin(np.linspace(0.0, 3.0, 50))
-    assert d2_path(x, x, 1.0) == 0.0
-
-
-def test_d2_constant_shift_is_the_shift():
-    x = np.zeros(33)
-    y = np.full(33, 0.7)
-    assert d2_path(x, y, 2.0) == pytest.approx(0.7, rel=1e-12)
-
-
-def test_d2_linear_ramp_matches_quadrature():
-    # x = 0, y = t on [0, 1]: ((1/1) int t^2 dt)^(1/2) = 1/sqrt(3)
-    t = np.linspace(0.0, 1.0, 2001)
-    assert d2_path(np.zeros_like(t), t, 1.0) == pytest.approx(
-        1.0 / math.sqrt(3.0), rel=1e-6
-    )
-
-
-def test_d2_rejects_bad_input():
-    with pytest.raises(ValueError):
-        d2_path(np.zeros(5), np.zeros(6), 1.0)
-    with pytest.raises(ValueError):
-        d2_path(np.zeros((2, 3)), np.zeros((2, 3)), 1.0)
-    with pytest.raises(ValueError):
-        d2_path(np.zeros(5), np.zeros(5), 0.0)
-    with pytest.raises(ValueError):
-        d2_path(np.zeros(1), np.zeros(1), 1.0)
-
-
 def _run_pair(n=12, seed=3, replica=0):
     p = ModelParams(n, 1.0, 2.0, 1.0, 5, 4, seed)
     pot = double_well(2.0)
-    init = uniform_symmetric(1.0, 2.0)
+    init = InitialLaw("uniform", 1.0, 2.0)
     mat = sample_matrix(RADEMACHER, n, seed=seed)
     return simulate_coupled(p, pot, mat, init, replica=replica)
 
 
 def test_coupling_msd_matches_single_particle_d2():
-    # with one particle the coupling msd is exactly the squared d2 distance
+    # with one particle the coupling msd is exactly the squared normalized
+    # L2 path distance (1/T) int (x_t - y_t)^2 dt
     p = ModelParams(1, 1.0, 2.0, 1.0, 5, 4, 21)
     pot = double_well(2.0)
-    init = uniform_symmetric(1.0, 2.0)
+    init = InitialLaw("uniform", 1.0, 2.0)
     mat = sample_matrix(GAUSSIAN, 1, seed=2)
     full, frozen, _ = simulate_coupled(p, pot, mat, init, replica=0)
     msd = coupling_msd(full, frozen)
-    d2 = d2_path(full.values[0], frozen.values[0], p.horizon)
-    assert msd == pytest.approx(d2**2, rel=1e-12)
+    diff = full.values[0] - frozen.values[0]
+    d2_sq = np.trapezoid(diff * diff, dx=p.grid_step) / p.horizon
+    assert msd == pytest.approx(d2_sq, rel=1e-12)
 
 
 def test_coupling_msd_self_is_zero_and_matches_stats():
@@ -101,7 +71,7 @@ def test_coupling_msd_rejects_grid_mismatch():
         ModelParams(12, 1.0, 2.0, 1.0, 5, 8, 3),
         double_well(2.0),
         None,
-        uniform_symmetric(1.0, 2.0),
+        InitialLaw("uniform", 1.0, 2.0),
     )
     with pytest.raises(ValueError):
         coupling_msd(full, other)
@@ -109,13 +79,13 @@ def test_coupling_msd_rejects_grid_mismatch():
 
 def test_autocorrelation_zero_start_is_identically_zero():
     p = ModelParams(30, 0.0, 2.0, 1.0, 5, 4, 9)
-    ens = simulate_full(p, double_well(2.0), None, point_mass(0.0, 2.0))
+    ens = simulate_full(p, double_well(2.0), None, InitialLaw("point", 0.0, 2.0))
     np.testing.assert_array_equal(autocorrelation(ens), np.zeros(p.n_steps + 1))
 
 
 def test_autocorrelation_at_time_zero_is_mean_square_start():
     p = ModelParams(20_000, 0.0, 2.0, 0.2, 2, 2, 13)
-    ens = simulate_full(p, double_well(2.0), None, uniform_symmetric(1.0, 2.0))
+    ens = simulate_full(p, double_well(2.0), None, InitialLaw("uniform", 1.0, 2.0))
     c = autocorrelation(ens)
     assert c[0] == pytest.approx(np.mean(ens.values[:, 0] ** 2), rel=1e-14)
     # Uniform(-1, 1) second moment is 1/3
@@ -186,7 +156,7 @@ def test_marginal_w2_rejects_grid_mismatch():
         ModelParams(12, 1.0, 2.0, 1.0, 5, 8, 3),
         double_well(2.0),
         None,
-        uniform_symmetric(1.0, 2.0),
+        InitialLaw("uniform", 1.0, 2.0),
     )
     with pytest.raises(ValueError):
         marginal_w2_distance(full, other)
@@ -195,7 +165,7 @@ def test_marginal_w2_rejects_grid_mismatch():
 def _frozen_run(n=400, kappa=10, substeps=20, beta=0.0, seed=29, law=RADEMACHER):
     p = ModelParams(n, beta, 2.0, 2.0, kappa, substeps, seed)
     pot = double_well(2.0)
-    init = uniform_symmetric(1.0, 2.0)
+    init = InitialLaw("uniform", 1.0, 2.0)
     mat = sample_matrix(law, n, seed=seed + 1)
     ens = simulate_frozen(p, pot, mat, init, replica=0)
     return ens, mat, p, pot
@@ -294,7 +264,7 @@ def test_girsanov_equals_the_per_interval_loop_bit_for_bit(potential, kappa, sub
     n = 17
     params = ModelParams(n, 1.0, 2.0, 2.0, kappa, substeps, 5)
     mat = sample_matrix(GAUSSIAN, n, seed=6)
-    ens = simulate_frozen(params, potential, mat, uniform_symmetric(1.0, 2.0), replica=0)
+    ens = simulate_frozen(params, potential, mat, InitialLaw("uniform", 1.0, 2.0), replica=0)
     record = girsanov_stats(ens, mat, params, potential, c1=1.5)
     reference = _reference_girsanov(ens, mat, params, potential, c1=1.5)
     for name, got, want in zip(("b", "g", "m_big", "delta", "phi", "c1"),

@@ -9,7 +9,7 @@ from numpy.random import Philox
 from spinlab import streams
 from spinlab.disorder import GAUSSIAN, sample_matrix
 from spinlab.dynamics import simulate_full
-from spinlab.model import ModelParams, double_well, uniform_symmetric
+from spinlab.model import InitialLaw, ModelParams, double_well
 from spinlab.streams import BrownianStream, CounterStream, derive_seed
 
 
@@ -167,7 +167,7 @@ def test_one_generator_per_stream(monkeypatch):
         return Philox(*args, **kwargs)
 
     monkeypatch.setattr(streams, "Philox", counting)
-    simulate_full(p, double_well(2.0), mat, uniform_symmetric(1.0, 2.0), replica=1)
+    simulate_full(p, double_well(2.0), mat, InitialLaw("uniform", 1.0, 2.0), replica=1)
     assert len(built) == 3  # init, brownian, bridge
     del built[:]
     sample_matrix(GAUSSIAN, 20, seed=3)

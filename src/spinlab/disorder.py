@@ -527,11 +527,15 @@ def validate_law(law: DisorderLaw, n_draws: int = _VALIDATE_DRAWS, seed: int = _
     # empirical route
     state = law.sampler_state(seed, purpose="validate")
     draws = law.draw(state, n_draws)
-    emp_mean = float(np.mean(draws))
-    emp_var = float(np.var(draws))
-    m4 = float(np.mean((draws - emp_mean) ** 4))
+    with np.errstate(over="ignore", invalid="ignore"):  # an extreme tail overflows
+        emp_mean = float(np.mean(draws))
+        emp_var = float(np.var(draws))
+        m4 = float(np.mean((draws - emp_mean) ** 4))
+    if not all(map(math.isfinite, (emp_mean, emp_var, m4))):
+        failures.append(f"empirical moments overflow: mean {emp_mean:.4g}, "
+                        f"variance {emp_var:.4g}, fourth central moment {m4:.4g}")
     se_mean = math.sqrt(max(emp_var, 1e-300) / n_draws)
-    se_var = math.sqrt(max(m4 - emp_var**2, 0.0) / n_draws)
+    se_var = math.sqrt(max(m4 - emp_var * emp_var, 0.0) / n_draws)
 
     # divergence probe: median variance over disjoint batches is scale-stable
     # when the second moment is finite, but grows with the batch size when it

@@ -431,15 +431,19 @@ def test_validation_builtin_laws_pass_deterministically(tmp_path):
 
 
 def test_validation_flags_heavy_tailed_custom_law(tmp_path):
-    law_path = tmp_path / "heavy.json"
-    law_path.write_text(json.dumps({"name": "heavy", "distribution": "cauchy"}))
-    cfg = _small(laws=["gaussian", f"custom:{law_path}"])
-    summary = run_validation(cfg, out_dir=tmp_path / "out")
-    heavy = [r for r in summary.validation if r["law"] == "heavy"]
-    status = {r["check"]: r["status"] for r in heavy}
-    assert status["unit-variance"] == "FAIL"
-    assert status["mean-zero"] == "FAIL"
-    assert status["norm-concentration"].startswith("SKIPPED")
+    # pareto(0.05) draws reach 1e119: its variance overflows a float square
+    for law in ({"distribution": "cauchy"}, {"distribution": "pareto", "args": [0.05]}):
+        law_path = tmp_path / "heavy.json"
+        law_path.write_text(json.dumps({"name": "heavy", **law}))
+        cfg = _small(laws=["gaussian", f"custom:{law_path}"])
+        out = tmp_path / law["distribution"]
+        summary = run_validation(cfg, out_dir=out)
+        heavy = [r for r in summary.validation if r["law"] == "heavy"]
+        status = {r["check"]: r["status"] for r in heavy}
+        assert status["unit-variance"] == "FAIL"
+        assert status["mean-zero"] == "FAIL"
+        assert status["norm-concentration"].startswith("SKIPPED")
+        json.loads((out / "summary.json").read_text(), parse_constant=pytest.fail)
 
 
 # ---------------------------------------------------------------------------
@@ -627,29 +631,23 @@ def test_cli_validate_exit_zero(tmp_path, capsys):
     assert (tmp_path / "out" / "summary.json").exists()
 
 
-# Runs every command in one fresh interpreter and reports the scipy modules
-# loaded before and after the lindeberg command.
+# Runs every command and replay in one fresh interpreter and reports the
+# scipy modules loaded.
 _IMPORT_PROBE = """
 import json, sys
 from spinlab.cli import main
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-
 cfg, out = sys.argv[1], sys.argv[2]
-for command in ("validate", "universality", "simulate", "freeze-sweep"):
+for command in ("validate", "universality", "simulate", "freeze-sweep", "lindeberg"):
     argv = [command, "--config", cfg, "--out", out + "/" + command]
     assert main(argv + ["--store-paths"] * (command == "simulate")) == 0
 assert main(["replay", out + "/simulate", "--law", "gaussian", "--replica", "0"]) == 0
-before = scipy_modules()
-assert main(["lindeberg", "--config", cfg, "--out", out + "/lindeberg"]) == 0
-print(json.dumps({"before": before, "after": scipy_modules()}))
+print(json.dumps(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")))
 """
 
 
 def test_commands_keep_scipy_off_the_load_path(tmp_path):
-    """Of all commands and replay, only ``lindeberg`` loads scipy, and then
-    only ``scipy.linalg``."""
+    """No command and no replay loads any scipy module."""
     path = _write_cfg(tmp_path)
     src = str(Path(spinlab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -658,11 +656,7 @@ def test_commands_keep_scipy_off_the_load_path(tmp_path):
         [sys.executable, "-c", _IMPORT_PROBE, str(path), str(tmp_path / "out")],
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    loaded = json.loads(proc.stdout.splitlines()[-1])
-    assert loaded["before"] == []
-    assert "scipy.linalg" in loaded["after"]
-    for name in ("scipy.stats", "scipy.integrate", "scipy.special"):
-        assert name not in loaded["after"]
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
 
 
 def test_cli_unknown_config_key_exit_one(tmp_path, capsys):

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, linalg
 
 from spinlab import lindeberg
 from spinlab.disorder import CENTERED_EXPONENTIAL, GAUSSIAN, RADEMACHER, CustomSampler
@@ -94,6 +94,49 @@ def test_gaussian_exact_zero_matrix_meets_lower_bound():
     g = gaussian_expectation_exact(q)
     assert g.value == pytest.approx(math.exp(-0.5 * 0.49), rel=1e-14)
     assert g.value == pytest.approx(g.lower, rel=1e-14)
+
+
+def _scipy_closed_form(q):
+    """(value, lower) through scipy's cho_factor and cho_solve."""
+    cho = linalg.cho_factor(np.eye(q.kappa) + q.x_mat @ q.x_mat.T, lower=True)
+    half_logdet = float(np.sum(np.log(np.diag(cho[0]))))
+    quad = float(q.b_vec @ linalg.cho_solve(cho, q.b_vec))
+    return (math.exp(-half_logdet - 0.5 * quad),
+            math.exp(-0.5 * float(q.b_vec @ q.b_vec) - half_logdet))
+
+
+def test_fma_rounds_once():
+    # (1 + 2^-30)(1 - 2^-30) = 1 - 2^-60 rounds to 1 as a plain product
+    assert lindeberg._fma(1.0 + 2.0**-30, 1.0 - 2.0**-30, -1.0) == -(2.0**-60)
+    assert lindeberg._fma(-3.0, 0.5, 1.5) == 0.0
+
+
+def test_gaussian_exact_matches_scipy_bit_for_bit():
+    # kappa <= 3, every shape a command draws: the recorded lindeberg.csv
+    # digests came from scipy's Cholesky factor and solve
+    qs = [random_instance(seed, i) for seed in (0, 7, 31416) for i in range(1700)]
+    assert {q.kappa for q in qs} == {1, 2, 3}
+    gen = np.random.default_rng(3)
+    qs += [QuadraticForm(gen.uniform(-1.0, 1.0, (k, 4)), np.zeros(k)) for k in (1, 2, 3)]
+    qs += [QuadraticForm(np.zeros((k, 4)), gen.standard_normal(k)) for k in (1, 2, 3)]
+    qs += [QuadraticForm(np.array([[x]]), np.array([b]))
+           for x, b in gen.uniform(-2.0, 2.0, (50, 2))]
+    for q in qs:
+        g = gaussian_expectation_exact(q)
+        value, lower = _scipy_closed_form(q)
+        assert (g.value.hex(), g.lower.hex()) == (value.hex(), lower.hex())
+
+
+@pytest.mark.parametrize("kappa", [4, 5, 6])
+def test_gaussian_exact_general_kappa_matches_scipy(kappa):
+    gen = np.random.default_rng(kappa)
+    for _ in range(200):
+        n = int(gen.integers(1, 13))
+        q = QuadraticForm(gen.uniform(-1.5, 1.5, (kappa, n)), gen.standard_normal(kappa))
+        value, lower = _scipy_closed_form(q)
+        g = gaussian_expectation_exact(q)
+        assert g.value == pytest.approx(value, rel=1e-12)
+        assert g.lower == pytest.approx(lower, rel=1e-12)
 
 
 @pytest.mark.parametrize("x,b", [(0.8, 0.0), (1.3, -0.6), (0.2, 2.0)])

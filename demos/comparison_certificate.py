@@ -24,7 +24,7 @@ q = QuadraticForm(
     x_mat=np.array([[0.35, -0.20, 0.10], [0.05, 0.25, -0.15]]),
     b_vec=np.array([0.40, -0.30]),
 )
-discrete = expectation_exact_discrete(q, RADEMACHER)
+discrete = expectation_exact_discrete(q)
 gaussian = gaussian_expectation_exact(q)
 bound = lindeberg_bound(q, RADEMACHER)
 print("hand-built instance, 3 Rademacher entries, 2 quadratic rows:")

@@ -2,9 +2,10 @@
 
 Shows the three layers of disorder checking:
 
-1. validate_law: moment and tail conditions, analytic when declared,
-   empirical otherwise.  A Cauchy sampler is run through the same gate to
-   show the divergence probe catching an infinite second moment.
+1. validate_law: moment and tail conditions, analytic when every moment
+   is declared, sampled otherwise.  A Cauchy sampler is run through the
+   same gate to show the divergence probe catching an infinite second
+   moment, and each failed check prints its reasons.
 2. condition_diagnostics: the growth quantities behind the comparison
    argument (MGF bound, scaled third moment, norm samples).
 3. operator_norm_report: power iteration with a certified bracket,
@@ -40,8 +41,9 @@ cauchy = CustomSampler(
 )
 report = validate_law(cauchy)
 print(f"\n{cauchy.name:<12} passed={report.passed}")
-for failure in report.failures:
-    print(f"  failure: {failure}")
+for check, reasons in report.failures.items():
+    for reason in reasons:
+        print(f"  {check} failed: {reason}")
 
 print("\ngrowth diagnostics for rademacher at a few sizes:")
 for n in (16, 64, 256):

@@ -150,7 +150,7 @@ class CustomSampler(DisorderLaw):
     a seed, but entries are filled in row-major order rather than counter
     addressed, so single-entry isolation is not available for custom laws.
     Moments left as ``None`` are treated as unknown and validated
-    empirically.
+    empirically; the MGF and exponential moment are always unknown.
     """
 
     def __init__(
@@ -160,22 +160,12 @@ class CustomSampler(DisorderLaw):
         mean: float | None = None,
         variance: float | None = None,
         third_abs_moment: float | None = None,
-        mgf: Callable[[float], float] | None = None,
-        exp_abs_moment: Callable[[float], float] | None = None,
     ):
         self.name = name
         self._sampler = sampler
         self.mean = mean
         self.variance = variance
         self.third_abs_moment = third_abs_moment
-        self._mgf = mgf
-        self._exp_abs = exp_abs_moment
-
-    def mgf(self, theta):
-        return None if self._mgf is None else self._mgf(theta)
-
-    def exp_abs_moment(self, eps):
-        return None if self._exp_abs is None else self._exp_abs(eps)
 
     def _generator(self, seed: int, purpose: str) -> np.random.Generator:
         child = derive_seed(seed, _DISORDER_PURPOSE, purpose, self.name)
@@ -464,17 +454,26 @@ def operator_norm_report(mat, beta: float = 1.0, tol: float = 1e-10) -> PowerIte
 
 @dataclass(frozen=True)
 class LawReport:
-    """Outcome of validate_law."""
+    """Outcome of validate_law.
+
+    ``failures`` maps each failed check (``mean-zero``, ``unit-variance``,
+    ``finite-exponential-moment``, ``third-abs-moment``) to its list of
+    reasons.  ``mean`` and ``variance`` are the declared values when the law
+    was not sampled, else the sample's.
+    """
 
     law: str
-    passed: bool
     empirical_only: bool
     mean: float
     variance: float
     third_abs_moment: float | None
     exp_moment_finite: bool | None
-    failures: tuple
+    failures: dict
     notes: tuple
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
 
 
 _VALIDATE_DRAWS = 1_000_000
@@ -484,126 +483,81 @@ _VALIDATE_SEED = 414213562
 def validate_law(law: DisorderLaw, n_draws: int = _VALIDATE_DRAWS, seed: int = _VALIDATE_SEED) -> LawReport:
     """Check mean 0, variance 1, and tail health for an entry law.
 
-    Laws with fully declared analytic moments are checked deterministically
-    with no sampling.  Laws with partially declared moments get an empirical
-    cross-check of each declared value (5 sigma tolerance).  Laws with no
-    declared second moment are checked purely empirically, including a
-    divergence probe: the median variance over disjoint batches must be
-    stable across batch sizes; for an infinite-variance law it grows roughly
-    linearly with the batch size (a Cauchy-type law fails here).
+    Every declared mean and variance must equal its target, and a declared
+    exponential moment E exp(eps |J|) must be finite at eps = 0.5 or 0.25.
+    A law with any moment undeclared is also sampled: each declared moment,
+    the third absolute one included, must agree with the sample within 5
+    sigma, and an undeclared mean or variance must lie within 5 sigma of its
+    target.  Those tolerances need a finite second moment, so overflowing
+    sample moments, or a failed divergence probe, fail the variance and
+    leave the mean unverifiable.  The probe: the median variance over
+    disjoint batches must be stable across batch sizes; for an
+    infinite-variance law it grows roughly linearly with the batch size (a
+    Cauchy-type law fails here).
     """
-    failures = []
-    notes = []
-    declared_full = (
-        law.mean is not None
-        and law.variance is not None
-        and law.third_abs_moment is not None
-        and law.exp_abs_moment(0.5) is not None
-    )
+    failures = {}
 
-    if declared_full:
-        if law.mean != 0.0:
-            failures.append(f"declared mean {law.mean} != 0")
-        if law.variance != 1.0:
-            failures.append(f"declared variance {law.variance} != 1")
-        finite = math.isfinite(law.exp_abs_moment(0.5)) or math.isfinite(
-            law.exp_abs_moment(0.25)
-        )
-        if not finite:
-            failures.append("declared exponential moment infinite at eps = 0.5 and 0.25")
-        notes.append("analytic moments declared; no sampling performed")
-        return LawReport(
-            law.name,
-            not failures,
-            False,
-            law.mean,
-            law.variance,
-            law.third_abs_moment,
-            finite,
-            tuple(failures),
-            tuple(notes),
-        )
+    def fail(check, reason):
+        failures.setdefault(check, []).append(reason)
 
-    # empirical route
-    state = law.sampler_state(seed, purpose="validate")
-    draws = law.draw(state, n_draws)
-    with np.errstate(over="ignore", invalid="ignore"):  # an extreme tail overflows
-        emp_mean = float(np.mean(draws))
-        emp_var = float(np.var(draws))
-        m4 = float(np.mean((draws - emp_mean) ** 4))
-    if not all(map(math.isfinite, (emp_mean, emp_var, m4))):
-        failures.append(f"empirical moments overflow: mean {emp_mean:.4g}, "
-                        f"variance {emp_var:.4g}, fourth central moment {m4:.4g}")
-    se_mean = math.sqrt(max(emp_var, 1e-300) / n_draws)
-    se_var = math.sqrt(max(m4 - emp_var * emp_var, 0.0) / n_draws)
+    exp_half = law.exp_abs_moment(0.5)
+    exp_finite = None if exp_half is None else (
+        math.isfinite(exp_half) or math.isfinite(law.exp_abs_moment(0.25)))
+    if exp_finite is False:
+        fail("finite-exponential-moment",
+             "declared exponential moment infinite at eps = 0.5 and 0.25")
+    # (check, moment, declared value, target); the third has no target
+    moments = (("mean-zero", "mean", law.mean, 0.0),
+               ("unit-variance", "variance", law.variance, 1.0),
+               ("third-abs-moment", "third abs moment", law.third_abs_moment, None))
+    for check, word, declared, target in moments:
+        if None not in (declared, target) and declared != target:
+            fail(check, f"declared {word} {declared} != {target:g}")
 
-    # divergence probe: median variance over disjoint batches is scale-stable
-    # when the second moment is finite, but grows with the batch size when it
-    # is not (nested prefixes are foolable by a single early extreme draw)
-    batch_sizes = [m for m in (1_000, 10_000, 100_000) if n_draws // m >= 4]
-    batch_medians = []
-    for m in batch_sizes:
-        k = n_draws // m
-        batches = draws[: k * m].reshape(k, m)
-        batch_medians.append(float(np.median(np.var(batches, axis=1))))
-    divergent = (
-        len(batch_medians) >= 2
-        and batch_medians[0] > 0
-        and batch_medians[-1] / batch_medians[0] > 10.0
-    )
-    if divergent:
-        failures.append(
-            "second moment appears divergent: median batch variances "
-            + ", ".join(f"{m}: {v:.4g}" for m, v in zip(batch_sizes, batch_medians))
-        )
-        failures.append(
-            "mean unverifiable: divergent second moment leaves no CLT tolerance"
-        )
-
-    if law.mean is not None:
-        if abs(emp_mean - law.mean) > 5 * se_mean:
-            failures.append(
-                f"declared mean {law.mean} vs empirical {emp_mean:.6g} "
-                f"(> 5 sigma = {5 * se_mean:.3g})"
-            )
-    elif not divergent and abs(emp_mean) > 5 * se_mean:
-        failures.append(f"empirical mean {emp_mean:.6g} not within 5 sigma of 0")
-
-    if law.variance is not None:
-        if abs(emp_var - law.variance) > 5 * se_var:
-            failures.append(
-                f"declared variance {law.variance} vs empirical {emp_var:.6g} "
-                f"(> 5 sigma = {5 * se_var:.3g})"
-            )
-    elif not divergent and abs(emp_var - 1.0) > 5 * se_var:
-        failures.append(f"empirical variance {emp_var:.6g} not within 5 sigma of 1")
-
-    third = law.third_abs_moment
-    if third is not None:
-        emp_third = float(np.mean(np.abs(draws) ** 3))
-        se_third = float(np.std(np.abs(draws) ** 3) / math.sqrt(n_draws))
-        if abs(emp_third - third) > 5 * se_third:
-            failures.append(
-                f"declared third abs moment {third} vs empirical {emp_third:.6g}"
-            )
-
-    exp_probe = law.exp_abs_moment(0.5)
-    exp_finite = None if exp_probe is None else math.isfinite(exp_probe)
-    if exp_probe is None:
+    mean, variance = law.mean, law.variance
+    sampled = None in (law.mean, law.variance, law.third_abs_moment, exp_half)
+    if not sampled:
+        notes = ["analytic moments declared; no sampling performed"]
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):  # an extreme tail overflows
+            draws = law.draw(law.sampler_state(seed, purpose="validate"), n_draws)
+            mean, variance = float(np.mean(draws)), float(np.var(draws))
+            m4 = float(np.mean((draws - mean) ** 4))
+            # divergence probe: median variance over disjoint batches is
+            # scale-stable when the second moment is finite, but grows with
+            # the batch size when it is not (nested prefixes are foolable by
+            # a single early extreme draw)
+            sizes = [m for m in (1_000, 10_000, 100_000) if n_draws // m >= 4]
+            medians = [float(np.median(np.var(draws[: n_draws // m * m].reshape(-1, m),
+                                              axis=1))) for m in sizes]
+            cubes = np.abs(draws) ** 3
+            sample = ((mean, math.sqrt(max(variance, 1e-300) / n_draws)),
+                      (variance, math.sqrt(max(m4 - variance * variance, 0.0) / n_draws)),
+                      (float(np.mean(cubes)), float(np.std(cubes)) / math.sqrt(n_draws)))
+        spread = None
+        if not (math.isfinite(variance) and math.isfinite(m4)):
+            spread = (f"empirical moments overflow: mean {mean:.4g}, variance "
+                      f"{variance:.4g}, fourth central moment {m4:.4g}")
+        elif len(medians) >= 2 and medians[0] > 0 and medians[-1] / medians[0] > 10.0:
+            spread = "second moment appears divergent: median batch variances " + ", ".join(
+                f"{m}: {v:.4g}" for m, v in zip(sizes, medians))
+        if spread is not None:
+            fail("unit-variance", spread)
+            fail("mean-zero", "mean unverifiable: no finite second moment leaves no CLT tolerance")
+        else:
+            for (check, word, declared, target), (emp, se) in zip(moments, sample):
+                if declared is not None:
+                    if abs(emp - declared) > 5 * se:
+                        fail(check, f"declared {word} {declared} vs empirical {emp:.6g} "
+                                    f"(> 5 sigma = {5 * se:.3g})")
+                elif target is not None and abs(emp - target) > 5 * se:
+                    fail(check, f"empirical {word} {emp:.6g} not within 5 sigma of {target:g}")
+        notes = [f"empirical check on {n_draws} draws, seed {seed}"]
+    if exp_half is None:
         notes.append("exponential moment undeclared; tail checked only via variance probe")
-    notes.append(f"empirical check on {n_draws} draws, seed {seed}")
 
-    return LawReport(
-        law.name,
-        not failures,
-        True,
-        emp_mean,
-        emp_var,
-        third,
-        exp_finite,
-        tuple(failures),
-        tuple(notes),
-    )
+    return LawReport(law.name, sampled, mean, variance, law.third_abs_moment, exp_finite,
+                     failures, tuple(notes))
 
 
 @dataclass(frozen=True)

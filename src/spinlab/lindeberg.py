@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .disorder import DisorderLaw, GAUSSIAN, RADEMACHER, Rademacher
+from .disorder import DisorderLaw, GAUSSIAN, RADEMACHER
 from .streams import derive_seed
 
 __all__ = [
@@ -175,10 +175,8 @@ def gaussian_expectation_exact(q: QuadraticForm) -> GaussianExpectation:
     return GaussianExpectation(value, lower)
 
 
-def expectation_exact_discrete(q: QuadraticForm, law: DisorderLaw = RADEMACHER) -> float:
+def expectation_exact_discrete(q: QuadraticForm) -> float:
     """E[exp(-h(J))] for a Rademacher row by full sign enumeration (N <= 20)."""
-    if not isinstance(law, Rademacher):
-        raise ValueError("exact discrete expectation is implemented for the Rademacher law")
     if q.n > _ENUM_LIMIT:
         raise ValueError(f"enumeration supports N <= {_ENUM_LIMIT}, got {q.n}")
     total = 0.0
@@ -293,7 +291,7 @@ def certificate_suite(
     for idx in range(n_instances):
         q = random_instance(master_seed, idx, beta, horizon, s_bound)
         seed = derive_seed(master_seed, "lindeberg-instance", idx)
-        disc = expectation_exact_discrete(q, RADEMACHER)
+        disc = expectation_exact_discrete(q)
         gauss = gaussian_expectation_exact(q)
         bound = lindeberg_bound(q, RADEMACHER)
         diff = abs(disc - gauss.value)

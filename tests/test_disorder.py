@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -430,7 +431,7 @@ def test_validate_builtins_pass_without_sampling():
     for law in (GAUSSIAN, RADEMACHER):
         report = validate_law(law)
         assert report.passed and not report.empirical_only
-        assert report.failures == ()
+        assert report.failures == {}
     report = validate_law(CENTERED_EXPONENTIAL)
     assert report.passed
     assert report.third_abs_moment == pytest.approx(12 / math.e - 2, rel=1e-12)
@@ -464,6 +465,17 @@ def test_validate_cauchy_fails_by_divergence():
     report = validate_law(law, n_draws=400_000, seed=11)
     assert not report.passed
     assert report.empirical_only
+
+
+def test_validate_overflowing_tail_fails_without_warnings():
+    # pareto(0.002) draws overflow to inf, in scipy's sampler and in every moment
+    law = CustomSampler("pareto", lambda count, gen: stats.pareto.rvs(
+        0.002, size=count, random_state=gen))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report = validate_law(law, n_draws=200_000, seed=4)
+    assert not report.passed
+    assert set(report.failures) == {"mean-zero", "unit-variance"}
 
 
 def test_condition_diagnostics_rademacher():

@@ -631,6 +631,42 @@ def test_cli_validate_exit_zero(tmp_path, capsys):
     assert (tmp_path / "out" / "summary.json").exists()
 
 
+# README's example custom law: uniform on [-sqrt 3, sqrt 3]
+_FLAT = {"name": "flat", "distribution": "uniform", "loc": -1.7320508075688772,
+         "scale": 3.4641016151377544, "mean": 0.0, "variance": 1.0}
+_CHECKS = ("mean-zero", "unit-variance", "finite-exponential-moment", "third-abs-moment",
+           "norm-concentration", "mgf-bounded", "third-moment-scaling")
+_UNDECLARED = "SKIPPED (undeclared)"
+_LAW_FAILED = "SKIPPED (law failed moment checks)"
+
+
+@pytest.mark.parametrize("law, statuses", [
+    (_FLAT, ("PASS", "PASS", _UNDECLARED, "INFO", "PASS", _UNDECLARED, _UNDECLARED)),
+    ({"name": "wide", "distribution": "norm", "loc": 0.5, "scale": 2.0,
+      "mean": 0.5, "variance": 4.0},
+     ("FAIL", "FAIL", _UNDECLARED, "INFO", _LAW_FAILED)),
+    ({"name": "third", "distribution": "norm", "third_abs_moment": 5.0},
+     ("PASS", "PASS", _UNDECLARED, "FAIL", _LAW_FAILED)),
+], ids=["readme-flat", "wrong-mean-and-variance", "wrong-third-moment"])
+def test_cli_validate_custom_law_verdicts(tmp_path, capsys, law, statuses):
+    """Each row reads the verdict validate_law gave its check, and each
+    failure reason appears once as a note row."""
+    (tmp_path / "law.json").write_text(json.dumps(law))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"laws": ["custom:law.json"], "n_particles": 64,
+                                "norm_samples": 2}))
+    assert main(["validate", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    out = capsys.readouterr().out
+    rows = json.loads((tmp_path / "out" / "summary.json").read_text())["validation"]
+    assert [(r["check"], r["status"]) for r in rows if r["check"] != "note"] == list(
+        zip(_CHECKS, statuses))
+    notes = [r["value"] for r in rows if r["check"] == "note"]
+    for check, status in zip(_CHECKS, statuses):
+        assert f"check law={law['name']} {check}: {status}" in out
+        reasons = [note for note in notes if note.startswith(f"{check}: ")]
+        assert len(reasons) == (status == "FAIL")
+
+
 # Runs every command and replay in one fresh interpreter and reports the
 # scipy modules loaded.
 _IMPORT_PROBE = """

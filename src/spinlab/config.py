@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -23,7 +24,7 @@ from .disorder import (
     CustomSampler,
     DisorderLaw,
 )
-from .dynamics import GUARD_FRACTION, default_a2
+from .dynamics import GUARD_FRACTION
 from .model import InitialLaw, Potential, double_well, log_barrier
 
 __all__ = [
@@ -132,7 +133,7 @@ def _load_custom_law(path: Path) -> CustomSampler:
     )
 
 
-def parse_law(spec: str, base_dir: Path | None = None) -> DisorderLaw:
+def parse_law(spec: str) -> DisorderLaw:
     """Resolve a law spec string to a DisorderLaw instance."""
     if not isinstance(spec, str):
         raise ConfigError(f"law spec must be a string, got {spec!r}")
@@ -145,9 +146,7 @@ def parse_law(spec: str, base_dir: Path | None = None) -> DisorderLaw:
     if name in builtin:
         return builtin[name]
     if name.startswith("custom:"):
-        rel = Path(name[len("custom:"):])
-        path = rel if rel.is_absolute() or base_dir is None else base_dir / rel
-        return _load_custom_law(path)
+        return _load_custom_law(Path(name[len("custom:"):]))
     raise ConfigError(
         f"unknown law spec {spec!r}; expected gaussian, rademacher, cexp, "
         f"or custom:<path>"
@@ -251,23 +250,24 @@ class ExperimentConfig:
         }
         for name, lo in ints.items():
             val = getattr(self, name)
-            if not isinstance(val, int) or isinstance(val, bool) or val < lo:
-                raise ConfigError(f"{name} must be an integer >= {lo}, got {val!r}")
-        if self.master_seed >= 1 << 64:
-            raise ConfigError("master_seed must fit in 64 bits")
+            # a seed is a uint64; a count must fit numpy's index type, Py_ssize_t
+            hi = (1 << 64) - 1 if name == "master_seed" else sys.maxsize
+            if not isinstance(val, int) or isinstance(val, bool) or not lo <= val <= hi:
+                raise ConfigError(f"{name} must be an integer in [{lo}, {hi}], got {val!r}")
 
         def finite_number(name):
             val = getattr(self, name)
             if not isinstance(val, (int, float)) or isinstance(val, bool):
                 raise ConfigError(f"{name} must be a number, got {val!r}")
-            if not math.isfinite(val):
-                raise ConfigError(f"{name} must be finite, got {val!r}")
+            # an int past 2**53 is not exact as a float, and uses mix the two
+            if not (math.isfinite(val) if isinstance(val, float) else abs(val) <= 2**53):
+                raise ConfigError(f"{name} must be finite and an int within 2**53, got {val!r}")
 
         for name in ("beta", "s_bound", "horizon", "rho", "eps", "c1", "gamma"):
             finite_number(name)
         # the default depends on beta, so it resolves once beta is checked
         if self.a2 is None:
-            object.__setattr__(self, "a2", default_a2(self.beta))
+            object.__setattr__(self, "a2", 2.0 * self.beta + 0.5)
         finite_number("a2")
         if self.beta < 0:
             raise ConfigError("beta must be >= 0")
@@ -275,6 +275,9 @@ class ExperimentConfig:
             raise ConfigError("s_bound, horizon, and rho must be positive")
         if self.c1 < 0:
             raise ConfigError("c1 must be >= 0")
+        # the mgf diagnostic divides by theta^2 >= (eps / 64)^2, a normal float
+        if not self.eps >= 1e-150:
+            raise ConfigError(f"eps must be >= 1e-150, got {self.eps!r}")
         if not 2.0 <= self.gamma < 2.5:
             raise ConfigError("gamma must lie in [2, 2.5)")
         if self.a2 <= 0:
@@ -290,6 +293,11 @@ class ExperimentConfig:
             if any(not isinstance(v, int) or isinstance(v, bool) or v < 1
                    for v in getattr(self, name)):
                 raise ConfigError(f"{name} entries must be positive integers")
+        # each draw's N x N matrix and N x (steps + 1) path must fit numpy's index range
+        for n in (self.n_particles, *self.n_sweep):
+            if 8 * n * max(n, self.total_steps() + 1) > sys.maxsize:
+                raise ConfigError(f"N = {n} at {self.total_steps()} steps is too large: an N x N "
+                                  "or N x (steps + 1) float64 array exceeds numpy's index range")
         if not isinstance(self.output_dir, str) or not self.output_dir:
             raise ConfigError("output_dir must be a nonempty string")
         # Custom-law paths resolve against the config file's directory once,
@@ -314,7 +322,7 @@ class ExperimentConfig:
         return parse_initial(self.initial, self.s_bound)
 
     def law_objs(self) -> list[DisorderLaw]:
-        return [parse_law(spec, self.base_dir) for spec in self.laws]
+        return [parse_law(spec) for spec in self.laws]
 
     def law_labels(self) -> list[str]:
         """Unique report labels: repeats get an @k suffix (gaussian@2, ...).

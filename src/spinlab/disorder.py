@@ -167,12 +167,9 @@ class CustomSampler(DisorderLaw):
         self.variance = variance
         self.third_abs_moment = third_abs_moment
 
-    def _generator(self, seed: int, purpose: str) -> np.random.Generator:
+    def sampler_state(self, seed: int, purpose: str = "draws"):
         child = derive_seed(seed, _DISORDER_PURPOSE, purpose, self.name)
         return np.random.Generator(np.random.Philox(key=child))
-
-    def sampler_state(self, seed: int, purpose: str = "draws"):
-        return self._generator(seed, purpose)
 
     def draw(self, state, count: int) -> np.ndarray:
         out = np.asarray(self._sampler(count, state), dtype=float)
@@ -598,13 +595,16 @@ def condition_diagnostics(
 
     thetas = np.linspace(eps / _THETA_POINTS, eps, _THETA_POINTS)
     vals = []
-    for t in thetas:
-        plus = law.mgf(float(t))
-        minus = law.mgf(float(-t))
+    for t in thetas.tolist():
+        try:
+            plus, minus = law.mgf(t), law.mgf(-t)
+        except OverflowError:  # E e^{theta J} past the float range
+            plus = minus = math.inf
         if plus is None or minus is None:
             vals = None
             break
-        vals.append(math.log(max(plus, minus)) / (t * t))
+        top = max(plus, minus)
+        vals.append(math.inf if top == math.inf else math.log(top) / (t * t))
     mgf_sup = None if vals is None else float(np.max(vals))
 
     third = law.third_abs_moment

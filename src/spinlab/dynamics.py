@@ -21,7 +21,6 @@ import numpy as np
 
 from .disorder import DisorderMatrix, _aligned
 from .model import InitialLaw, ModelParams, PathEnsemble, Potential, grid_times
-from .observables import coupling_msd
 from .streams import BrownianStream, CounterStream, _unit_open
 
 __all__ = [
@@ -35,7 +34,6 @@ __all__ = [
     "coupling_stats",
     "coupling_envelope",
     "envelope_violated",
-    "default_a2",
     "GUARD_FRACTION",
     "MAX_HALVINGS",
 ]
@@ -66,11 +64,6 @@ class SafeguardError(RuntimeError):
         self.value = value
         self.detail = detail
         self.member = member
-
-
-def default_a2(beta: float) -> float:
-    """Default operator-norm threshold for the coupling envelope."""
-    return 2.0 * beta + 0.5
 
 
 def sample_initial(law: InitialLaw, n: int, stream: CounterStream) -> np.ndarray:
@@ -138,7 +131,7 @@ def _integrate(params, potential, entries, x0, increments, bridges, out, refresh
     g_total = params.n_steps
     h = params.grid_step
     guard = params.s_bound * (1.0 - GUARD_FRACTION)
-    du1 = potential._du1
+    du1 = potential.du1
     laws = 1 if entries is None else len(entries) // reps
     members = reps * laws
     use_interaction = entries is not None and params.beta != 0.0
@@ -347,10 +340,10 @@ def simulate_frozen(
 class CouplingStats:
     """Distances between a coupled full/frozen pair on the shared grid.
 
-    r_t[g] = ||frozen - full||_2 at grid time g, msd is
-    ``observables.coupling_msd``: (1/(N T)) int ||X - X~||^2 dt by trapezoid,
-    and l_t[g] = ||X~ at latest freeze point - X~ at g||_2 measures how far
-    the frozen state has moved within its current sub-interval.
+    r_t[g] = ||frozen - full||_2 at grid time g, msd is (1/(N T)) int
+    ||X - X~||^2 dt by trapezoid, and l_t[g] = ||X~ at latest freeze point -
+    X~ at g||_2 measures how far the frozen state has moved within its
+    current sub-interval.
     """
 
     r_t: np.ndarray
@@ -361,11 +354,14 @@ class CouplingStats:
 def coupling_stats(full: PathEnsemble, frozen: PathEnsemble) -> CouplingStats:
     """CouplingStats of a full/frozen pair run on identical noise and
     initial data; the freeze points are those of ``frozen.params``."""
+    if full.values.shape != frozen.values.shape or not np.array_equal(full.grid, frozen.grid):
+        raise ValueError("ensembles live on different grids")
     params = frozen.params
-    r_t = np.linalg.norm(frozen.values - full.values, axis=0)
+    sq = np.sum(np.square(frozen.values - full.values), axis=0)
+    msd = float(np.trapezoid(sq, dx=params.grid_step) / (params.n_particles * params.horizon))
     anchor = (np.arange(params.n_steps + 1) // params.substeps) * params.substeps
     l_t = np.linalg.norm(frozen.values[:, anchor] - frozen.values, axis=0)
-    return CouplingStats(r_t, coupling_msd(full, frozen), l_t)
+    return CouplingStats(np.sqrt(sq), msd, l_t)
 
 
 def simulate_coupled(
@@ -396,7 +392,8 @@ def coupling_envelope(a2: float, c_dd: float, rho: float, n: int, times) -> np.n
     amp = 3.0 * a2 * rho * math.sqrt(n)
     if rate == 0.0:
         return amp * t
-    return (amp / rate) * np.expm1(rate * t)
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf envelope bounds nothing
+        return (amp / rate) * np.expm1(rate * t)
 
 
 def envelope_violated(

@@ -155,6 +155,11 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
+def _strict(value):
+    # a non-finite float as its string ("inf"), so summary.json stays strict JSON
+    return str(value) if isinstance(value, float) and not np.isfinite(value) else value
+
+
 def _write_json(path: Path, payload: dict) -> None:
     # strict JSON: a non-finite float raises instead of writing Infinity
     path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False,
@@ -264,7 +269,9 @@ def _command(name: str):
                     _dt.datetime.now(_dt.timezone.utc).isoformat(), str(out),
                     {"master_seed": cfg.master_seed, "schemes": _SEED_SCHEMES},
                 )
-                failure = body(cfg, summary, work, store_paths)
+                # a float operation past its range, or undefined, fails the run
+                with np.errstate(over="raise", divide="raise", invalid="raise"):
+                    failure = body(cfg, summary, work, store_paths)
                 summary.wall_clock_seconds = time.perf_counter() - t0
                 _persist(cfg, summary, work)
                 _publish(work, target)
@@ -628,10 +635,8 @@ def run_validation(cfg, summary, out, store_paths):
         )
 
         def check(name, status, value=None):
-            if isinstance(value, float) and not np.isfinite(value):
-                value = str(value)  # "inf": summary.json stays strict JSON
             summary.validation.append(
-                {"law": label, "check": name, "status": status, "value": value})
+                {"law": label, "check": name, "status": status, "value": _strict(value)})
 
         def verdict(name, passed="PASS"):
             return "FAIL" if name in report.failures else passed
@@ -697,6 +702,7 @@ def run_lindeberg_suite(cfg, summary, out, store_paths):
              r.abs_diff, r.bound, r.slack, r.passed) for r in cert]
     rows += [("gaussian-mc", r.index, r.seed, r.kappa, r.n,
               r.exact, r.mc_estimate, r.mc_stderr, r.passed) for r in mc]
+    rows = [tuple(map(_strict, row)) for row in rows]
     worst_ratio = max([0.0] + [r.abs_diff / r.bound for r in cert if r.bound > 0])
 
     summary.lindeberg = {
@@ -710,8 +716,9 @@ def run_lindeberg_suite(cfg, summary, out, store_paths):
 
     bad = next((r for r in cert if not r.passed), None)
     if bad is not None:
+        what = "violated" if np.isfinite(bad.bound) else "has no finite bound"
         return NumericalFailure(
-            f"comparison certificate violated on instance {bad.index} "
+            f"comparison certificate {what} on instance {bad.index} "
             f"(seed {bad.seed}): |diff| {bad.abs_diff!r} vs bound {bad.bound!r}"
         )
     bad = next((r for r in mc if not r.passed), None)

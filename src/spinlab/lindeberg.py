@@ -116,7 +116,8 @@ def lindeberg_bound(q: QuadraticForm, law: DisorderLaw) -> float:
     if third is None:
         raise ValueError(f"law {law.name!r} has no declared third absolute moment")
     col_sq = np.sum(q.x_mat * q.x_mat, axis=0)
-    return float(C0 * (third + GAUSSIAN.third_abs_moment) * np.sum(col_sq**1.5))
+    with np.errstate(over="ignore"):  # past the float range the bound is inf
+        return float(C0 * (third + GAUSSIAN.third_abs_moment) * np.sum(col_sq**1.5))
 
 
 @dataclass(frozen=True)
@@ -281,11 +282,11 @@ def certificate_suite(
 ) -> list[CertificateRow]:
     """Certify the comparison bound on a family of random instances.
 
-    Per instance: |E_rademacher[e^{-h}] - E_gaussian[e^{-h}]| must not
-    exceed the bound by more than ``_CERT_TOL``, and the Gaussian value
-    must dominate its determinant lower bound up to ``_CERT_TOL``.  Both
-    expectations are exact (enumeration and closed form), so failures are
-    real.
+    Per instance: the bound must be finite, |E_rademacher[e^{-h}] -
+    E_gaussian[e^{-h}]| must not exceed it by more than ``_CERT_TOL``, and
+    the Gaussian value must dominate its determinant lower bound up to
+    ``_CERT_TOL``.  Both expectations are exact (enumeration and closed
+    form), so failures are real.
     """
     rows = []
     for idx in range(n_instances):
@@ -296,7 +297,7 @@ def certificate_suite(
         bound = lindeberg_bound(q, RADEMACHER)
         diff = abs(disc - gauss.value)
         lower_ok = gauss.value >= gauss.lower - _CERT_TOL
-        passed = (diff <= bound + _CERT_TOL) and lower_ok
+        passed = (diff <= bound + _CERT_TOL) and lower_ok and math.isfinite(bound)
         rows.append(
             CertificateRow(
                 idx, seed, q.kappa, q.n, disc, gauss.value, gauss.lower,

@@ -15,23 +15,15 @@ from typing import Callable
 import numpy as np
 
 __all__ = [
-    "DomainError",
     "ModelParams",
     "Potential",
     "InitialLaw",
     "PathEnsemble",
     "log_barrier",
     "double_well",
-    "u1_eval",
-    "u1_prime",
-    "u1_double_prime",
     "grid_times",
     "max_negative_curvature",
 ]
-
-
-class DomainError(ValueError):
-    """Raised when a potential is evaluated at |x| >= s."""
 
 
 @dataclass(frozen=True)
@@ -99,14 +91,14 @@ def grid_times(params: ModelParams) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Potential:
-    """Single-site potential on (-s, s) given by value/derivative maps; a
-    user's own maps go in as ``Potential("custom", s, u1, du1, d2u1)``."""
+    """Single-site potential on (-s, s): unchecked maps ``u1``, ``du1``, ``d2u1``
+    for U1, U1', U1''; a user's own go in as ``Potential("custom", s, u1, du1, d2u1)``."""
 
     kind: str
     s_bound: float
-    _u1: Callable = field(repr=False)
-    _du1: Callable = field(repr=False)
-    _d2u1: Callable = field(repr=False)
+    u1: Callable = field(repr=False)
+    du1: Callable = field(repr=False)
+    d2u1: Callable = field(repr=False)
 
 
 def log_barrier(s: float) -> Potential:
@@ -148,34 +140,6 @@ def double_well(s: float) -> Potential:
     return Potential("doublewell", float(s), u1, du1, d2u1)
 
 
-def _checked(p: Potential, x, fn) -> np.ndarray | float:
-    arr = np.asarray(x, dtype=float)
-    mask = np.abs(arr) >= p.s_bound
-    if np.any(mask):
-        bad = np.atleast_1d(arr)[np.atleast_1d(mask)]
-        raise DomainError(
-            f"potential {p.kind} evaluated outside (-{p.s_bound}, {p.s_bound}) "
-            f"at position(s) {bad.tolist()}"
-        )
-    out = fn(arr)
-    return float(out) if arr.ndim == 0 else out
-
-
-def u1_eval(p: Potential, x):
-    """U1(x); raises DomainError when |x| >= s."""
-    return _checked(p, x, p._u1)
-
-
-def u1_prime(p: Potential, x):
-    """U1'(x); raises DomainError when |x| >= s."""
-    return _checked(p, x, p._du1)
-
-
-def u1_double_prime(p: Potential, x):
-    """U1''(x); raises DomainError when |x| >= s."""
-    return _checked(p, x, p._d2u1)
-
-
 # grid of max_negative_curvature: points, and the margin kept from the boundary
 _CURVATURE_POINTS = 200001
 _CURVATURE_MARGIN = 1e-6
@@ -189,7 +153,7 @@ def max_negative_curvature(p: Potential) -> float:
     """
     edge = p.s_bound * (1.0 - _CURVATURE_MARGIN)
     xs = np.linspace(-edge, edge, _CURVATURE_POINTS)
-    return float(np.max(-p._d2u1(xs)))
+    return float(np.max(-p.d2u1(xs)))
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,6 @@ from .disorder import DisorderMatrix
 from .model import ModelParams, PathEnsemble, Potential
 
 __all__ = [
-    "coupling_msd",
     "autocorrelation",
     "marginal_w2_distance",
     "sorted_pool_w2",
@@ -25,22 +24,6 @@ __all__ = [
     "GirsanovRecord",
     "girsanov_stats",
 ]
-
-
-def _check_same_grid(a: PathEnsemble, b: PathEnsemble):
-    if a.values.shape != b.values.shape or not np.array_equal(a.grid, b.grid):
-        raise ValueError("ensembles live on different grids")
-
-
-def coupling_msd(full: PathEnsemble, frozen: PathEnsemble) -> float:
-    """(1/(N T)) int ||X - X~||^2 dt by trapezoid on the shared grid."""
-    _check_same_grid(full, frozen)
-    diff = frozen.values - full.values
-    params = full.params
-    return float(
-        np.trapezoid(np.sum(diff * diff, axis=0), dx=params.grid_step)
-        / (params.n_particles * params.horizon)
-    )
 
 
 def autocorrelation(ens: PathEnsemble) -> np.ndarray:
@@ -164,7 +147,7 @@ def girsanov_stats(
     n, kappa, m, v = params.n_particles, params.kappa, params.substeps, frozen.values
     # row i * kappa + k: particle i over sub-interval k (2-D keeps each row's bits)
     cols = np.arange(kappa)[:, None] * m + np.arange(m + 1)
-    seg = potential._du1(v)[:, cols].reshape(n * kappa, m + 1)
+    seg = potential.du1(v)[:, cols].reshape(n * kappa, m + 1)
     drift_int = np.trapezoid(seg, dx=params.grid_step, axis=1).reshape(n, kappa)
     dt = frozen.grid[m::m] - frozen.grid[:-1:m]
     b = np.empty((kappa, n))
@@ -174,6 +157,7 @@ def girsanov_stats(
 
     g = x_mat @ mat.entries.T
     m_big = 0.5 * np.sum(b * b, axis=0)
-    delta = np.full(n, c1 * third / math.sqrt(n))
-    phi = 0.0 if c1 == 0.0 else float(np.mean(np.logaddexp(0.0, np.log(delta) + m_big)))
+    # a numpy product, so an overflowing delta obeys np.errstate
+    delta = np.full(n, c1 * np.float64(third) / math.sqrt(n))
+    phi = 0.0 if delta[0] == 0.0 else float(np.mean(np.logaddexp(0.0, np.log(delta) + m_big)))
     return GirsanovRecord(b, g, m_big, delta, phi, float(c1))

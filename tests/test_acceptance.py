@@ -25,7 +25,7 @@ from spinlab.disorder import (
 from spinlab.dynamics import simulate_full
 from spinlab.harness import run_freeze_sweep, run_universality
 from spinlab.lindeberg import certificate_suite, gaussian_mc_check
-from spinlab.model import InitialLaw, ModelParams, double_well, u1_eval
+from spinlab.model import InitialLaw, ModelParams, double_well
 from spinlab.streams import derive_seed
 
 
@@ -116,7 +116,7 @@ def test_criterion_3_stationary_density():
     assert samples.size == 100_000
 
     xs = np.linspace(-s + 1e-9, s - 1e-9, 8001)
-    cdf = cumulative_trapezoid(np.exp(-2.0 * u1_eval(potential, xs)), xs,
+    cdf = cumulative_trapezoid(np.exp(-2.0 * potential.u1(xs)), xs,
                                initial=0.0)
     cdf /= cdf[-1]
     f = np.interp(samples, xs, cdf)

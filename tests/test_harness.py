@@ -1,16 +1,22 @@
 """Harness contracts: persistence layout, determinism, replay, CLI exits."""
 
+import contextlib
+import functools
 import hashlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spinlab
 from spinlab import disorder, dynamics, harness, lindeberg
@@ -139,6 +145,84 @@ def test_csvs_byte_identical_across_thread_counts(tmp_path):
     for name in ("autocorr.csv", "gaps.csv", "norms.csv"):
         assert (tmp_path / "t1" / name).read_bytes() == \
             (tmp_path / "t8" / name).read_bytes(), name
+
+
+# Runs every command in one fresh interpreter, whose OpenBLAS thread count
+# was set before numpy loaded, and prints the count OpenBLAS reports.
+_BLAS_PROBE = """
+import ctypes, glob, os, sys
+import numpy as np
+from spinlab.cli import main
+
+cfg, out = sys.argv[1], sys.argv[2]
+for command in ("validate", "universality", "simulate", "freeze-sweep", "lindeberg"):
+    assert main([command, "--config", cfg, "--out", out + "/" + command, "--store-paths"]) == 0
+libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                              "libscipy_openblas*"))
+count = getattr(ctypes.CDLL(libs[0]), "scipy_openblas_get_num_threads64_", None) if libs else None
+print(count() if count else "unknown")
+"""
+
+
+def test_outputs_byte_identical_across_blas_thread_counts(tmp_path):
+    """Every digest of every command is the same with OpenBLAS on one
+    thread and on two, each set before numpy loads (the count is checked
+    where numpy's bundled OpenBLAS reports it)."""
+    path = _write_cfg(tmp_path)
+    src = str(Path(spinlab.__file__).resolve().parents[1])
+    digests = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", _BLAS_PROBE, str(path),
+                               str(tmp_path / threads)], capture_output=True, text=True,
+                              env=env)
+        assert proc.returncode == 0, proc.stderr
+        # OpenBLAS runs at most one thread per core
+        expected = str(min(int(threads), os.cpu_count() or 1))
+        assert proc.stdout.splitlines()[-1] in (expected, "unknown")
+        digests[threads] = {command: _digests(tmp_path / threads / command)
+                            for command in _COMMANDS}
+    assert digests["1"] == digests["2"]
+
+
+# ways to grow _small()'s run: each keeps every draw of the smaller run
+_GROWTHS = {
+    "replicas": dict(replicas=5),
+    "n_sweep": dict(n_sweep=[4, 6, 8]),
+    "third-law": dict(laws=["gaussian", "rademacher", "cexp"]),
+    "freeze-replicas": dict(freeze_replicas=4),
+    "extra-kappa": dict(kappa_sweep=[2, 4, 1]),
+}
+
+
+def _stored(cfg) -> dict:
+    """Stored paths (name -> bytes) and norms.csv rows ((law, N, replica)
+    -> row) of universality, freeze-sweep and simulate runs of ``cfg``."""
+    found = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for command in ("universality", "freeze-sweep", "simulate"):
+            run_dir = Path(tmp) / command
+            _COMMANDS[command](cfg, store_paths=True, out_dir=run_dir)
+            for path in run_dir.glob("paths/*.npy"):
+                found[command, path.name] = path.read_bytes()
+            for row in _lines(run_dir / "norms.csv")[1:]:
+                found[(command, *row.split(",")[:3])] = row
+    return found
+
+
+@functools.cache
+def _small_stored() -> dict:
+    return _stored(_small())
+
+
+@settings(max_examples=10, derandomize=True, deadline=None, database=None)
+@given(growths=st.sets(st.sampled_from(sorted(_GROWTHS)), min_size=1))
+def test_stored_paths_and_norm_rows_do_not_depend_on_the_run_size(growths):
+    base = _small_stored()
+    grown = _stored(_small(**{k: v for g in growths for k, v in _GROWTHS[g].items()}))
+    assert len(grown) > len(base)
+    assert [key for key, value in base.items() if grown.get(key) != value] == []
 
 
 def test_rerun_reproduces_bytes(tmp_path):
@@ -800,17 +884,17 @@ def test_cli_replay_of_a_run_file_that_is_not_an_object_exit_one(tmp_path, capsy
     assert err.startswith("config error:") and f"{name} must hold a JSON object" in err
 
 
+def _reject_constant(constant):
+    raise ValueError(f"summary.json holds the non-standard constant {constant}")
+
+
 def test_validate_summary_is_strict_json_with_an_infinite_trend(tmp_path, capsys):
     # cexp's mgf is infinite at theta = 1, so eps = 1 makes its mgf-bounded row inf
     path = _write_cfg(tmp_path, eps=1.0, laws=["cexp", "gaussian"])
     assert main(["validate", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
     assert "check law=cexp mgf-bounded: TREND (inf)" in capsys.readouterr().out
-
-    def reject(constant):
-        raise ValueError(f"summary.json holds the non-standard constant {constant}")
-
     text = (tmp_path / "out" / "summary.json").read_text()
-    rows = json.loads(text, parse_constant=reject)["validation"]
+    rows = json.loads(text, parse_constant=_reject_constant)["validation"]
     assert [r["value"] for r in rows
             if r["law"] == "cexp" and r["check"] == "mgf-bounded"] == ["inf"]
     with pytest.raises(ValueError):
@@ -1037,6 +1121,121 @@ def test_cli_failed_certificate_exit_two_names_instance(tmp_path, capsys,
     assert kind == "certificate"
     err = capsys.readouterr().err
     assert f"certificate violated on instance {instance} (seed {seed})" in err
+
+
+def _one_line(capsys) -> str:
+    """The run's standard error, checked to be exactly one line."""
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1, err
+    return err[0]
+
+
+@pytest.mark.parametrize("eps", [0, -1, 0.0, 1e-300])
+def test_cli_eps_below_its_edge_is_a_config_error(tmp_path, capsys, eps):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"eps": eps}))
+    assert main(["validate", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert _one_line(capsys).startswith("config error: eps must be >= 1e-150")
+
+
+def test_cli_huge_eps_reads_an_infinite_mgf_trend(tmp_path, capsys):
+    # e^{theta J} leaves the float range long before theta = 1e300
+    path = _write_cfg(tmp_path, eps=1e300, laws=["gaussian", "rademacher", "cexp"])
+    assert main(["validate", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    for law in ("gaussian", "rademacher", "cexp"):
+        assert f"check law={law} mgf-bounded: TREND (inf)" in captured.out
+    rows = json.loads((tmp_path / "out" / "summary.json").read_text(),
+                      parse_constant=_reject_constant)["validation"]
+    assert {r["value"] for r in rows if r["check"] == "mgf-bounded"} == {"inf"}
+
+
+@pytest.mark.parametrize("command", ["simulate", "validate"])
+@pytest.mark.parametrize("size", [dict(n_particles=10**30), dict(n_particles=2**31),
+                                  dict(n_sweep=[4, 10**30])],
+                         ids=["n_particles-huge", "n_particles-past-the-matrix",
+                              "n_sweep-huge"])
+def test_cli_size_numpy_cannot_build_is_a_config_error(tmp_path, capsys, command, size):
+    # an N x N float64 matrix past numpy's index range: N = 2**31 needs 2**65 bytes
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(size))
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert _one_line(capsys).startswith("config error:")
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_infinite_certificate_bound_exit_two_names_the_instance(tmp_path, capsys):
+    # horizon 1e300 scales X to about 1e150, so sum_j (X^T X)_jj^{3/2} overflows
+    path = _write_cfg(tmp_path, horizon=1e300)
+    assert main(["lindeberg", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = _one_line(capsys)
+    rows = [row.split(",") for row in _lines(tmp_path / "out" / "lindeberg.csv")[1:]]
+    kind, instance, seed = rows[0][:3]
+    assert kind == "certificate" and rows[0][6] == "inf" and rows[0][-1] == "0"
+    assert err.startswith(f"numerical failure: comparison certificate has no finite "
+                          f"bound on instance {instance} (seed {seed})")
+    assert err.endswith("vs bound inf")
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text(),
+                         parse_constant=_reject_constant)
+    assert summary["lindeberg"]["certificate_pass"] == 0
+
+
+# Config values drawn field by field: each field's documented edges and
+# extremes (0, negatives, 1e-300, 1e300, huge ints, the float range's ends,
+# non-numbers).  Fields that set the amount of work take small values or
+# values the config rejects, never a size in between.
+_REJECTED_SIZES = [0, -1, 1e-300, 1e300, 10**30, 2**63, True, "2", None]
+_EXTREME_FLOATS = [0, -1, 1e-300, -1e300, 1e300, 5e-324, 1.7976931348623157e308,
+                   10**30, 10**400, math.inf, math.nan, True, "1", None]
+_FIELD_VALUES = {
+    "n_particles": [1, 2], "kappa": [1, 4], "substeps": [1, 3], "replicas": [2, 4],
+    "thermal_samples": [1, 2], "phi_replicas": [1, 4], "freeze_replicas": [2, 3],
+    "norm_samples": [1, 3], "bootstrap_resamples": [2, 3], "lindeberg_instances": [1, 2],
+    "gaussian_check_instances": [1, 2], "gaussian_check_samples": [1000, 999],
+}
+_FIELD_VALUES = {name: small + _REJECTED_SIZES for name, small in _FIELD_VALUES.items()}
+_FIELD_VALUES.update({
+    name: _EXTREME_FLOATS + edges for name, edges in (
+        ("beta", []), ("s_bound", [1.0]), ("horizon", []), ("rho", []),
+        ("a2", [None]), ("eps", [1e-150, 1.0]), ("c1", []),
+        ("gamma", [2.0, 2.5, 2.4999999999]))
+})
+_FIELD_VALUES.update(
+    master_seed=[0, 2**64 - 1, 2**64, -1, 10**30, 1e300],
+    n_sweep=[[1], [1, 2], [0], [10**30], [2**31], [], [1.5], 3],
+    kappa_sweep=[[1], [4], [3], [10**30], [0], []],
+    potential=["logbarrier", "bogus", 1],
+    initial=["point:0", "uniform:1e-300", "point:1.999997", "point:1.9999999",
+             "uniform:0", "point:nan", "point:-inf", "bogus", "point:"],
+    laws=[["gaussian"], ["gaussian", "cexp"], ["rademacher"], [], ["bogus"], "gaussian"],
+    output_dir=["", 1],
+)
+
+
+@st.composite
+def _overrides(draw):
+    """One or two fields of ``_small()``, each set to a value from its pool."""
+    names = draw(st.lists(st.sampled_from(sorted(_FIELD_VALUES)), min_size=1, max_size=2,
+                          unique=True))
+    return {name: draw(st.sampled_from(_FIELD_VALUES[name])) for name in names}
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@given(command=st.sampled_from(sorted(_COMMANDS)), fields=_overrides())
+def test_cli_every_config_ends_in_one_of_three_outcomes(command, fields):
+    """Exit 0 quietly, 1 with one config error line, or 2 with one
+    numerical failure line; nothing raises, warns or leaves a traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(dict(_small().as_dict(), **fields)))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([command, "--config", str(path), "--out", str(Path(tmp) / "out")])
+    lines = err.getvalue().splitlines()
+    assert (code, len(lines)) in ((0, 0), (1, 1), (2, 1)), (code, lines)
+    if lines:
+        assert lines[0].startswith(("config error:", "numerical failure:")[code - 1]), lines
 
 
 def test_traced_benchmark_finds_every_entry_point():

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinlab.model import (
-    DomainError,
     InitialLaw,
     ModelParams,
     PathEnsemble,
@@ -16,37 +15,25 @@ from spinlab.model import (
     grid_times,
     log_barrier,
     max_negative_curvature,
-    u1_double_prime,
-    u1_eval,
-    u1_prime,
 )
 
 
 def test_double_well_critical_points():
     p = double_well(2.0)
-    assert u1_prime(p, 1.0) == pytest.approx(0.0, abs=1e-15)
-    assert u1_prime(p, -1.0) == pytest.approx(0.0, abs=1e-15)
-    assert u1_prime(p, 0.0) == 0.0
+    assert p.du1(1.0) == pytest.approx(0.0, abs=1e-15)
+    assert p.du1(-1.0) == pytest.approx(0.0, abs=1e-15)
+    assert p.du1(0.0) == 0.0
 
 
 def test_double_well_value_at_zero():
     # -log(s^2) with s = 2
-    assert u1_eval(double_well(2.0), 0.0) == pytest.approx(-math.log(4), rel=1e-12)
+    assert double_well(2.0).u1(0.0) == pytest.approx(-math.log(4), rel=1e-12)
 
 
 def test_double_well_even():
     p = double_well(2.0)
     for x in np.linspace(0.0, 1.9, 40):
-        assert u1_eval(p, x) == pytest.approx(u1_eval(p, -x), rel=1e-14)
-
-
-def test_domain_error_at_and_beyond_boundary():
-    p = double_well(2.0)
-    for x in (2.0, -2.0, 2.5):
-        with pytest.raises(DomainError):
-            u1_eval(p, x)
-        with pytest.raises(DomainError):
-            u1_prime(p, x)
+        assert p.u1(x) == pytest.approx(p.u1(-x), rel=1e-14)
 
 
 def test_derivatives_match_finite_differences():
@@ -55,10 +42,10 @@ def test_derivatives_match_finite_differences():
     xs = rng.uniform(-1.8, 1.8, 100)
     h = 1e-6
     for x in xs:
-        fd1 = (u1_eval(p, x + h) - u1_eval(p, x - h)) / (2 * h)
-        assert u1_prime(p, x) == pytest.approx(fd1, rel=1e-6, abs=1e-6)
-        fd2 = (u1_prime(p, x + h) - u1_prime(p, x - h)) / (2 * h)
-        assert u1_double_prime(p, x) == pytest.approx(fd2, rel=1e-6, abs=1e-5)
+        fd1 = (p.u1(x + h) - p.u1(x - h)) / (2 * h)
+        assert p.du1(x) == pytest.approx(fd1, rel=1e-6, abs=1e-6)
+        fd2 = (p.du1(x + h) - p.du1(x - h)) / (2 * h)
+        assert p.d2u1(x) == pytest.approx(fd2, rel=1e-6, abs=1e-5)
 
 
 def test_max_negative_curvature_double_well():

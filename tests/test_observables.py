@@ -17,7 +17,7 @@ from spinlab.disorder import (
     DisorderMatrix,
     sample_matrix,
 )
-from spinlab.dynamics import simulate_coupled, simulate_frozen, simulate_full
+from spinlab.dynamics import coupling_stats, simulate_coupled, simulate_frozen, simulate_full
 from spinlab.model import (
     InitialLaw,
     ModelParams,
@@ -28,7 +28,6 @@ from spinlab.model import (
 )
 from spinlab.observables import (
     autocorrelation,
-    coupling_msd,
     girsanov_stats,
     marginal_w2_distance,
     w2_empirical,
@@ -53,7 +52,7 @@ def test_coupling_msd_matches_single_particle_d2():
     init = InitialLaw("uniform", 1.0, 2.0)
     mat = sample_matrix(GAUSSIAN, 1, seed=2)
     full, frozen, _ = simulate_coupled(p, pot, mat, init, replica=0)
-    msd = coupling_msd(full, frozen)
+    msd = coupling_stats(full, frozen).msd
     diff = full.values[0] - frozen.values[0]
     d2_sq = np.trapezoid(diff * diff, dx=p.grid_step) / p.horizon
     assert msd == pytest.approx(d2_sq, rel=1e-12)
@@ -61,8 +60,12 @@ def test_coupling_msd_matches_single_particle_d2():
 
 def test_coupling_msd_self_is_zero_and_matches_stats():
     full, frozen, stats = _run_pair()
-    assert coupling_msd(full, full) == 0.0
-    assert coupling_msd(full, frozen) == stats.msd
+    assert coupling_stats(full, full).msd == 0.0
+    diff = frozen.values - full.values
+    p = full.params
+    assert coupling_stats(full, frozen).msd == stats.msd == float(
+        np.trapezoid(np.sum(diff * diff, axis=0), dx=p.grid_step)
+        / (p.n_particles * p.horizon))
 
 
 def test_coupling_msd_rejects_grid_mismatch():
@@ -74,7 +77,7 @@ def test_coupling_msd_rejects_grid_mismatch():
         InitialLaw("uniform", 1.0, 2.0),
     )
     with pytest.raises(ValueError):
-        coupling_msd(full, other)
+        coupling_stats(full, other)
 
 
 def test_autocorrelation_zero_start_is_identically_zero():
@@ -246,7 +249,7 @@ def _reference_girsanov(frozen, mat, params, potential, c1=1.0):
     x_scale = params.beta * math.sqrt(params.horizon) / math.sqrt(n * kappa)
     for k in range(kappa):
         left, right = k * m, (k + 1) * m
-        drift_int = np.trapezoid(potential._du1(v[:, left:right + 1]), dx=h, axis=1)
+        drift_int = np.trapezoid(potential.du1(v[:, left:right + 1]), dx=h, axis=1)
         b[k] = (v[:, right] - v[:, left] + drift_int) / math.sqrt(grid[right] - grid[left])
         x_mat[k] = x_scale * v[:, left]
     g = x_mat @ mat.entries.T

@@ -1,13 +1,14 @@
 """Command-line front end.
 
 Exit codes: 0 on success, 1 for configuration problems (bad flags, bad config
-file, bad law/potential specs), 2 for numerical failures (boundary safeguard,
-power-iteration cap, float overflow or NaN, certificate violation, replay
-mismatch).  Seed precedence: ``--seed`` beats the ``SPINLAB_SEED`` environment
-variable, which beats the config file; ``replay`` has only its own flags and
-takes config and seed from the run.  Every command runs its replicas serially;
-``--threads`` is still accepted and checked (values below 1 exit 1), and
-outputs are byte-identical at any value.
+file, bad law/potential specs, a run too large for memory), 2 for numerical
+failures (boundary safeguard, power-iteration cap, float overflow or NaN,
+certificate violation, replay mismatch).  Seed precedence: ``--seed`` beats
+the ``SPINLAB_SEED`` environment variable, which beats the config file;
+``replay`` has only its own flags and takes config and seed from the run.
+Every command runs its replicas serially; ``--threads`` is still accepted
+and checked (values below 1 exit 1), and outputs are byte-identical at any
+value.
 """
 
 from __future__ import annotations
@@ -171,6 +172,9 @@ def main(argv=None) -> int:
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"config error: the run does not fit in memory: {exc}", file=sys.stderr)
         return 1
     except (NumericalFailure, SafeguardError, PowerIterationError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -310,19 +310,20 @@ class ExperimentConfig:
                     spec = f"custom:{(self.base_dir / rel).resolve()}"
             resolved.append(spec)
         object.__setattr__(self, "laws", tuple(resolved))
-        # Fail fast on malformed spec strings; objects are rebuilt on demand.
-        self.potential_obj()
-        self.initial_obj()
-        self.law_objs()
+        # Each spec is parsed once, here: a custom-law file is read when the
+        # config loads and never during a run, so the laws match the hash.
+        object.__setattr__(self, "_potential", parse_potential(self.potential, self.s_bound))
+        object.__setattr__(self, "_initial", parse_initial(self.initial, self.s_bound))
+        object.__setattr__(self, "_laws", tuple(parse_law(spec) for spec in self.laws))
 
     def potential_obj(self) -> Potential:
-        return parse_potential(self.potential, self.s_bound)
+        return self._potential
 
     def initial_obj(self) -> InitialLaw:
-        return parse_initial(self.initial, self.s_bound)
+        return self._initial
 
     def law_objs(self) -> list[DisorderLaw]:
-        return [parse_law(spec) for spec in self.laws]
+        return list(self._laws)
 
     def law_labels(self) -> list[str]:
         """Unique report labels: repeats get an @k suffix (gaussian@2, ...).

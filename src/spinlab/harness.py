@@ -15,19 +15,12 @@ the clock, the ``RunSummary`` and persistence: the body writes into a
 fresh sibling directory that replaces the output directory only when the
 run has persisted, so a failed run leaves an older run there intact.
 Shared decisions have one owner each: ``_params``, ``_disorder``,
-``_norm_row``, ``_guarded`` (names the draw behind a safeguard or
-power-iteration failure), ``_TABLES`` (CSV schemas) and ``_path_file``
-(stored-trajectory names, used by store and replay).  Integration goes
-through ``dynamics.simulate_shared``, which takes a block of replicas
-and one sequence of matrices per replica.  Every command that integrates
-loops over blocks of replicas, as many as fit their laws' matrices in
-``disorder._STACK_BYTES`` (``_block_size``), and norms each block's draws
-in one ``disorder.operator_norm_reports`` call, which decides between
-lockstep stacks and one matrix at a time.  In universality and simulate,
-one call per (block, thermal sample) integrates every (replica, law)
-member as one stack, each replica on its own noise, and at sample 0 also
-the frozen runs behind the tilt statistic; in the freeze sweep one call
-integrates every replica's full path with one frozen path per kappa.
+``_norm_row``, ``_named`` (names the draw behind a failure), ``_TABLES``
+(CSV schemas) and ``_path_file`` (stored-trajectory names, used by store
+and replay).  Every command that integrates runs its draws through one
+loop, ``_each_block``, which draws each block of replicas, norms it and
+hands it to the command's body, which integrates it through
+``dynamics.simulate_shared``.
 
 Seed derivation schemes (also recorded in each summary):
 
@@ -48,6 +41,7 @@ import os
 import secrets
 import shutil
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -332,19 +326,21 @@ def _norm_row(cfg: ExperimentConfig, label: str, n: int, rep: int, seed: int,
     }
 
 
-def _guarded(call, draws, n: int, /, *args, **kwargs):
-    """Call ``call`` on a stack of matrices whose members are the draws
-    ``draws`` names, as (law label, replica) in stack order; a safeguard
-    or power-iteration failure names the failing member's draw."""
+@contextmanager
+def _named(draws, n: int):
+    """Append the failing draw to a safeguard or power-iteration failure's
+    message, as ``draws[member]`` = (law label, replica) at size ``n``, or
+    to a float error's, which has no member, the N and replicas of all of
+    ``draws``.  The exception keeps its type."""
     try:
-        return call(*args, **kwargs)
+        yield
     except (SafeguardError, PowerIterationError) as err:
         label, rep = draws[err.member]
-        where = f"[law={label}, N={n}, replica={rep}]"
-        if isinstance(err, SafeguardError):
-            raise SafeguardError(err.particle, err.step, err.value,
-                                 f"{err.detail} {where}") from err
-        raise PowerIterationError(f"{err} {where}", err.best) from err
+        err.args = (f"{err} [law={label}, N={n}, replica={rep}]",)
+        raise
+    except ArithmeticError as err:
+        err.args = (f"{err} [N={n}, replicas {draws[0][1]}-{draws[-1][1]}]",)
+        raise
 
 
 def _reference_index(laws) -> int:
@@ -357,10 +353,28 @@ def _reference_index(laws) -> int:
 # ---------------------------------------------------------------------------
 # simulation blocks
 
-def _block_size(laws: int, n: int) -> int:
-    """Replicas per block: as many as fit ``laws`` matrices of size ``n``
-    each in ``disorder._STACK_BYTES``, and at least one."""
-    return max(1, disorder._STACK_BYTES // (laws * n * n * 8))
+def _each_block(cfg: ExperimentConfig, laws, labels, n: int, total: int,
+                normed: int, body) -> None:
+    """Draw replicas 0 to ``total - 1`` of each law at size ``n`` in blocks
+    of as many as fit in ``disorder._STACK_BYTES`` (at least one), norm
+    those below ``normed`` in one ``operator_norm_reports`` call, then call
+    ``body(reps, mats, rows)`` with ``mats[k]`` replica ``reps[k]``'s
+    matrices and ``rows`` the norm rows, each replica-major, then law, the
+    member order of a stack over them.  The block runs under ``_named``."""
+    block = max(1, disorder._STACK_BYTES // (len(laws) * n * n * 8))
+    for first in range(0, total, block):
+        reps = range(first, min(first + block, total))
+        with _named([(label, rep) for rep in reps for label in labels], n):
+            draws = [[_disorder(cfg, law, idx, n, rep) for idx, law in enumerate(laws)]
+                     for rep in reps]
+            normed_draws = [(label, rep, seed, mat)
+                            for rep, rep_draws in zip(reps[:max(0, normed - first)], draws)
+                            for label, (seed, mat) in zip(labels, rep_draws)]
+            reports = operator_norm_reports([mat for *_, mat in normed_draws],
+                                            beta=cfg.beta)
+            body(reps, [[mat for _, mat in rep_draws] for rep_draws in draws],
+                 [_norm_row(cfg, label, n, rep, seed, report)
+                  for (label, rep, seed, _), report in zip(normed_draws, reports)])
 
 
 def _curve_block(cfg: ExperimentConfig, summary: RunSummary, params: ModelParams,
@@ -368,88 +382,72 @@ def _curve_block(cfg: ExperimentConfig, summary: RunSummary, params: ModelParams
     """Thermal-averaged autocorrelation per disorder draw, for every law at
     one N.
 
-    Loops over blocks of replicas; a block holds as many replicas as fit
-    their laws' matrices in ``disorder._STACK_BYTES``.  Each thermal
-    sample of a block draws nothing new and integrates every (replica,
-    law) member of the block as one stack in one ``simulate_shared``
-    call, each replica on its own noise.  Returns, per law in config
-    order, (autocorr block, curves[replicas, G+1], pool, norm rows, phis)
-    and adds the full runs' safeguard activations to ``summary``.  The pool stacks the sample-0
-    full runs' particles, replica after replica (``replicas * N`` rows),
-    for marginal pooling; when the run keeps paths, those runs are saved
-    under ``store`` once the block's sample 0 is integrated.  The first
-    ``phi_draws`` draws also integrate the frozen run at sample 0 in the
-    same call, as one stack over those replicas of the block, and report
-    its interaction tilt in ``phis``; draws past ``replicas`` run only
-    that frozen side.  The block's curve draws are then normed in one
-    ``operator_norm_reports`` call.
+    Runs ``replicas`` draws, or ``phi_draws`` if more, through
+    ``_each_block``, which norms the first ``replicas``.  Each thermal
+    sample of a block integrates its (replica, law) members as one stack
+    in one ``simulate_shared`` call, each replica on its own noise.  Adds
+    the autocorr blocks, norm rows (both law-major, then in ``n_sweep``
+    and replica order) and the full runs' safeguard activations to
+    ``summary``.  Returns, per law, curves[replicas, G+1], the pool of the
+    sample-0 full runs' particles (``replicas * N`` rows), saved under
+    ``store`` when the run keeps paths, and phis: the first ``phi_draws``
+    draws also integrate the frozen run at sample 0 in the same call and
+    report its interaction tilt; draws past ``replicas`` run only that.
     """
     laws, labels = cfg.law_objs(), cfg.law_labels()
     potential = cfg.potential_obj()
     initial = cfg.initial_obj()
     n = params.n_particles
     width = params.n_steps + 1
-    block = _block_size(len(laws), n)
     curves = np.zeros((len(laws), cfg.replicas, width))
     total = max(cfg.replicas, phi_draws)
     # every replica's sample-0 paths that refresh each step are integrated
     # in place here, one array per law; a law's pool is its first
     # ``replicas * N`` rows
     paths0 = [np.empty((total, n, width)) for _ in laws]
-    norm_rows = [[] for _ in laws]
     phis = [[] for _ in laws]
 
-    def integrate(s, reps, mats, n_curve, n_tilt):
-        # one thermal sample of one block; its paths are released on return
-        runs = [(params, False, n_curve)] * bool(n_curve)
-        runs += [(params, True, n_tilt)] * bool(s == 0 and n_tilt)
-        active = reps[:max(count for *_, count in runs)]
-        out = None if s else [law_paths[active.start:active.stop]
-                              for law_paths in paths0]
-        paths = _guarded(simulate_shared,
-                         [(label, rep) for rep in active for label in labels], n,
-                         runs, potential, mats[:len(active)], initial,
-                         replicas=[rep * samples + s for rep in active], out=out)
-        for k, (rep, rep_paths) in enumerate(zip(active, paths)):
-            for idx, law_paths in enumerate(rep_paths):
-                if s == 0 and k < n_tilt:
-                    phis[idx].append(girsanov_stats(
-                        law_paths.pop(), mats[k][idx], params, potential,
-                        c1=cfg.c1).phi)
-                if k < n_curve:
-                    ens = law_paths[0]
-                    curves[idx, rep] += autocorrelation(ens)
-                    summary.safeguard_activations += ens.safeguard_activations
-            if k < n_curve and s == 0 and store is not None:
-                _store_ensembles(store, labels, n, rep, [p[0] for p in rep_paths])
-
-    for first in range(0, total, block):
-        reps = range(first, min(first + block, total))
+    def integrate(reps, mats, rows):
+        # one block; its paths are released on return
+        summary.norms.extend(rows)
         # curve and tilt replicas are each a prefix of the block
-        n_curve = max(0, min(cfg.replicas, reps.stop) - first)
-        n_tilt = max(0, min(phi_draws, reps.stop) - first)
-        draws = [[_disorder(cfg, law, idx, n, rep) for idx, law in enumerate(laws)]
-                 for rep in reps]
-        mats = [[mat for _, mat in rep_draws] for rep_draws in draws]
+        n_curve = max(0, min(cfg.replicas, reps.stop) - reps.start)
+        n_tilt = max(0, min(phi_draws, reps.stop) - reps.start)
         for s in range(samples if n_curve else 1):
-            integrate(s, reps, mats, n_curve, n_tilt)
-        curves[:, first:first + n_curve] /= samples
-        members = [(idx, rep, seed, mat)
-                   for rep, rep_draws in zip(reps[:n_curve], draws)
-                   for idx, (seed, mat) in enumerate(rep_draws)]
-        reports = _guarded(
-            operator_norm_reports, [(labels[idx], rep) for idx, rep, *_ in members],
-            n, [mat for *_, mat in members], beta=cfg.beta)
-        for (idx, rep, seed, _), report in zip(members, reports):
-            norm_rows[idx].append(_norm_row(cfg, labels[idx], n, rep, seed, report))
-    blocks = [{
+            runs = [(params, False, n_curve)] * bool(n_curve)
+            runs += [(params, True, n_tilt)] * bool(s == 0 and n_tilt)
+            active = reps[:max(count for *_, count in runs)]
+            out = None if s else [law_paths[active.start:active.stop]
+                                  for law_paths in paths0]
+            paths = simulate_shared(runs, potential, mats[:len(active)], initial,
+                                    replicas=[rep * samples + s for rep in active],
+                                    out=out)
+            for k, (rep, rep_paths) in enumerate(zip(active, paths)):
+                for idx, law_paths in enumerate(rep_paths):
+                    if s == 0 and k < n_tilt:
+                        phis[idx].append(girsanov_stats(
+                            law_paths.pop(), mats[k][idx], params, potential,
+                            c1=cfg.c1).phi)
+                    if k < n_curve:
+                        ens = law_paths[0]
+                        curves[idx, rep] += autocorrelation(ens)
+                        summary.safeguard_activations += ens.safeguard_activations
+                if k < n_curve and s == 0 and store is not None:
+                    _store_ensembles(store, labels, n, rep, [p[0] for p in rep_paths])
+        curves[:, reps.start:reps.start + n_curve] /= samples
+
+    _each_block(cfg, laws, labels, n, total, cfg.replicas, integrate)
+    summary.autocorr.extend({
         "law": label, "n": n, "replica_count": cfg.replicas,
         "t": grid_times(params), "mean": law_curves.mean(axis=0),
         "stderr": law_curves.std(axis=0, ddof=1) / np.sqrt(cfg.replicas),
-    } for label, law_curves in zip(labels, curves)]
+    } for label, law_curves in zip(labels, curves))
+    # stable sorts: within a law, earlier sizes and replicas stay first
+    for rows in (summary.autocorr, summary.norms):
+        rows.sort(key=lambda row: labels.index(row["law"]))
     pools = [law_paths[:cfg.replicas].reshape(cfg.replicas * n, width)
              for law_paths in paths0]
-    return list(zip(blocks, curves, pools, norm_rows, phis))
+    return curves, pools, phis
 
 
 def _bootstrap_gap(diff: np.ndarray, resamples: int, seed: int):
@@ -491,32 +489,34 @@ def run_universality(cfg, summary, out, store_paths):
     a paired bootstrap standard error and noise floor, plus a pooled
     marginal transport surrogate.  Each law's tilt median reuses the frozen
     runs that the first ``phi_replicas`` draws integrate alongside their
-    sample-0 full runs.  Replicas run in blocks, and a block's laws and
-    replicas integrate as one stack, which stops at the earliest step
-    where a member fails; its norms follow.  With several failing draws,
-    the first error raised is in block order, then by step, then replica,
-    then law, and names that draw.
+    sample-0 full runs, and needs each law's third absolute moment.  A
+    block's norms run before its laws and replicas integrate as one
+    stack, so the first error raised is in block order, norms first,
+    then by step, then replica, then law.
     """
     laws = cfg.law_objs()
     labels = cfg.law_labels()
     if len(laws) < 2:
         raise ConfigError("universality needs at least two laws")
     ref_idx = _reference_index(laws)
+    undeclared = [label for law, label in zip(laws, labels) if law.third_abs_moment is None]
+    if undeclared:
+        raise ConfigError("universality's tilt statistic needs each law's third "
+                          f"absolute moment; undeclared for {', '.join(undeclared)}")
     store = out if store_paths else None
-    per_law = [[] for _ in laws]  # (autocorr block, norm rows) in n_sweep order
     gap_rows = []
 
     for n in cfg.n_sweep:
-        results = _curve_block(cfg, summary, _params(cfg, n), cfg.thermal_samples,
-                               store, phi_draws=cfg.phi_replicas)
-        _, ref_curves, ref_pool, _, _ = results[ref_idx]
+        curves, pools, phis = _curve_block(cfg, summary, _params(cfg, n),
+                                           cfg.thermal_samples, store,
+                                           phi_draws=cfg.phi_replicas)
+        ref_pool = pools[ref_idx]
         ref_pool.sort(axis=0)
-        for idx, (block, curves, pool, norm_rows, _) in enumerate(results):
-            per_law[idx].append((block, norm_rows))
+        for idx, (law_curves, pool) in enumerate(zip(curves, pools)):
             if idx == ref_idx:
                 continue
             gap, stderr, floor = _bootstrap_gap(
-                curves - ref_curves, cfg.bootstrap_resamples,
+                law_curves - curves[ref_idx], cfg.bootstrap_resamples,
                 derive_seed(cfg.master_seed, "bootstrap", idx, n),
             )
             pool.sort(axis=0)
@@ -527,14 +527,10 @@ def run_universality(cfg, summary, out, store_paths):
                 "noise_floor": floor,
             })
         summary.phi_medians.extend(
-            {"law": label, "n": n, "phi_median": float(np.median(phis))}
-            for label, (*_, phis) in zip(labels, results))
-        del results, ref_pool, pool  # this N's pools go before the next N's fill
+            {"law": label, "n": n, "phi_median": float(np.median(law_phis))}
+            for label, law_phis in zip(labels, phis))
+        del pools, ref_pool, pool  # this N's pools go before the next N's fill
 
-    for blocks in per_law:
-        for block, norm_rows in blocks:
-            summary.autocorr.append(block)
-            summary.norms.extend(norm_rows)
     summary.gaps = sorted(gap_rows, key=lambda g: (labels.index(g["law"]), g["n"]))
 
 
@@ -551,16 +547,14 @@ def run_freeze_sweep(cfg, summary, out, store_paths):
 
     The disorder seed does not depend on kappa, so each draw's matrix,
     norm, noise and full path are computed once and shared by every
-    kappa.  Replicas run in blocks of as many as fit their matrices in
-    ``disorder._STACK_BYTES``: a block's matrices are drawn and normed
-    first, in one ``operator_norm_reports`` call, then one
-    ``simulate_shared`` call integrates each refresh interval once as one
-    stack over the block, and its stored pairs are written.  Outputs are those of one coupled
+    kappa.  Replicas run in blocks through ``_each_block``, which draws
+    and norms each block's matrices; then one ``simulate_shared`` call
+    integrates each refresh interval once as one stack over the block,
+    and its stored pairs are written.  Outputs are those of one coupled
     run per (kappa, replica): ``norms.csv`` repeats the replica rows once
     per kappa and the full side's safeguard activations count once per
     kappa.  With several failing draws, the first error raised is in
-    block order, then by step, then replica; a block's norm failures
-    come before its integration's.
+    block order, norms before integration, then by step, then replica.
     """
     law, label = cfg.law_objs()[0], cfg.law_labels()[0]
     potential = cfg.potential_obj()
@@ -577,17 +571,10 @@ def run_freeze_sweep(cfg, summary, out, store_paths):
     if store_paths:
         (out / "paths").mkdir(parents=True, exist_ok=True)
 
-    def integrate(reps):
+    def integrate(reps, mats, rows):
         # one block of draws; its paths are released on return
-        draws = [_disorder(cfg, law, 0, n, rep) for rep in reps]
-        reports = _guarded(operator_norm_reports, [(label, rep) for rep in reps], n,
-                           [mat for _, mat in draws], beta=cfg.beta)
-        rows = [_norm_row(cfg, label, n, rep, seed, report)
-                for rep, (seed, _), report in zip(reps, draws, reports)]
         norm_rows.extend(rows)
-        pairs = _guarded(simulate_shared, [(label, rep) for rep in reps], n,
-                         runs, potential, [[mat] for _, mat in draws], initial,
-                         replicas=reps)
+        pairs = simulate_shared(runs, potential, mats, initial, replicas=reps)
         for rep, norm_row, ((full, *frozen_runs),) in zip(reps, rows, pairs):
             for k, (params, frozen) in enumerate(zip(sweep, frozen_runs)):
                 stats = coupling_stats(full, frozen)
@@ -601,9 +588,8 @@ def run_freeze_sweep(cfg, summary, out, store_paths):
                         np.save(_path_file(out, label, params.kappa, rep, kind),
                                 ens.values)
 
-    block = _block_size(1, n)
-    for first in range(0, cfg.freeze_replicas, block):
-        integrate(range(first, min(first + block, cfg.freeze_replicas)))
+    _each_block(cfg, [law], [label], n, cfg.freeze_replicas, cfg.freeze_replicas,
+                integrate)
 
     for params, kappa_msds, kappa_violations in zip(sweep, msds, violations):
         summary.freeze.append({
@@ -741,11 +727,8 @@ def run_simulate(cfg, summary, out, store_paths):
     summary.seed_provenance["schemes"] = dict(
         _SEED_SCHEMES, brownian="stream replica index = replica (single sample)",
     )
-    for block, _, _, norm_rows, _ in _curve_block(
-            cfg, summary, _params(cfg, cfg.n_particles), samples=1,
-            store=out if store_paths else None):
-        summary.autocorr.append(block)
-        summary.norms.extend(norm_rows)
+    _curve_block(cfg, summary, _params(cfg, cfg.n_particles), samples=1,
+                 store=out if store_paths else None)
 
 
 def replay(
@@ -809,9 +792,9 @@ def replay(
         raise ConfigError(f"sample {sample} out of range (run kept {samples})")
 
     seed, mat = _disorder(cfg, cfg.law_objs()[idx], idx, n, replica)
-    ens = _guarded(simulate_full, [(law, replica)], n,
-                   _params(cfg, n), cfg.potential_obj(), mat, cfg.initial_obj(),
-                   replica=replica * samples + sample)
+    with _named([(law, replica)], n):
+        ens = simulate_full(_params(cfg, n), cfg.potential_obj(), mat, cfg.initial_obj(),
+                            replica=replica * samples + sample)
 
     fingerprint = hashlib.sha256(np.ascontiguousarray(ens.values).tobytes())
     result = {

@@ -342,7 +342,9 @@ def gaussian_mc_check(
         seed = derive_seed(master_seed, "lindeberg-mc", idx)
         exact = gaussian_expectation_exact(q)
         est, se = expectation_mc(q, GAUSSIAN, n_samples, seed)
-        z = abs(est - exact.value) / se if se > 0 else 0.0
+        # with no spread, only an exact match agrees
+        z = (abs(est - exact.value) / se if se > 0
+             else 0.0 if est == exact.value else math.inf)
         lower_ok = exact.value >= exact.lower - 1e-12
         passed = (z <= _Z_TOL) and lower_ok
         rows.append(

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spinlab
-from spinlab import disorder, dynamics, harness, lindeberg
+from spinlab import config, disorder, dynamics, harness, lindeberg
 from spinlab.cli import _COMMANDS, main
 from spinlab.config import ConfigError, load_config
 from spinlab.dynamics import SafeguardError
@@ -400,7 +400,7 @@ def test_failed_run_leaves_the_older_run_in_a_reused_out(tmp_path, capsys,
     monkeypatch.setattr(dynamics, "_integrate", second_replica_fails)
     assert main(["freeze-sweep", "--config", str(path), "--out", str(out),
                  "--store-paths", "--seed", "8"]) == 2
-    assert "forced [law=gaussian, N=6, replica=1]" in capsys.readouterr().err
+    assert "(forced) [law=gaussian, N=6, replica=1]" in capsys.readouterr().err
     monkeypatch.setattr(dynamics, "_integrate", integrate)
     assert _tree(out) == before
     assert replay(out, "rademacher", replica=1)["matches_stored"] is True
@@ -715,7 +715,8 @@ def test_cli_validate_exit_zero(tmp_path, capsys):
     assert (tmp_path / "out" / "summary.json").exists()
 
 
-# README's example custom law: uniform on [-sqrt 3, sqrt 3]
+# README's example custom law, uniform on [-sqrt 3, sqrt 3], less its
+# declared third absolute moment
 _FLAT = {"name": "flat", "distribution": "uniform", "loc": -1.7320508075688772,
          "scale": 3.4641016151377544, "mean": 0.0, "variance": 1.0}
 _CHECKS = ("mean-zero", "unit-variance", "finite-exponential-moment", "third-abs-moment",
@@ -1026,7 +1027,7 @@ def test_cli_tilt_failure_inside_a_block_names_kappa_and_replica(
                  "--out", str(tmp_path / "out")])
     assert code == 2
     err = capsys.readouterr().err
-    assert "forced, kappa=2 [law=rademacher, N=4, replica=1]" in err
+    assert "(forced, kappa=2) [law=rademacher, N=4, replica=1]" in err
 
 
 def test_cli_power_iteration_cap_exit_two_names_the_draw(tmp_path, capsys,
@@ -1057,7 +1058,7 @@ def test_cli_frozen_safeguard_failure_names_its_kappa(tmp_path, capsys,
                  "--out", str(tmp_path / "out")])
     assert code == 2
     err = capsys.readouterr().err
-    assert "forced, kappa=2 [law=gaussian, N=6, replica=0]" in err
+    assert "(forced, kappa=2) [law=gaussian, N=6, replica=0]" in err
 
 
 def test_cli_frozen_failure_inside_a_freeze_block_names_its_replica(
@@ -1078,7 +1079,7 @@ def test_cli_frozen_failure_inside_a_freeze_block_names_its_replica(
                  "--out", str(tmp_path / "out")])
     assert code == 2
     err = capsys.readouterr().err
-    assert "forced, kappa=2 [law=gaussian, N=6, replica=1]" in err
+    assert "(forced, kappa=2) [law=gaussian, N=6, replica=1]" in err
 
 
 def test_cli_norm_failure_inside_a_freeze_block_stops_before_integrating(
@@ -1106,6 +1107,98 @@ def test_cli_norm_failure_inside_a_freeze_block_stops_before_integrating(
     err = capsys.readouterr().err
     assert err.rstrip().endswith("forced cap [law=gaussian, N=6, replica=1]")
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_norm_failure_inside_a_universality_block_stops_before_integrating(
+        tmp_path, capsys, monkeypatch):
+    # at N = 4, 600 bytes hold two replicas' pairs of 4 x 4 matrices: the
+    # first block's norms fail at replica 1's rademacher draw, before any
+    # of its laws and replicas integrate
+    monkeypatch.setattr(disorder, "_STACK_BYTES", 600)
+    norm = harness.operator_norm_reports
+    bad_seed = harness.derive_seed(7, "disorder", 1, 4, 1)
+
+    def one_norm_fails(mats, **kwargs):
+        seeds = [mat.seed for mat in mats]
+        if bad_seed in seeds:
+            raise disorder.PowerIterationError("forced cap", (0.0, 1.0),
+                                               member=seeds.index(bad_seed))
+        return norm(mats, **kwargs)
+
+    monkeypatch.setattr(harness, "operator_norm_reports", one_norm_fails)
+    calls = _count_calls(monkeypatch, dynamics, "_integrate")
+    path = _write_cfg(tmp_path)
+    code = main(["universality", "--config", str(path),
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert calls == {"_integrate": 0}
+    assert _one_line(capsys).endswith("forced cap [law=rademacher, N=4, replica=1]")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, block", [
+    ("freeze-sweep", "[N=6, replicas 0-1]"), ("universality", "[N=4, replicas 0-2]")])
+def test_cli_float_error_names_its_block(tmp_path, capsys, command, block):
+    # beta 1e300 overflows the first block's norms; a float error carries
+    # no member, so it names the block's N and replicas
+    path = _write_cfg(tmp_path, beta=1e300)
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = _one_line(capsys)
+    assert err.startswith("numerical failure: overflow")
+    assert err.endswith(block)
+
+
+def test_cli_run_that_does_not_fit_in_memory_is_a_config_error(tmp_path, capsys,
+                                                              monkeypatch):
+    path = _write_cfg(tmp_path)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+    before = _tree(out)
+    capsys.readouterr()
+
+    def too_large(*args, **kwargs):
+        raise MemoryError("Unable to allocate 96.0 TiB")
+
+    monkeypatch.setattr(dynamics, "_integrate", too_large)
+    assert main(["freeze-sweep", "--config", str(path), "--out", str(out)]) == 1
+    assert _one_line(capsys) == (
+        "config error: the run does not fit in memory: Unable to allocate 96.0 TiB")
+    assert _tree(out) == before
+
+
+@pytest.mark.parametrize("third, code", [(None, 1), (3.0 * math.sqrt(3.0) / 4.0, 0)])
+def test_cli_universality_needs_each_law_third_moment(tmp_path, capsys, monkeypatch,
+                                                      third, code):
+    # README's flat law, without and with its declared third absolute moment
+    law = dict(_FLAT, **({} if third is None else {"third_abs_moment": third}))
+    (tmp_path / "flat.json").write_text(json.dumps(law))
+    path = _write_cfg(tmp_path, laws=["gaussian", f"custom:{tmp_path / 'flat.json'}"])
+    draws = _count_calls(monkeypatch, harness, "sample_matrix")
+    assert main(["universality", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == code
+    if code:
+        assert _one_line(capsys) == (
+            "config error: universality's tilt statistic needs each law's third "
+            "absolute moment; undeclared for flat")
+        assert draws == {"sample_matrix": 0}
+
+
+def test_custom_law_file_is_read_once_per_config(tmp_path, monkeypatch):
+    # read when the config loads and never during a run, so a file edited
+    # mid-run cannot change a law under the run's config hash
+    (tmp_path / "flat.json").write_text(json.dumps(
+        dict(_FLAT, third_abs_moment=3.0 * math.sqrt(3.0) / 4.0)))
+    path = _write_cfg(tmp_path, laws=["gaussian", f"custom:{tmp_path / 'flat.json'}"])
+    load = config._load_custom_law
+    reads = []
+    monkeypatch.setattr(config, "_load_custom_law",
+                        lambda law_path: reads.append(law_path) or load(law_path))
+    cfg = load_config(path)
+    assert len(reads) == 1
+    (tmp_path / "flat.json").write_text("{}")
+    assert cfg.law_labels() == ["gaussian", "flat"]
+    run_universality(cfg, out_dir=tmp_path / "out")
+    assert len(reads) == 1
 
 
 def test_cli_failed_certificate_exit_two_names_instance(tmp_path, capsys,

@@ -304,3 +304,14 @@ def test_gaussian_mc_check_small_run():
     rows = gaussian_mc_check(n_instances=3, n_samples=50_000, master_seed=4)
     assert all(r.passed for r in rows)
     assert all(r.z_score <= 4.0 for r in rows)
+
+
+def test_gaussian_mc_check_fails_an_estimate_with_no_spread_off_the_exact_value():
+    # at horizon 1e300 every sample's exp(-h) underflows to 0, so the
+    # estimate and its standard error are 0 while the exact value is not
+    (row,) = gaussian_mc_check(n_instances=1, n_samples=2000, master_seed=7,
+                               beta=0.5, horizon=1e300)
+    assert (row.mc_estimate, row.mc_stderr) == (0.0, 0.0)
+    assert row.exact > 0.0
+    assert row.z_score == math.inf
+    assert not row.passed

@@ -4,8 +4,9 @@ Exit codes: 0 on success, 1 for configuration problems (bad flags, bad config
 file, bad law/potential specs, a run too large for memory), 2 for numerical
 failures (boundary safeguard, power-iteration cap, float overflow or NaN,
 certificate violation, replay mismatch).  Seed precedence: ``--seed`` beats
-the ``SPINLAB_SEED`` environment variable, which beats the config file;
-``replay`` has only its own flags and takes config and seed from the run.
+the ``SPINLAB_SEED`` environment variable, which beats the config file; the
+winner and ``--out`` are ``load_config`` overrides, so a command builds one
+config.  ``replay`` takes config and seed from the run.
 Every command runs its replicas serially; ``--threads`` is still accepted
 and checked (values below 1 exit 1), and outputs are byte-identical at any
 value.
@@ -14,7 +15,6 @@ value.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 
@@ -90,20 +90,19 @@ def _build_parser() -> _Parser:
 
 
 def _resolve_seed(args) -> int | None:
-    if args.seed is not None:
-        if not 0 <= args.seed < 1 << 64:
-            raise ConfigError("--seed must fit in 64 bits")
-        return args.seed
-    env = os.environ.get("SPINLAB_SEED")
-    if env is not None:
-        try:
-            seed = int(env)
-        except ValueError as exc:
-            raise ConfigError(f"SPINLAB_SEED is not an integer: {env!r}") from exc
-        if not 0 <= seed < 1 << 64:
-            raise ConfigError("SPINLAB_SEED must fit in 64 bits")
-        return seed
-    return None
+    """The winning seed of ``--seed`` and ``SPINLAB_SEED``, checked once; None for neither."""
+    source, seed = "--seed", args.seed
+    if seed is None:
+        source, seed = "SPINLAB_SEED", os.environ.get("SPINLAB_SEED")
+    if seed is None:
+        return None
+    try:
+        seed = int(seed)
+    except ValueError as exc:
+        raise ConfigError(f"{source} is not an integer: {seed!r}") from exc
+    if not 0 <= seed < 1 << 64:
+        raise ConfigError(f"{source} must fit in 64 bits")
+    return seed
 
 
 def _print_summary(summary) -> None:
@@ -159,12 +158,8 @@ def main(argv=None) -> int:
                       f"end={float(vals[-1])!r}")
             return 0
 
-        seed = _resolve_seed(args)
-        cfg = load_config(args.config)
-        if seed is not None:
-            cfg = dataclasses.replace(cfg, master_seed=seed)
-        if args.out is not None:
-            cfg = dataclasses.replace(cfg, output_dir=args.out)
+        overrides = {"master_seed": _resolve_seed(args), "output_dir": args.out}
+        cfg = load_config(args.config, {k: v for k, v in overrides.items() if v is not None})
         if args.threads < 1:
             raise ConfigError("--threads must be >= 1")
         summary = _COMMANDS[args.command](cfg, store_paths=args.store_paths)

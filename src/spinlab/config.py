@@ -5,7 +5,8 @@ The config file is a single JSON object whose keys map one-to-one onto
 warnings so that a typo cannot silently fall back to a default.  Law,
 potential, and initial-condition specs are short strings ("rademacher",
 "doublewell", "uniform:1.0"); custom entry laws live in their own JSON
-file referenced as "custom:<path>".
+file referenced as "custom:<path>".  Every JSON input is read by
+:func:`read_json_object`, and every number checked by one rule.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .disorder import (
@@ -54,15 +55,31 @@ _CUSTOM_LAW_KEYS = {
 }
 
 
-def _load_custom_law(path: Path) -> CustomSampler:
+def read_json_object(path: Path, what: str) -> dict:
+    """The JSON object in ``path``; any failure is a ConfigError naming ``what``."""
     try:
         raw = json.loads(path.read_text())
     except OSError as exc:
-        raise ConfigError(f"cannot read custom law file {path}: {exc}") from exc
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
     except ValueError as exc:  # not JSON, or not UTF-8
-        raise ConfigError(f"custom law file {path} is not valid JSON: {exc}") from exc
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
-        raise ConfigError(f"custom law file {path} must hold a JSON object")
+        raise ConfigError(f"{what} {path} must hold a JSON object")
+    return raw
+
+
+def _finite(what: str, val):
+    """``val`` if it is a finite float or an int within 2**53, else a ConfigError."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        raise ConfigError(f"{what} must be a number, got {val!r}")
+    # an int past 2**53 is not exact as a float, and uses mix the two
+    if not (math.isfinite(val) if isinstance(val, float) else abs(val) <= 2**53):
+        raise ConfigError(f"{what} must be finite and an int within 2**53, got {val!r}")
+    return val
+
+
+def _load_custom_law(path: Path) -> CustomSampler:
+    raw = read_json_object(path, "custom law file")
     unknown = set(raw) - _CUSTOM_LAW_KEYS
     if unknown:
         raise ConfigError(
@@ -82,15 +99,7 @@ def _load_custom_law(path: Path) -> CustomSampler:
         raise ConfigError("custom law 'args' must be a list of shape parameters")
 
     def number(key, val):
-        if isinstance(val, bool) or not isinstance(val, (int, float)):
-            raise ConfigError(f"custom law file {path}: {key} must be a number, got {val!r}")
-        try:
-            val = float(val)
-        except OverflowError:
-            val = math.inf
-        if not math.isfinite(val):
-            raise ConfigError(f"custom law file {path}: {key} must be finite, got {val!r}")
-        return val
+        return float(_finite(f"custom law file {path}: {key}", val))
 
     def moment(key):
         val = raw.get(key)
@@ -121,16 +130,18 @@ def _load_custom_law(path: Path) -> CustomSampler:
     if any(math.isnan(float(b)) for b in support):
         raise ConfigError(f"parameters {args} outside the domain of {dist_name!r}")
 
+    # the name labels the law's stored paths, so it must stay one file name
+    name = str(raw.get("name", path.stem))
+    if name in ("", ".", "..") or any(c in name for c in "/\\\0"):
+        raise ConfigError(f"custom law file {path}: name {name!r} is not a file name")
+
     def sampler(count, generator, _frozen=frozen):
         return _frozen.rvs(size=count, random_state=generator)
 
-    return CustomSampler(
-        name=str(raw.get("name", path.stem)),
-        sampler=sampler,
-        mean=mean,
-        variance=variance,
-        third_abs_moment=third,
-    )
+    law = CustomSampler(name=name, sampler=sampler, mean=mean, variance=variance,
+                        third_abs_moment=third)
+    law.source = raw  # config_hash covers the file's contents, not only its path
+    return law
 
 
 def parse_law(spec: str) -> DisorderLaw:
@@ -200,7 +211,8 @@ class ExperimentConfig:
     ``a2 = None`` in the file resolves to the beta-dependent default
     ``2*beta + 0.5`` at load time, so the stored object always carries a
     concrete number.  ``config_hash`` excludes ``output_dir``: moving the
-    output does not change the experiment's identity.
+    output does not change the experiment's identity.  It covers each
+    custom law's file contents as well as its path.
     """
 
     n_particles: int = 100
@@ -230,7 +242,6 @@ class ExperimentConfig:
     gaussian_check_instances: int = 50
     gaussian_check_samples: int = 1_000_000
     output_dir: str = "spinlab-out"
-    base_dir: Path = field(default_factory=Path, compare=False)
 
     def __post_init__(self):
         ints = {
@@ -254,21 +265,12 @@ class ExperimentConfig:
             hi = (1 << 64) - 1 if name == "master_seed" else sys.maxsize
             if not isinstance(val, int) or isinstance(val, bool) or not lo <= val <= hi:
                 raise ConfigError(f"{name} must be an integer in [{lo}, {hi}], got {val!r}")
-
-        def finite_number(name):
-            val = getattr(self, name)
-            if not isinstance(val, (int, float)) or isinstance(val, bool):
-                raise ConfigError(f"{name} must be a number, got {val!r}")
-            # an int past 2**53 is not exact as a float, and uses mix the two
-            if not (math.isfinite(val) if isinstance(val, float) else abs(val) <= 2**53):
-                raise ConfigError(f"{name} must be finite and an int within 2**53, got {val!r}")
-
         for name in ("beta", "s_bound", "horizon", "rho", "eps", "c1", "gamma"):
-            finite_number(name)
+            _finite(name, getattr(self, name))
         # the default depends on beta, so it resolves once beta is checked
         if self.a2 is None:
             object.__setattr__(self, "a2", 2.0 * self.beta + 0.5)
-        finite_number("a2")
+        _finite("a2", self.a2)
         if self.beta < 0:
             raise ConfigError("beta must be >= 0")
         if self.s_bound <= 0 or self.horizon <= 0 or self.rho <= 0:
@@ -300,21 +302,16 @@ class ExperimentConfig:
                                   "or N x (steps + 1) float64 array exceeds numpy's index range")
         if not isinstance(self.output_dir, str) or not self.output_dir:
             raise ConfigError("output_dir must be a nonempty string")
-        # Custom-law paths resolve against the config file's directory once,
-        # so a persisted config replays from anywhere.
-        resolved = []
-        for spec in self.laws:
-            if isinstance(spec, str) and spec.startswith("custom:"):
-                rel = Path(spec[len("custom:"):])
-                if not rel.is_absolute():
-                    spec = f"custom:{(self.base_dir / rel).resolve()}"
-            resolved.append(spec)
-        object.__setattr__(self, "laws", tuple(resolved))
         # Each spec is parsed once, here: a custom-law file is read when the
         # config loads and never during a run, so the laws match the hash.
         object.__setattr__(self, "_potential", parse_potential(self.potential, self.s_bound))
         object.__setattr__(self, "_initial", parse_initial(self.initial, self.s_bound))
         object.__setattr__(self, "_laws", tuple(parse_law(spec) for spec in self.laws))
+        # a label names its law's stored paths, so two laws may not share one
+        labels = self.law_labels()
+        repeated = [label for label in labels if labels.count(label) > 1]
+        if repeated:
+            raise ConfigError(f"two laws share the label {repeated[0]!r}; rename a custom law")
 
     def potential_obj(self) -> Potential:
         return self._potential
@@ -343,51 +340,52 @@ class ExperimentConfig:
         return self.kappa * self.substeps
 
     def as_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            if f.name == "base_dir":
-                continue
-            val = getattr(self, f.name)
-            out[f.name] = list(val) if isinstance(val, tuple) else val
-        return out
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {key: list(val) if isinstance(val, tuple) else val for key, val in out.items()}
 
     def config_hash(self) -> str:
         payload = self.as_dict()
         payload.pop("output_dir")
+        # a custom law's file contents, so editing the file changes the hash;
+        # a config without one hashes as it always has
+        sources = [law.source for law in self._laws if isinstance(law, CustomSampler)]
+        if sources:
+            payload["custom_law_files"] = sources
         canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode()).hexdigest()
 
 
-_FIELD_NAMES = {f.name for f in fields(ExperimentConfig)} - {"base_dir"}
+_FIELD_NAMES = {f.name for f in fields(ExperimentConfig)}
+
+
+def _resolved(spec, base_dir: Path):
+    """``spec`` with a relative custom-law path made absolute under ``base_dir``,
+    so a persisted config replays from anywhere."""
+    if isinstance(spec, str) and spec.startswith("custom:"):
+        rel = Path(spec[len("custom:"):])
+        if not rel.is_absolute():
+            return f"custom:{(base_dir / rel).resolve()}"
+    return spec
 
 
 def load_config(path: str | Path | None = None, overrides: dict | None = None) -> ExperimentConfig:
     """Build a config from an optional JSON file plus overrides.
 
-    Raises ConfigError on unreadable files, non-object JSON, unknown keys,
-    or invalid values.  With no file and no overrides this returns the
+    Relative ``custom:`` paths resolve against the file's directory (the
+    working directory without a file) and are stored absolute.  Raises
+    ConfigError on unreadable files, non-object JSON, unknown keys, or
+    invalid values.  With no file and no overrides this returns the
     default experiment.
     """
-    payload: dict = {}
-    base_dir = Path()
-    if path is not None:
-        path = Path(path)
-        base_dir = path.parent
-        try:
-            raw = json.loads(path.read_text())
-        except OSError as exc:
-            raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-        except ValueError as exc:  # not JSON, or not UTF-8
-            raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise ConfigError(f"config file {path} must hold a JSON object")
-        payload.update(raw)
-    if overrides:
-        payload.update(overrides)
+    base_dir = Path() if path is None else Path(path).parent
+    payload = {} if path is None else read_json_object(Path(path), "config file")
+    payload.update(overrides or {})
     unknown = set(payload) - _FIELD_NAMES
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    if isinstance(payload.get("laws"), (list, tuple)):
+        payload["laws"] = [_resolved(spec, base_dir) for spec in payload["laws"]]
     try:
-        return ExperimentConfig(base_dir=base_dir, **payload)
+        return ExperimentConfig(**payload)
     except TypeError as exc:
         raise ConfigError(str(exc)) from exc

@@ -48,7 +48,7 @@ from pathlib import Path
 import numpy as np
 
 from . import disorder
-from .config import ConfigError, ExperimentConfig, load_config
+from .config import ConfigError, ExperimentConfig, load_config, read_json_object
 from .disorder import (
     PowerIterationError,
     PowerIterationReport,
@@ -752,17 +752,8 @@ def replay(
     a stored path that fails to match raises NumericalFailure.
     """
     run_dir = Path(run_dir)
-    docs = []
-    for name in ("config.json", "summary.json"):
-        try:
-            docs.append(json.loads((run_dir / name).read_text()))
-        except OSError as exc:
-            raise ConfigError(f"cannot read run directory {run_dir}: {exc}") from exc
-        except ValueError as exc:  # not JSON, or not UTF-8
-            raise ConfigError(f"{run_dir / name} is not valid JSON: {exc}") from exc
-        if not isinstance(docs[-1], dict):
-            raise ConfigError(f"{run_dir / name} must hold a JSON object")
-    stored_cfg, stored_summary = docs
+    stored_cfg, stored_summary = (read_json_object(run_dir / name, "run directory file")
+                                  for name in ("config.json", "summary.json"))
 
     cfg = load_config(overrides=stored_cfg)
     if cfg.config_hash() != stored_summary.get("config_hash"):

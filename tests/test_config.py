@@ -293,6 +293,21 @@ def test_custom_path_resolves_against_config_dir(tmp_path):
     assert cfg.law_objs()[1].name == "flat"
 
 
+def test_absolute_custom_path_is_stored_as_written(tmp_path):
+    (tmp_path / "flat.json").write_text(json.dumps(_triangular_free_doc()))
+    (tmp_path / "sub").mkdir()
+    spec = f"custom:{tmp_path / 'sub' / '..' / 'flat.json'}"
+    assert load_config(overrides={"laws": ["gaussian", spec]}).laws[1] == spec
+
+
+def test_custom_law_int_past_2_53_rejected(tmp_path):
+    # as for a config key: such an int is not exact as a float
+    path = tmp_path / "flat.json"
+    path.write_text(json.dumps({**_triangular_free_doc(), "scale": 2**60}))
+    with pytest.raises(ConfigError, match=r"scale must be finite and an int within 2\*\*53"):
+        parse_law(f"custom:{path}")
+
+
 # ---------------------------------------------------------------------------
 # labels and hashing
 
@@ -309,8 +324,8 @@ def test_config_hash_ignores_output_dir():
 
 
 def test_config_hash_tracks_seed():
-    # the CLI applies --seed and --out with dataclasses.replace, which
-    # validates the new value as the loader does
+    # dataclasses.replace validates the new value as the loader does; the
+    # CLI passes --seed and --out to load_config as overrides instead
     a = load_config()
     b = dataclasses.replace(a, master_seed=a.master_seed + 1)
     assert a.config_hash() != b.config_hash()

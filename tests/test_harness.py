@@ -1201,6 +1201,67 @@ def test_custom_law_file_is_read_once_per_config(tmp_path, monkeypatch):
     assert len(reads) == 1
 
 
+def test_cli_custom_law_file_is_read_once_per_command(tmp_path, monkeypatch):
+    # --seed and --out reach load_config as overrides, so one config is built
+    (tmp_path / "flat.json").write_text(json.dumps(_FLAT))
+    path = _write_cfg(tmp_path, laws=["gaussian", f"custom:{tmp_path / 'flat.json'}"])
+    reads = _count_calls(monkeypatch, config, "_load_custom_law")
+    assert main(["simulate", "--config", str(path), "--seed", "7",
+                 "--out", str(tmp_path / "out")]) == 0
+    assert reads == {"_load_custom_law": 1}
+
+
+def test_cli_replay_after_the_law_file_changes_is_a_hash_mismatch(tmp_path, capsys):
+    # the config hash covers the law file's contents, not only its path
+    law = tmp_path / "flat.json"
+    law.write_text(json.dumps(_FLAT))
+    path = _write_cfg(tmp_path, laws=["gaussian", f"custom:{law}"])
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    law.write_text(json.dumps(dict(_FLAT, scale=2.0 * _FLAT["scale"])))
+    capsys.readouterr()
+    assert main(["replay", str(tmp_path / "out"), "--law", "flat", "--replica", "0"]) == 2
+    assert _one_line(capsys).startswith("numerical failure: config hash mismatch in ")
+
+
+def _write_raw_cfg(tmp_path, **kw):
+    """``_write_cfg`` for a config that does not load."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(_small().as_dict(), **kw)))
+    return path
+
+
+def _files_under(root: Path) -> set:
+    return {str(p.relative_to(root)) for p in root.rglob("*")}
+
+
+@pytest.mark.parametrize("name", ["a/b", "../../escaped", "a\\b", "a\0b", "..", ".", ""])
+def test_cli_custom_law_name_that_is_no_file_name_exit_one(tmp_path, capsys, name):
+    # the name labels the law's stored paths, which must stay inside --out
+    (tmp_path / "law.json").write_text(json.dumps(dict(_FLAT, name=name)))
+    path = _write_raw_cfg(tmp_path, laws=["gaussian", f"custom:{tmp_path / 'law.json'}"])
+    before = _files_under(tmp_path)
+    code = main(["simulate", "--config", str(path), "--store-paths",
+                 "--out", str(tmp_path / "run" / "out")])
+    assert code == 1
+    assert _one_line(capsys) == (f"config error: custom law file {tmp_path / 'law.json'}: "
+                                 f"name {name!r} is not a file name")
+    assert _files_under(tmp_path) == before
+
+
+def test_cli_laws_that_share_a_label_exit_one(tmp_path, capsys):
+    # a custom gaussian@2 beside two gaussians would share its stored paths
+    (tmp_path / "law.json").write_text(json.dumps(dict(_FLAT, name="gaussian@2")))
+    path = _write_raw_cfg(tmp_path, laws=["gaussian", "gaussian",
+                                          f"custom:{tmp_path / 'law.json'}"])
+    before = _files_under(tmp_path)
+    code = main(["simulate", "--config", str(path), "--store-paths",
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert _one_line(capsys) == ("config error: two laws share the label 'gaussian@2'; "
+                                 "rename a custom law")
+    assert _files_under(tmp_path) == before
+
+
 def test_cli_failed_certificate_exit_two_names_instance(tmp_path, capsys,
                                                        monkeypatch):
     monkeypatch.setattr(lindeberg, "lindeberg_bound", lambda q, law: 0.0)

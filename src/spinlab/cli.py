@@ -2,11 +2,12 @@
 
 Exit codes: 0 on success, 1 for configuration problems (bad flags, bad config
 file, bad law/potential specs, a run too large for memory), 2 for numerical
-failures (boundary safeguard, power-iteration cap, float overflow or NaN,
-certificate violation, replay mismatch).  Seed precedence: ``--seed`` beats
-the ``SPINLAB_SEED`` environment variable, which beats the config file; the
-winner and ``--out`` are ``load_config`` overrides, so a command builds one
-config.  ``replay`` takes config and seed from the run.
+failures: a ``NumericalFailure`` (boundary safeguard, power-iteration cap,
+certificate violation, replay mismatch) or a float overflow or NaN.  Seed
+precedence: ``--seed`` beats the ``SPINLAB_SEED`` environment variable,
+which beats the config file; the winner and ``--out`` are ``load_config``
+overrides, so a command builds one config.  ``replay`` takes config and
+seed from the run.
 Every command runs its replicas serially; ``--threads`` is still accepted
 and checked (values below 1 exit 1), and outputs are byte-identical at any
 value.
@@ -19,8 +20,6 @@ import os
 import sys
 
 from .config import ConfigError, load_config
-from .disorder import PowerIterationError
-from .dynamics import SafeguardError
 from .harness import (
     NumericalFailure,
     replay,
@@ -171,7 +170,7 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print(f"config error: the run does not fit in memory: {exc}", file=sys.stderr)
         return 1
-    except (NumericalFailure, SafeguardError, PowerIterationError, ArithmeticError) as exc:
+    except (NumericalFailure, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
 

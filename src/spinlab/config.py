@@ -292,9 +292,13 @@ class ExperimentConfig:
             if not isinstance(seq, tuple) or not seq:
                 raise ConfigError(f"{name} must be a nonempty list")
         for name in ("n_sweep", "kappa_sweep"):
-            if any(not isinstance(v, int) or isinstance(v, bool) or v < 1
-                   for v in getattr(self, name)):
+            seq = getattr(self, name)
+            if any(not isinstance(v, int) or isinstance(v, bool) or v < 1 for v in seq):
                 raise ConfigError(f"{name} entries must be positive integers")
+            # a repeat would run the same seeds again and write duplicate rows
+            repeated = [v for v in seq if seq.count(v) > 1]
+            if repeated:
+                raise ConfigError(f"{name} repeats the entry {repeated[0]}")
         # each draw's N x N matrix and N x (steps + 1) path must fit numpy's index range
         for n in (self.n_particles, *self.n_sweep):
             if 8 * n * max(n, self.total_steps() + 1) > sys.maxsize:

@@ -15,6 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .model import NumericalFailure
 from .streams import CounterStream, _box_muller, _unit_open, derive_seed
 
 __all__ = [
@@ -234,16 +235,15 @@ def sample_matrix(law: DisorderLaw, n: int, seed: int) -> DisorderMatrix:
     return DisorderMatrix(entries, law, int(seed))
 
 
-class PowerIterationError(RuntimeError):
+class PowerIterationError(NumericalFailure):
     """Iteration cap hit; ``best`` carries the last (value, residual) pair.
 
     ``member`` is the index of the failing matrix in the caller's list.
     """
 
     def __init__(self, message, best, member: int = 0):
-        super().__init__(message)
+        super().__init__(message, member)
         self.best = best
-        self.member = member
 
 
 @dataclass(frozen=True)

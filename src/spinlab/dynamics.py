@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .disorder import DisorderMatrix, _aligned
-from .model import InitialLaw, ModelParams, PathEnsemble, Potential, grid_times
+from .model import (InitialLaw, ModelParams, NumericalFailure, PathEnsemble, Potential,
+                    grid_times)
 from .streams import BrownianStream, CounterStream, _unit_open
 
 __all__ = [
@@ -47,7 +48,7 @@ _INIT_PURPOSE = "init"
 _BRIDGE_PURPOSE = "bridge"
 
 
-class SafeguardError(RuntimeError):
+class SafeguardError(NumericalFailure):
     """A coordinate still violated the guard band after the halving cap.
 
     ``member`` is the failing member's index in a stacked call.
@@ -57,13 +58,12 @@ class SafeguardError(RuntimeError):
                  member: int = 0):
         super().__init__(
             f"boundary safeguard failed for particle {particle} at grid step "
-            f"{step}: proposed value {value!r} ({detail})"
+            f"{step}: proposed value {value!r} ({detail})", member
         )
         self.particle = particle
         self.step = step
         self.value = value
         self.detail = detail
-        self.member = member
 
 
 def sample_initial(law: InitialLaw, n: int, stream: CounterStream) -> np.ndarray:
@@ -114,12 +114,12 @@ def _integrate(params, potential, entries, x0, increments, bridges, out, refresh
     x0 is (R, N), increments (R, N, G) and ``bridges`` holds one bridge
     stream per replica.  entries is an (R * L, N, N) stack of raw
     (unscaled) interaction matrices in replica-major order, member
-    m = r * L + l belonging to replica r, or None for one member per
-    replica without interaction.  Every member starts at its replica's x0
-    and is driven by its replica's increments and bridge stream; the
-    interaction vectors (beta/sqrt(N)) J x are refreshed whenever
-    g % refresh_every == 0 and held constant otherwise.  A refinement runs
-    per flagged (member, particle), with its own budget for each (member,
+    m = r * L + l belonging to replica r (at beta = 0 only its length is
+    read).  Every member starts at its replica's x0 and is driven by its
+    replica's increments and bridge stream; the interaction vectors
+    (beta/sqrt(N)) J x are refreshed whenever g % refresh_every == 0 (never
+    at beta = 0) and held constant otherwise.  A refinement runs per
+    flagged (member, particle), with its own budget for each (member,
     step); a failing one's SafeguardError carries the member index.
     Returns L trajectory arrays of shape (R, N, G+1), one per law (``out``
     itself unless it is None), and the number of safeguarded steps per
@@ -132,9 +132,8 @@ def _integrate(params, potential, entries, x0, increments, bridges, out, refresh
     h = params.grid_step
     guard = params.s_bound * (1.0 - GUARD_FRACTION)
     du1 = potential.du1
-    laws = 1 if entries is None else len(entries) // reps
+    laws = len(entries) // reps
     members = reps * laws
-    use_interaction = entries is not None and params.beta != 0.0
     scale = params.beta / math.sqrt(n)
 
     if np.any(np.abs(x0) >= guard):
@@ -149,7 +148,7 @@ def _integrate(params, potential, entries, x0, increments, bridges, out, refresh
     activations = [0] * members
 
     for g in range(g_total):
-        if use_interaction and g % refresh_every == 0:
+        if params.beta != 0.0 and g % refresh_every == 0:
             interaction = scale * np.matmul(
                 entries, x.reshape(members, n, 1)).reshape(reps, laws, n)
         prop = x + h * (interaction - du1(x)) + increments[:, None, :, g]
@@ -176,22 +175,19 @@ def _integrate(params, potential, entries, x0, increments, bridges, out, refresh
 
 
 def _prepare(params, mats, init, replica):
-    """One replica's interaction entries (None when ``mats`` is None),
-    initial draw, Brownian increments and bridge stream."""
-    entries = None
-    if mats is not None:
-        for mat in mats:
-            if not isinstance(mat, DisorderMatrix):
-                raise TypeError(_BLOCK_FORM)
-            if mat.n != params.n_particles:
-                raise ValueError(f"matrix size {mat.n} != n_particles {params.n_particles}")
-        entries = [mat.entries for mat in mats]
+    """One replica's interaction entries, initial draw, Brownian increments
+    and bridge stream."""
+    for mat in mats:
+        if not isinstance(mat, DisorderMatrix):
+            raise TypeError(_BLOCK_FORM)
+        if mat.n != params.n_particles:
+            raise ValueError(f"matrix size {mat.n} != n_particles {params.n_particles}")
     init_stream = CounterStream(params.master_seed, _INIT_PURPOSE, replica)
     x0 = sample_initial(init, params.n_particles, init_stream)
     brownian = BrownianStream(params.master_seed, replica)
     increments = brownian.increments(params.n_particles, params.n_steps, params.grid_step)
     bridge = CounterStream(params.master_seed, _BRIDGE_PURPOSE, replica)
-    return entries, x0, increments, bridge
+    return [mat.entries for mat in mats], x0, increments, bridge
 
 
 # Fields that fix a run's grid, initial draw and noise: the runs of one
@@ -199,7 +195,7 @@ def _prepare(params, mats, init, replica):
 _GRID_FIELDS = ("n_particles", "beta", "s_bound", "horizon", "n_steps", "master_seed")
 
 _BLOCK_FORM = ("simulate_shared takes the block form: a sequence of replicas, and mats "
-               "None or holding one sequence of DisorderMatrix per replica")
+               "holding one sequence of DisorderMatrix per replica")
 
 
 def simulate_shared(
@@ -216,11 +212,13 @@ def simulate_shared(
     (the ``_GRID_FIELDS``) and differ only in kappa; ``(params, frozen,
     count)`` covers only the first ``count`` replicas.  ``replicas`` is a
     sequence of R stream replica indices, each prepared once, and ``mats``
-    holds one sequence of L DisorderMatrix per replica, or is None for runs
-    without interaction (L = 1).  The runs on one refresh interval (every
-    step for a full run, every ``params.substeps`` for a frozen one) share
-    one integration, a stack over the block in replica-major order
-    (``member = k * L + l``, block position k, matrix l), and its values.
+    holds one sequence of L DisorderMatrix per replica.  A run without
+    interaction has ``beta`` 0, which neither reads nor copies the
+    matrices, so a zero-strided ``np.broadcast_to(0.0, (N, N))`` serves as
+    one at any N.  The runs on one refresh interval (every step for a full
+    run, every ``params.substeps`` for a frozen one) share one integration,
+    a stack over the block in replica-major order (``member = k * L + l``,
+    block position k, matrix l), and its values.
 
     Returns ``result[k][l]``: one PathEnsemble per run covering block
     position k, in order, on its matrix l, each equal to ``simulate_full``
@@ -244,12 +242,12 @@ def simulate_shared(
             raise ValueError(f"{what} s_bound {bound} != params s_bound {base.s_bound}")
     try:
         replicas = list(replicas)
-        per_replica = [None] * len(replicas) if mats is None else [list(m) for m in mats]
+        per_replica = [list(m) for m in mats]
     except TypeError as exc:
         raise TypeError(_BLOCK_FORM) from exc
     if not replicas or len(per_replica) != len(replicas):
         raise ValueError("a block needs one mat entry per replica, and at least one")
-    counts = {1} if mats is None else {len(rep_mats) for rep_mats in per_replica}
+    counts = {len(rep_mats) for rep_mats in per_replica}
     if len(counts) > 1 or 0 in counts:
         raise ValueError("every replica of a block needs the same number of matrices, "
                          "and at least one")
@@ -266,8 +264,9 @@ def simulate_shared(
     for k, (rep_mats, rep) in enumerate(zip(per_replica, replicas)):
         rep_entries, x0[k], increments[k], bridge = _prepare(base, rep_mats, init, rep)
         bridges.append(bridge)
-        entries += rep_entries or []
-    entries = np.stack(entries, out=_aligned((len(entries), n, n))) if entries else None
+        entries += rep_entries
+    if base.beta != 0.0:  # _integrate reads only len(entries) at beta 0
+        entries = np.stack(entries, out=_aligned((len(entries), n, n)))
 
     grid = grid_times(base)
     paths = {}  # refresh interval -> (values per replica and matrix, activations)
@@ -279,9 +278,8 @@ def simulate_shared(
             width = max(c for p, f, c in runs if (p.substeps if f else 1) == every)
             try:
                 values, activations = _integrate(
-                    params, potential,
-                    None if entries is None else entries[:width * laws],
-                    x0[:width], increments[:width], bridges[:width],
+                    params, potential, entries[:width * laws], x0[:width],
+                    increments[:width], bridges[:width],
                     None if out is None or every != 1
                     else [law_out[:width] for law_out in out],
                     refresh_every=every,
@@ -304,15 +302,14 @@ def simulate_shared(
 
 
 def _alone(runs, potential, mat, init, replica):
-    """One PathEnsemble per run, on one replica and one matrix (or None)."""
-    mats = None if mat is None else [[mat]]
-    return simulate_shared(runs, potential, mats, init, [replica])[0][0]
+    """One PathEnsemble per run, on one replica and one matrix."""
+    return simulate_shared(runs, potential, [[mat]], init, [replica])[0][0]
 
 
 def simulate_full(
     params: ModelParams,
     potential: Potential,
-    mat: DisorderMatrix | None,
+    mat: DisorderMatrix,
     init: InitialLaw,
     replica: int = 0,
 ) -> PathEnsemble:
@@ -323,7 +320,7 @@ def simulate_full(
 def simulate_frozen(
     params: ModelParams,
     potential: Potential,
-    mat: DisorderMatrix | None,
+    mat: DisorderMatrix,
     init: InitialLaw,
     replica: int = 0,
 ) -> PathEnsemble:
@@ -367,7 +364,7 @@ def coupling_stats(full: PathEnsemble, frozen: PathEnsemble) -> CouplingStats:
 def simulate_coupled(
     params: ModelParams,
     potential: Potential,
-    mat: DisorderMatrix | None,
+    mat: DisorderMatrix,
     init: InitialLaw,
     replica: int = 0,
 ):

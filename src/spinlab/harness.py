@@ -16,11 +16,11 @@ fresh sibling directory that replaces the output directory only when the
 run has persisted, so a failed run leaves an older run there intact.
 Shared decisions have one owner each: ``_params``, ``_disorder``,
 ``_norm_row``, ``_named`` (names the draw behind a failure), ``_TABLES``
-(CSV schemas) and ``_path_file`` (stored-trajectory names, used by store
-and replay).  Every command that integrates runs its draws through one
-loop, ``_each_block``, which draws each block of replicas, norms it and
-hands it to the command's body, which integrates it through
-``dynamics.simulate_shared``.
+(CSV schemas), ``_path_file`` (stored-trajectory names, used by store and
+replay) and ``_store_ensembles`` (writes every stored trajectory).  Every
+command that integrates runs its draws through one loop, ``_each_block``,
+which draws each block of replicas, norms it and hands it to the
+command's body, which integrates it through ``dynamics.simulate_shared``.
 
 Seed derivation schemes (also recorded in each summary):
 
@@ -50,7 +50,6 @@ import numpy as np
 from . import disorder
 from .config import ConfigError, ExperimentConfig, load_config, read_json_object
 from .disorder import (
-    PowerIterationError,
     PowerIterationReport,
     StandardGaussian,
     condition_diagnostics,
@@ -58,15 +57,9 @@ from .disorder import (
     sample_matrix,
     validate_law,
 )
-from .dynamics import (
-    SafeguardError,
-    coupling_stats,
-    envelope_violated,
-    simulate_full,
-    simulate_shared,
-)
+from .dynamics import coupling_stats, envelope_violated, simulate_full, simulate_shared
 from .lindeberg import certificate_suite, gaussian_mc_check
-from .model import ModelParams, grid_times, max_negative_curvature
+from .model import ModelParams, NumericalFailure, grid_times, max_negative_curvature
 from .observables import autocorrelation, girsanov_stats, sorted_pool_w2
 from .streams import derive_seed
 
@@ -80,10 +73,6 @@ __all__ = [
     "run_lindeberg_suite",
     "replay",
 ]
-
-
-class NumericalFailure(RuntimeError):
-    """A numerical guarantee failed (safeguard, certificate, or replay)."""
 
 
 @dataclass
@@ -290,11 +279,12 @@ def _path_file(run_dir, label: str, size: int, rep: int, kind: str = "") -> Path
     return Path(run_dir) / "paths" / f"{label}_{axis}{size}_rep{rep}{suffix}.npy"
 
 
-def _store_ensembles(out_dir: Path, labels, size: int, rep: int, ensembles) -> None:
-    """Save each law's full run of draw ``rep`` at ``size``."""
+def _store_ensembles(out_dir: Path, stored) -> None:
+    """Save each ``(ensemble, label, size, rep[, kind])`` of ``stored`` under
+    its ``_path_file`` name."""
     (out_dir / "paths").mkdir(parents=True, exist_ok=True)
-    for label, ens in zip(labels, ensembles):
-        np.save(_path_file(out_dir, label, size, rep), ens.values)
+    for ens, *name in stored:
+        np.save(_path_file(out_dir, *name), ens.values)
 
 
 # ---------------------------------------------------------------------------
@@ -328,13 +318,13 @@ def _norm_row(cfg: ExperimentConfig, label: str, n: int, rep: int, seed: int,
 
 @contextmanager
 def _named(draws, n: int):
-    """Append the failing draw to a safeguard or power-iteration failure's
-    message, as ``draws[member]`` = (law label, replica) at size ``n``, or
-    to a float error's, which has no member, the N and replicas of all of
-    ``draws``.  The exception keeps its type."""
+    """Append the failing draw to a NumericalFailure's message, as
+    ``draws[member]`` = (law label, replica) at size ``n``, or to a float
+    error's, which has no member, the N and replicas of all of ``draws``.
+    The exception keeps its type."""
     try:
         yield
-    except (SafeguardError, PowerIterationError) as err:
+    except NumericalFailure as err:
         label, rep = draws[err.member]
         err.args = (f"{err} [law={label}, N={n}, replica={rep}]",)
         raise
@@ -433,7 +423,8 @@ def _curve_block(cfg: ExperimentConfig, summary: RunSummary, params: ModelParams
                         curves[idx, rep] += autocorrelation(ens)
                         summary.safeguard_activations += ens.safeguard_activations
                 if k < n_curve and s == 0 and store is not None:
-                    _store_ensembles(store, labels, n, rep, [p[0] for p in rep_paths])
+                    _store_ensembles(store, [(law_paths[0], label, n, rep)
+                                             for label, law_paths in zip(labels, rep_paths)])
         curves[:, reps.start:reps.start + n_curve] /= samples
 
     _each_block(cfg, laws, labels, n, total, cfg.replicas, integrate)
@@ -568,8 +559,6 @@ def run_freeze_sweep(cfg, summary, out, store_paths):
     msds = np.empty((len(sweep), cfg.freeze_replicas))
     violations = [0] * len(sweep)
     norm_rows = []
-    if store_paths:
-        (out / "paths").mkdir(parents=True, exist_ok=True)
 
     def integrate(reps, mats, rows):
         # one block of draws; its paths are released on return
@@ -583,10 +572,10 @@ def run_freeze_sweep(cfg, summary, out, store_paths):
                 msds[k, rep] = stats.msd
                 summary.safeguard_activations += (full.safeguard_activations
                                                   + frozen.safeguard_activations)
-                if store_paths:
-                    for kind, ens in (("full", full), ("frozen", frozen)):
-                        np.save(_path_file(out, label, params.kappa, rep, kind),
-                                ens.values)
+            if store_paths:
+                _store_ensembles(out, [(ens, label, params.kappa, rep, kind)
+                                       for params, frozen in zip(sweep, frozen_runs)
+                                       for kind, ens in (("full", full), ("frozen", frozen))])
 
     _each_block(cfg, [law], [label], n, cfg.freeze_replicas, cfg.freeze_replicas,
                 integrate)

@@ -4,7 +4,8 @@ The state space is the open box (-s, s)^N.  A confining potential U1 blows
 up at +-s and its derivative supplies the single-site drift -U1'(x).  Grids
 are uniform with G = kappa * substeps steps over [0, horizon]; the freeze
 points used by the piecewise-frozen dynamics sit exactly at indices
-k * substeps.
+k * substeps.  Every numerical failure the package raises is a
+``NumericalFailure``.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from typing import Callable
 import numpy as np
 
 __all__ = [
+    "NumericalFailure",
     "ModelParams",
     "Potential",
     "InitialLaw",
@@ -24,6 +26,16 @@ __all__ = [
     "grid_times",
     "max_negative_curvature",
 ]
+
+
+class NumericalFailure(RuntimeError):
+    """A numerical guarantee failed; ``member`` is the failing member's
+    index in a stacked call, which every failure of an integration or norm
+    block carries, or None for a certificate or replay failure."""
+
+    def __init__(self, message: str, member: int | None = None):
+        super().__init__(message)
+        self.member = member
 
 
 @dataclass(frozen=True)

@@ -104,15 +104,12 @@ class GirsanovRecord:
 
     b[k, i] is the normalized increment of particle i over sub-interval k
     after removing the single-site drift; under beta = 0 these are
-    (discretized) i.i.d. standard Gaussians.  g[k, i] is the interaction
-    tilt sum_j x[k, j] J_{ij} with x[k, j] the scaled frozen state at the
-    sub-interval's left endpoint.  m_big[i] = ||b^(i)||^2 / 2, delta[i] is
-    the third-moment penalty c1 N^{-3/2} sum_j E|J_ij|^3, and phi averages
-    log(1 + delta_i exp(m_big_i)) over particles.
+    (discretized) i.i.d. standard Gaussians.  m_big[i] = ||b^(i)||^2 / 2,
+    delta[i] is the third-moment penalty c1 N^{-3/2} sum_j E|J_ij|^3, and
+    phi averages log(1 + delta_i exp(m_big_i)) over particles.
     """
 
     b: np.ndarray
-    g: np.ndarray
     m_big: np.ndarray
     delta: np.ndarray
     phi: float
@@ -152,12 +149,8 @@ def girsanov_stats(
     dt = frozen.grid[m::m] - frozen.grid[:-1:m]
     b = np.empty((kappa, n))
     np.divide((v[:, m::m] - v[:, :-1:m] + drift_int).T, np.sqrt(dt)[:, None], out=b)
-    x_mat = np.ascontiguousarray(v[:, :-1:m].T)
-    x_mat *= params.beta * math.sqrt(params.horizon) / math.sqrt(n * kappa)
-
-    g = x_mat @ mat.entries.T
     m_big = 0.5 * np.sum(b * b, axis=0)
     # a numpy product, so an overflowing delta obeys np.errstate
     delta = np.full(n, c1 * np.float64(third) / math.sqrt(n))
     phi = 0.0 if delta[0] == 0.0 else float(np.mean(np.logaddexp(0.0, np.log(delta) + m_big)))
-    return GirsanovRecord(b, g, m_big, delta, phi, float(c1))
+    return GirsanovRecord(b, m_big, delta, phi, float(c1))

@@ -111,7 +111,9 @@ def test_criterion_3_stationary_density():
     # 10 time units of burn-in plus 10^5 retained samples at spacing 0.1
     params = ModelParams(1, 0.0, s, 10010.0, 1001, 1000,
                          derive_seed(31416, "stationarity"))
-    ens = simulate_full(params, potential, None, InitialLaw("point", 1.0, s), replica=0)
+    # beta = 0: the one particle ignores its matrix
+    mat = sample_matrix(GAUSSIAN, 1, seed=0)
+    ens = simulate_full(params, potential, mat, InitialLaw("point", 1.0, s), replica=0)
     samples = np.sort(ens.values[0, 1010::10])
     assert samples.size == 100_000
 

@@ -49,12 +49,13 @@ def test_sample_initial_uniform_is_per_lane_uniform():
     np.testing.assert_array_equal(x, np.array(lanes))
 
 
-def test_no_matrix_equals_zero_matrix_bitwise():
+def test_zero_matrix_equals_beta_zero_bitwise():
     p = _params()
     pot = double_well(2.0)
     init = InitialLaw("uniform", 1.0, 2.0)
     zero = DisorderMatrix(np.zeros((p.n_particles, p.n_particles)), GAUSSIAN, seed=0)
-    a = simulate_full(p, pot, None, init, replica=2)
+    mat = sample_matrix(RADEMACHER, p.n_particles, seed=11)
+    a = simulate_full(_params(beta=0.0), pot, mat, init, replica=2)
     b = simulate_full(p, pot, zero, init, replica=2)
     np.testing.assert_array_equal(a.values, b.values)
 
@@ -64,9 +65,40 @@ def test_beta_zero_ignores_disorder_bitwise():
     pot = double_well(2.0)
     init = InitialLaw("uniform", 1.0, 2.0)
     mat = sample_matrix(RADEMACHER, p0.n_particles, seed=11)
+    other = sample_matrix(GAUSSIAN, p0.n_particles, seed=12)
     a = simulate_full(p0, pot, mat, init, replica=0)
-    b = simulate_full(p0, pot, None, init, replica=0)
+    b = simulate_full(p0, pot, other, init, replica=0)
     np.testing.assert_array_equal(a.values, b.values)
+
+
+def _no_interaction(n):
+    """A zero-strided n x n zero matrix: 8 bytes at any n, for beta = 0."""
+    return DisorderMatrix(np.broadcast_to(0.0, (n, n)), GAUSSIAN, seed=0)
+
+
+def test_beta_zero_block_copies_no_matrix(monkeypatch):
+    # a stack of these two 20,000 x 20,000 matrices would take 6.4 GB
+    def no_stack(shape):
+        raise AssertionError(f"a beta = 0 block built a {shape} stack")
+
+    monkeypatch.setattr(dynamics, "_aligned", no_stack)
+    p = ModelParams(20_000, 0.0, 2.0, 0.2, 2, 2, 13)
+    pot, init = double_well(2.0), InitialLaw("uniform", 1.0, 2.0)
+    zero = _no_interaction(p.n_particles)
+    block = simulate_shared([(p, False)], pot, [[zero], [zero]], init, [0, 1])
+    for rep, [[ens]] in enumerate(block):
+        alone = simulate_full(p, pot, zero, init, replica=rep)
+        np.testing.assert_array_equal(ens.values, alone.values)
+
+
+def test_no_matrix_is_no_call_form():
+    # no interaction is beta = 0 with a matrix, never a missing one
+    p = _params(beta=0.0)
+    pot, init = double_well(2.0), InitialLaw("uniform", 1.0, 2.0)
+    with pytest.raises(TypeError, match="block form") as err:
+        simulate_full(p, pot, None, init)
+    assert "None" not in str(err.value)
+    assert "None" not in dynamics._BLOCK_FORM
 
 
 def test_frozen_with_one_substep_is_the_full_dynamics():
@@ -84,7 +116,8 @@ def test_coupled_without_interaction_has_zero_distance():
     p = _params(beta=0.0)
     pot = double_well(2.0)
     init = InitialLaw("uniform", 1.0, 2.0)
-    full, frozen, stats = simulate_coupled(p, pot, None, init, replica=0)
+    mat = sample_matrix(GAUSSIAN, p.n_particles, seed=4)
+    full, frozen, stats = simulate_coupled(p, pot, mat, init, replica=0)
     np.testing.assert_array_equal(full.values, frozen.values)
     assert stats.msd == 0.0
     assert np.all(stats.r_t == 0.0)
@@ -337,7 +370,8 @@ def test_trajectories_stay_strictly_inside_even_with_coarse_steps():
     p = ModelParams(50, 0.0, 1.0, 1.0, 5, 2, 31)
     pot = double_well(1.0)
     init = InitialLaw("uniform", 0.9, 1.0)
-    ens = simulate_full(p, pot, None, init, replica=0)
+    mat = sample_matrix(GAUSSIAN, p.n_particles, seed=1)
+    ens = simulate_full(p, pot, mat, init, replica=0)
     assert np.all(np.abs(ens.values) < 2.0)
     assert ens.safeguard_activations > 0
 
@@ -351,7 +385,7 @@ def test_safeguard_raises_loudly_when_dynamics_escape():
     p = ModelParams(1, 0.0, 1.0, 1.0, 10, 1, 17)
     init = InitialLaw("point", 0.5, 1.0)
     with pytest.raises(SafeguardError):
-        simulate_full(p, repel, None, init, replica=0)
+        simulate_full(p, repel, sample_matrix(GAUSSIAN, 1, seed=1), init, replica=0)
 
 
 def test_coupling_envelope_examples():
@@ -396,11 +430,12 @@ def test_weak_error_halves_with_step():
         "custom", 50.0, lambda x: 0.5 * x**2, lambda x: x, lambda x: 1.0 + 0.0 * x
     )
     init = InitialLaw("point", 1.0, 50.0)
+    zero = _no_interaction(20_000)
 
     def mean_bias(substeps):
         p = ModelParams(20_000, 0.0, 50.0, 1.0, 10, substeps, 23)
         h = p.grid_step
-        euler = simulate_full(p, ou, None, init, replica=0).values[:, -1]
+        euler = simulate_full(p, ou, zero, init, replica=0).values[:, -1]
         z = BrownianStream(p.master_seed, 0).increments(
             p.n_particles, p.n_steps, h
         ) / math.sqrt(h)

@@ -1043,6 +1043,28 @@ def test_cli_power_iteration_cap_exit_two_names_the_draw(tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("run, n", [(run_universality, 4), (run_freeze_sweep, 6)])
+def test_library_caller_catches_a_safeguard_failure_as_numerical_failure(
+        tmp_path, monkeypatch, run, n):
+    def boom(*args, **kwargs):
+        raise SafeguardError(1, 2, 3.0, "forced")
+
+    monkeypatch.setattr(dynamics, "_integrate", boom)
+    with pytest.raises(NumericalFailure) as err:
+        run(_small(), out_dir=tmp_path / "out")
+    assert str(err.value) == ("boundary safeguard failed for particle 1 at grid step 2: "
+                              f"proposed value 3.0 (forced) [law=gaussian, N={n}, replica=0]")
+
+
+def test_library_caller_catches_a_norm_cap_failure_as_numerical_failure(
+        tmp_path, monkeypatch):
+    monkeypatch.setattr(disorder, "_MAX_ITER", 1)
+    with pytest.raises(NumericalFailure) as err:
+        run_universality(_small(), out_dir=tmp_path / "out")
+    assert str(err.value).startswith("power iteration did not converge in 1 steps (best value ")
+    assert str(err.value).endswith(") [law=gaussian, N=4, replica=0]")
+
+
 def test_cli_frozen_safeguard_failure_names_its_kappa(tmp_path, capsys,
                                                       monkeypatch):
     integrate = dynamics._integrate
@@ -1284,6 +1306,17 @@ def _one_line(capsys) -> str:
     return err[0]
 
 
+@pytest.mark.parametrize("field, entries", [("n_sweep", [4, 4]), ("kappa_sweep", [2, 4, 2])])
+def test_cli_repeated_sweep_entry_exit_one(tmp_path, capsys, field, entries):
+    # a repeat would rerun the same seeds and write duplicate rows
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(_small().as_dict(), **{field: entries})))
+    command = "universality" if field == "n_sweep" else "freeze-sweep"
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert _one_line(capsys) == f"config error: {field} repeats the entry {entries[0]}"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("eps", [0, -1, 0.0, 1e-300])
 def test_cli_eps_below_its_edge_is_a_config_error(tmp_path, capsys, eps):
     path = tmp_path / "cfg.json"
@@ -1357,8 +1390,8 @@ _FIELD_VALUES.update({
 })
 _FIELD_VALUES.update(
     master_seed=[0, 2**64 - 1, 2**64, -1, 10**30, 1e300],
-    n_sweep=[[1], [1, 2], [0], [10**30], [2**31], [], [1.5], 3],
-    kappa_sweep=[[1], [4], [3], [10**30], [0], []],
+    n_sweep=[[1], [1, 2], [0], [10**30], [2**31], [], [1.5], 3, [1, 1], [2, 2]],
+    kappa_sweep=[[1], [4], [3], [10**30], [0], [], [1, 1], [2, 2]],
     potential=["logbarrier", "bogus", 1],
     initial=["point:0", "uniform:1e-300", "point:1.999997", "point:1.9999999",
              "uniform:0", "point:nan", "point:-inf", "bogus", "point:"],

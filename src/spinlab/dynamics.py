@@ -20,8 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .disorder import DisorderMatrix, _aligned
-from .model import (InitialLaw, ModelParams, NumericalFailure, PathEnsemble, Potential,
-                    grid_times)
+from .model import InitialLaw, ModelParams, NumericalFailure, PathEnsemble, Potential
 from .streams import BrownianStream, CounterStream, _unit_open
 
 __all__ = [
@@ -268,7 +267,6 @@ def simulate_shared(
     if base.beta != 0.0:  # _integrate reads only len(entries) at beta 0
         entries = np.stack(entries, out=_aligned((len(entries), n, n)))
 
-    grid = grid_times(base)
     paths = {}  # refresh interval -> (values per replica and matrix, activations)
     ensembles = [[[] for _ in range(laws)] for _ in replicas]
     for params, frozen, count in runs:
@@ -296,8 +294,7 @@ def simulate_shared(
         for k in range(count):
             for law, member_ensembles in enumerate(ensembles[k]):
                 member_ensembles.append(PathEnsemble(
-                    values[k][law], grid, params, replicas[k],
-                    activations[k * laws + law]))
+                    values[k][law], params, replicas[k], activations[k * laws + law]))
     return ensembles
 
 

@@ -14,10 +14,11 @@ Each ``run_*`` command is a body inside one frame, ``_command``, which owns
 the clock, the ``RunSummary`` and persistence: the body writes into a
 fresh sibling directory that replaces the output directory only when the
 run has persisted, so a failed run leaves an older run there intact.
-Shared decisions have one owner each: ``_params``, ``_disorder``,
-``_norm_row``, ``_named`` (names the draw behind a failure), ``_TABLES``
-(CSV schemas), ``_path_file`` (stored-trajectory names, used by store and
-replay) and ``_store_ensembles`` (writes every stored trajectory).  Every
+Shared decisions have one owner each: ``_params``, ``_disorder`` (a
+draw, which carries its seed), ``_norm_row``, ``_named`` (names the draw
+behind a failure), ``_TABLES`` (CSV schemas), ``_path_file``
+(stored-trajectory names, used by store and replay) and
+``_store_ensembles`` (writes every stored trajectory).  Every
 command that integrates runs its draws through one loop, ``_each_block``,
 which draws each block of replicas, norms it and hands it to the
 command's body, which integrates it through ``dynamics.simulate_shared``.
@@ -60,7 +61,7 @@ from .disorder import (
 from .dynamics import coupling_stats, envelope_violated, simulate_full, simulate_shared
 from .lindeberg import certificate_suite, gaussian_mc_check
 from .model import ModelParams, NumericalFailure, grid_times, max_negative_curvature
-from .observables import autocorrelation, girsanov_stats, sorted_pool_w2
+from .observables import autocorrelation, girsanov_stats, marginal_w2_distance
 from .streams import derive_seed
 
 __all__ = [
@@ -301,9 +302,8 @@ def _params(cfg: ExperimentConfig, n: int, kappa: int | None = None) -> ModelPar
 
 
 def _disorder(cfg: ExperimentConfig, law, law_idx: int, n: int, rep: int):
-    """(seed, matrix) of disorder draw ``rep`` for one (law, N)."""
-    seed = derive_seed(cfg.master_seed, "disorder", law_idx, n, rep)
-    return seed, sample_matrix(law, n, seed)
+    """Disorder draw ``rep`` for one (law, N); it carries its seed."""
+    return sample_matrix(law, n, derive_seed(cfg.master_seed, "disorder", law_idx, n, rep))
 
 
 def _norm_row(cfg: ExperimentConfig, label: str, n: int, rep: int, seed: int,
@@ -355,16 +355,15 @@ def _each_block(cfg: ExperimentConfig, laws, labels, n: int, total: int,
     for first in range(0, total, block):
         reps = range(first, min(first + block, total))
         with _named([(label, rep) for rep in reps for label in labels], n):
-            draws = [[_disorder(cfg, law, idx, n, rep) for idx, law in enumerate(laws)]
-                     for rep in reps]
-            normed_draws = [(label, rep, seed, mat)
-                            for rep, rep_draws in zip(reps[:max(0, normed - first)], draws)
-                            for label, (seed, mat) in zip(labels, rep_draws)]
+            mats = [[_disorder(cfg, law, idx, n, rep) for idx, law in enumerate(laws)]
+                    for rep in reps]
+            normed_draws = [(label, rep, mat)
+                            for rep, rep_mats in zip(reps[:max(0, normed - first)], mats)
+                            for label, mat in zip(labels, rep_mats)]
             reports = operator_norm_reports([mat for *_, mat in normed_draws],
                                             beta=cfg.beta)
-            body(reps, [[mat for _, mat in rep_draws] for rep_draws in draws],
-                 [_norm_row(cfg, label, n, rep, seed, report)
-                  for (label, rep, seed, _), report in zip(normed_draws, reports)])
+            body(reps, mats, [_norm_row(cfg, label, n, rep, mat.seed, report)
+                              for (label, rep, mat), report in zip(normed_draws, reports)])
 
 
 def _curve_block(cfg: ExperimentConfig, summary: RunSummary, params: ModelParams,
@@ -416,8 +415,7 @@ def _curve_block(cfg: ExperimentConfig, summary: RunSummary, params: ModelParams
                 for idx, law_paths in enumerate(rep_paths):
                     if s == 0 and k < n_tilt:
                         phis[idx].append(girsanov_stats(
-                            law_paths.pop(), mats[k][idx], params, potential,
-                            c1=cfg.c1).phi)
+                            law_paths.pop(), mats[k][idx], potential, c1=cfg.c1).phi)
                     if k < n_curve:
                         ens = law_paths[0]
                         curves[idx, rep] += autocorrelation(ens)
@@ -477,10 +475,12 @@ def run_universality(cfg, summary, out, store_paths):
     streams (same replica index, same increments), averaging each draw's
     autocorrelation over ``thermal_samples`` independent driving samples.
     Non-reference laws get a sup-t gap against the gaussian reference with
-    a paired bootstrap standard error and noise floor, plus a pooled
-    marginal transport surrogate.  Each law's tilt median reuses the frozen
-    runs that the first ``phi_replicas`` draws integrate alongside their
-    sample-0 full runs, and needs each law's third absolute moment.  A
+    a paired bootstrap standard error and noise floor, its ratio to the
+    floor and whether it is ``resolved`` (above a positive floor), plus the
+    ``marginal_w2_distance`` of its sorted particle pool to the reference's.
+    Each law's tilt median reuses the frozen runs that the first
+    ``phi_replicas`` draws integrate alongside their sample-0 full runs,
+    and needs each law's third absolute moment.  A
     block's norms run before its laws and replicas integrate as one
     stack, so the first error raised is in block order, norms first,
     then by step, then replica, then law.
@@ -514,8 +514,11 @@ def run_universality(cfg, summary, out, store_paths):
             gap_rows.append({
                 "law": labels[idx], "n": n, "sup_gap": gap,
                 "sup_gap_stderr": stderr,
-                "w2_surrogate": sorted_pool_w2(pool, ref_pool, cfg.horizon),
+                "w2_surrogate": marginal_w2_distance(pool, ref_pool, cfg.horizon),
                 "noise_floor": floor,
+                # a zero floor (beta = 0) has no ratio and resolves nothing
+                "gap_over_floor": gap / floor if floor > 0 else None,
+                "resolved": floor > 0 and gap > floor,
             })
         summary.phi_medians.extend(
             {"law": label, "n": n, "phi_median": float(np.median(law_phis))}
@@ -770,8 +773,10 @@ def replay(
     samples = cfg.thermal_samples if command == "universality" else 1
     if not 0 <= sample < samples:
         raise ConfigError(f"sample {sample} out of range (run kept {samples})")
+    if particle is not None and not 0 <= particle < n:
+        raise ConfigError(f"particle {particle} out of range for N={n}")
 
-    seed, mat = _disorder(cfg, cfg.law_objs()[idx], idx, n, replica)
+    mat = _disorder(cfg, cfg.law_objs()[idx], idx, n, replica)
     with _named([(law, replica)], n):
         ens = simulate_full(_params(cfg, n), cfg.potential_obj(), mat, cfg.initial_obj(),
                             replica=replica * samples + sample)
@@ -779,12 +784,10 @@ def replay(
     fingerprint = hashlib.sha256(np.ascontiguousarray(ens.values).tobytes())
     result = {
         "law": law, "n": n, "replica": replica, "sample": sample,
-        "disorder_seed": seed, "fingerprint": fingerprint.hexdigest(),
+        "disorder_seed": mat.seed, "fingerprint": fingerprint.hexdigest(),
         "stored_path": None, "matches_stored": None,
     }
     if particle is not None:
-        if not 0 <= particle < n:
-            raise ConfigError(f"particle {particle} out of range for N={n}")
         result["particle_values"] = ens.values[particle]
 
     if command == "freeze-sweep":

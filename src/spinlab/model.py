@@ -4,8 +4,8 @@ The state space is the open box (-s, s)^N.  A confining potential U1 blows
 up at +-s and its derivative supplies the single-site drift -U1'(x).  Grids
 are uniform with G = kappa * substeps steps over [0, horizon]; the freeze
 points used by the piecewise-frozen dynamics sit exactly at indices
-k * substeps.  Every numerical failure the package raises is a
-``NumericalFailure``.
+k * substeps; a PathEnsemble reads its grid from its params.  Every
+numerical failure the package raises is a ``NumericalFailure``.
 """
 
 from __future__ import annotations
@@ -199,30 +199,29 @@ class InitialLaw:
 class PathEnsemble:
     """Trajectories of one simulation: values[i, g] = X^(i) at grid time g*h.
 
-    Arrays are frozen after construction.  All values lie strictly inside
-    (-s, s); the integrator's boundary safeguard enforces this and its
-    activation count is carried along.
+    The grid is not stored: ``grid`` is ``grid_times(params)``, so it cannot
+    disagree with the params.  Values are frozen after construction and lie
+    strictly inside (-s, s); the integrator's boundary safeguard enforces
+    this and its activation count is carried along.
     """
 
     values: np.ndarray
-    grid: np.ndarray
     params: ModelParams
     replica: int = 0
     safeguard_activations: int = 0
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
-        grid = np.asarray(self.grid, dtype=float)
         if values.ndim != 2 or values.shape != (self.params.n_particles, self.params.n_steps + 1):
             raise ValueError(
                 f"values must have shape (n_particles, n_steps + 1) = "
                 f"({self.params.n_particles}, {self.params.n_steps + 1}), got {values.shape}"
             )
-        if grid.shape != (self.params.n_steps + 1,):
-            raise ValueError("grid length must match n_steps + 1")
         if not np.all(np.abs(values) < self.params.s_bound):
             raise ValueError("trajectory values must stay strictly inside (-s, s)")
         values.flags.writeable = False
-        grid.flags.writeable = False
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "grid", grid)
+
+    @property
+    def grid(self) -> np.ndarray:
+        return grid_times(self.params)

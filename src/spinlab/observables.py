@@ -1,26 +1,25 @@
 """Path observables and change-of-measure statistics.
 
-Everything here consumes PathEnsembles on their native uniform grid; time
-integrals are trapezoid sums, so identities between these observables hold
-to floating-point accuracy rather than up to quadrature mismatch.
+Everything here consumes PathEnsembles, or pools of their particles, on
+their native uniform grid; time integrals are trapezoid sums, so identities
+between these observables hold to floating-point accuracy rather than up to
+quadrature mismatch.  ``marginal_w2_distance`` is the one W2 route: it
+scores two sorted particle pools of one shape.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .disorder import DisorderMatrix
-from .model import ModelParams, PathEnsemble, Potential
+from .model import PathEnsemble, Potential
 
 __all__ = [
     "autocorrelation",
     "marginal_w2_distance",
-    "sorted_pool_w2",
-    "w2_empirical",
     "GirsanovRecord",
     "girsanov_stats",
 ]
@@ -32,68 +31,17 @@ def autocorrelation(ens: PathEnsemble) -> np.ndarray:
     return np.mean(v[:, :1] * v, axis=0)
 
 
-def w2_empirical(xs, ys) -> float:
-    """Exact 2-Wasserstein distance between two one-dimensional samples.
-
-    Sorting gives both empirical quantile functions; for unequal sample
-    sizes the squared distance integrates the quantile gap over the merged
-    dyadic level sets, which is the resample-to-common-size value computed
-    without materializing the common refinement.
-    """
-    a = np.sort(np.asarray(xs, dtype=float))
-    b = np.sort(np.asarray(ys, dtype=float))
-    n, m = a.size, b.size
-    if n == 0 or m == 0:
-        raise ValueError("empty sample")
-    if n == m:
-        d = a - b
-        return math.sqrt(float(np.mean(d * d)))
-    edges = np.union1d(np.arange(1, n + 1) / n, np.arange(1, m + 1) / m)
-    widths = np.diff(np.concatenate(([0.0], edges)))
-    mids = edges - widths / 2.0
-    ia = np.minimum((mids * n).astype(int), n - 1)
-    ib = np.minimum((mids * m).astype(int), m - 1)
-    gap = a[ia] - b[ib]
-    return math.sqrt(float(np.sum(widths * gap * gap)))
-
-
-def marginal_w2_distance(
-    e1: Sequence[PathEnsemble] | PathEnsemble,
-    e2: Sequence[PathEnsemble] | PathEnsemble,
-) -> float:
+def marginal_w2_distance(pool1: np.ndarray, pool2: np.ndarray, horizon: float) -> float:
     """Path-level surrogate ((1/T) int W2(mu1_t, mu2_t)^2 dt)^(1/2).
 
-    Particles from all ensembles in each collection are pooled into one
-    empirical marginal per grid time and scored by ``sorted_pool_w2``.
-    """
-    e1s = [e1] if isinstance(e1, PathEnsemble) else list(e1)
-    e2s = [e2] if isinstance(e2, PathEnsemble) else list(e2)
-    if not e1s or not e2s:
-        raise ValueError("empty ensemble collection")
-    grid = e1s[0].grid
-    for e in (*e1s, *e2s):
-        if not np.array_equal(e.grid, grid):
-            raise ValueError("ensembles live on different grids")
-    pool1 = np.sort(np.vstack([e.values for e in e1s]), axis=0)
-    pool2 = np.sort(np.vstack([e.values for e in e2s]), axis=0)
-    return sorted_pool_w2(pool1, pool2, e1s[0].params.horizon)
-
-
-def sorted_pool_w2(pool1: np.ndarray, pool2: np.ndarray, horizon: float) -> float:
-    """``marginal_w2_distance`` between two particle pools.
-
     Each pool holds one row per pooled particle and one column per point of
-    a uniform grid over [0, horizon], and is already sorted along axis 0,
-    so W2 per grid time is exact quantile pairing; the time integral is a
-    trapezoid sum.
+    a uniform grid over [0, horizon]; both have one shape and are already
+    sorted along axis 0, so W2 per grid time is exact quantile pairing; the
+    time integral is a trapezoid sum.
     """
-    if pool1.shape[1] != pool2.shape[1]:
-        raise ValueError("pools live on different grids")
-    if pool1.shape[0] == pool2.shape[0]:
-        w2_sq = np.mean((pool1 - pool2) ** 2, axis=0)
-    else:
-        w2_sq = np.array([w2_empirical(pool1[:, g], pool2[:, g]) ** 2
-                          for g in range(pool1.shape[1])])
+    if pool1.shape != pool2.shape:
+        raise ValueError(f"pools of shapes {pool1.shape} and {pool2.shape} differ")
+    w2_sq = np.mean((pool1 - pool2) ** 2, axis=0)
     h = horizon / (pool1.shape[1] - 1)
     return math.sqrt(float(np.trapezoid(w2_sq, dx=h)) / horizon)
 
@@ -119,18 +67,17 @@ class GirsanovRecord:
 def girsanov_stats(
     frozen: PathEnsemble,
     mat: DisorderMatrix,
-    params: ModelParams,
     potential: Potential,
     c1: float = 1.0,
 ) -> GirsanovRecord:
-    """Compute the change-of-measure statistics from a frozen-run ensemble.
+    """Compute the change-of-measure statistics from a frozen-run ensemble,
+    under the ensemble's own params.
 
     The drift integral inside b uses the trapezoid rule on the sub-interval
     grid points.  Requires the entry law's third absolute moment; raises
     when it is undeclared.
     """
-    if frozen.params != params:
-        raise ValueError("ensemble was produced under different parameters")
+    params = frozen.params
     if mat.n != params.n_particles:
         raise ValueError(f"matrix size {mat.n} != n_particles {params.n_particles}")
     if c1 < 0:

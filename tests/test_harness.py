@@ -133,6 +133,30 @@ def test_repeated_law_control_has_suffixed_label(tmp_path):
     assert {g["law"] for g in summary.gaps} == {"gaussian@2"}
 
 
+def test_universality_gap_above_its_floor_reads_resolved(tmp_path):
+    summary = run_universality(_small(), out_dir=tmp_path)
+    at_4, at_6 = summary.gaps  # rademacher at N = 4 and 6
+    assert at_4["gap_over_floor"] == at_4["sup_gap"] / at_4["noise_floor"] > 1.0
+    assert at_4["resolved"] is True
+    assert at_6["gap_over_floor"] < 1.0 and at_6["resolved"] is False
+    stored = json.loads((tmp_path / "summary.json").read_text())["gaps"]
+    assert [(g["gap_over_floor"], g["resolved"]) for g in stored] == [
+        (g["gap_over_floor"], g["resolved"]) for g in summary.gaps]
+    # the ratio and the verdict live in summary.json only
+    assert _lines(tmp_path / "gaps.csv")[0] == "law,N,sup_gap,w2_surrogate,noise_floor"
+
+
+def test_cli_universality_at_beta_zero_resolves_no_gap(tmp_path):
+    # every law runs the same paths at beta 0: each gap and floor is 0,
+    # which has no ratio
+    path = _write_cfg(tmp_path, beta=0)
+    assert main(["universality", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert _lines(tmp_path / "out" / "gaps.csv")[1] == "rademacher,4,0.0,0.0,0.0"
+    gaps = json.loads((tmp_path / "out" / "summary.json").read_text())["gaps"]
+    assert [(g["sup_gap"], g["noise_floor"], g["gap_over_floor"], g["resolved"])
+            for g in gaps] == [(0.0, 0.0, None, False)] * 2
+
+
 # ---------------------------------------------------------------------------
 # determinism
 
@@ -248,7 +272,7 @@ _GOLDEN = {
         "norms.csv": "ca523ca94a45840027daaaa90c3a83b973f538c54f402ef48e47a7d9ff3317ff",
         "paths/": "c62e7e85788ef5f1a4830cf609376406fc14491144962a2020c2b8ff07e7bd4b",
         "paths/*.npy": "cbe98e35ef41b02bf45225aa734ef9cdfd6ecf0f67acd4200ce0628340ff0dfe",
-        "summary.json": "be906f780debb2a99e34a88972b4f1aa7e273df74ec1db2effed8d3d45f6a1bd",
+        "summary.json": "14e67d823a54ef1064807f87fc52e446a3a076ce3441867a0603265901be288e",
     },
     "universality-tilt-past-replicas": {
         "autocorr.csv": "2c525d70cd5686efe911a9591e1d59a16975e626143bca4cbb3236e307c8a5b0",
@@ -256,7 +280,7 @@ _GOLDEN = {
         "norms.csv": "ca523ca94a45840027daaaa90c3a83b973f538c54f402ef48e47a7d9ff3317ff",
         "paths/": "c62e7e85788ef5f1a4830cf609376406fc14491144962a2020c2b8ff07e7bd4b",
         "paths/*.npy": "84cd0207d7ba14ea1890e7f25d1e3680f85f237d5edff79db92fe20bde6efbd3",
-        "summary.json": "c8b5bc9efc59a6b27c059342b43d60b3d40a2a8153e83b8ac90bfdeada4743ad",
+        "summary.json": "4b5eb305cb052d9731b172a5d4f5474d76cc4b286e834a6e744347f32351a5c0",
     },
     "freeze-sweep": {
         "freeze.csv": "f2f867a98b4334547d499794e7b4c70faeec51cb3c360fdc3f91c0df246e1da9",
@@ -495,6 +519,25 @@ def test_freeze_sweep_integrates_each_refresh_interval_once(tmp_path,
         monkeypatch.undo()
 
 
+def test_every_ensemble_of_a_freeze_block_has_the_sweeps_grid(tmp_path, monkeypatch):
+    # an ensemble's grid comes from its own params; every kappa's is the
+    # grid of the first kappa, bit for bit
+    cfg = _small(kappa_sweep=[1, 2, 4], horizon=0.7)
+    pairs = []
+    stats = harness.coupling_stats
+
+    def recording(full, frozen):
+        pairs.append((full, frozen))
+        return stats(full, frozen)
+
+    monkeypatch.setattr(harness, "coupling_stats", recording)
+    run_freeze_sweep(cfg, out_dir=tmp_path)
+    grid = grid_times(harness._params(cfg, cfg.n_particles, cfg.kappa_sweep[0])).tobytes()
+    assert [frozen.params.kappa for _, frozen in pairs] == [1, 2, 4] * cfg.freeze_replicas
+    assert all(full.grid.tobytes() == frozen.grid.tobytes() == grid
+               for full, frozen in pairs)
+
+
 # ---------------------------------------------------------------------------
 # validation
 
@@ -548,6 +591,15 @@ def test_lindeberg_suite_writes_certificate_rows(tmp_path):
     assert 0 <= lb["worst_slack_ratio"] <= 1
 
 
+def test_cli_lindeberg_at_beta_zero_exit_zero(tmp_path, capsys):
+    # every sample of exp(-h) is 1 at X = 0: no spread, and the estimate
+    # and the closed form differ only by rounding
+    path = _write_cfg(tmp_path, beta=0)
+    assert main(["lindeberg", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["lindeberg"]["gaussian_mc_pass"] == summary["lindeberg"]["gaussian_mc_total"]
+
+
 # ---------------------------------------------------------------------------
 # replay
 
@@ -596,6 +648,14 @@ def test_replay_rejects_unknown_law_and_bad_indices(tmp_path):
     with pytest.raises(ConfigError, match="out of range"):
         replay(tmp_path, "gaussian", replica=10**6)
     with pytest.raises(ConfigError, match="out of range"):
+        replay(tmp_path, "gaussian", replica=0, particle=99)
+
+
+def test_replay_checks_the_particle_before_integrating(tmp_path, monkeypatch):
+    run_simulate(_small(), out_dir=tmp_path)
+    monkeypatch.setattr(harness, "simulate_full",
+                        lambda *args, **kwargs: pytest.fail("replay integrated"))
+    with pytest.raises(ConfigError, match="particle 99 out of range"):
         replay(tmp_path, "gaussian", replica=0, particle=99)
 
 
@@ -1435,6 +1495,17 @@ def test_traced_benchmark_finds_every_entry_point():
         pass
 
 
+def test_traced_universality_records_one_w2_span_per_gap_row(tmp_path):
+    # the benchmark's observables.w2 span wraps the W2 route the command takes
+    from perfbench.instrument import traced
+    from perfbench.spans import Tracer
+
+    with traced(Tracer()) as tracer:
+        summary = run_universality(_small(), out_dir=tmp_path)
+    w2 = [span for span in tracer.spans if span.name == "observables.w2"]
+    assert len(w2) == len(summary.gaps) == 2
+
+
 def test_cli_replay_round_trip(tmp_path, capsys):
     cfg = _small()
     run_simulate(cfg, store_paths=True, out_dir=tmp_path / "run")
@@ -1484,11 +1555,11 @@ def test_bootstrap_and_tilt_allocate_under_4_mib_at_the_default_shape():
     assert (cfg.replicas, cfg.total_steps() + 1, cfg.bootstrap_resamples) == (200, 201, 400)
     params = ModelParams(200, 1.0, 2.0, 2.0, 10, 20, 1)
     gen = np.random.default_rng(3)
-    ens = PathEnsemble(gen.uniform(-1.0, 1.0, (200, 201)), grid_times(params), params, 0, 0)
+    ens = PathEnsemble(gen.uniform(-1.0, 1.0, (200, 201)), params, 0, 0)
     mat = disorder.sample_matrix(disorder.GAUSSIAN, 200, seed=4)
     diff = gen.standard_normal((cfg.replicas, cfg.total_steps() + 1))
     calls = [lambda: harness._bootstrap_gap(diff, cfg.bootstrap_resamples, 5),
-             lambda: girsanov_stats(ens, mat, params, double_well(2.0))]
+             lambda: girsanov_stats(ens, mat, double_well(2.0))]
     tracemalloc.start()
     try:
         for call in calls:

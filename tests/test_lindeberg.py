@@ -315,3 +315,12 @@ def test_gaussian_mc_check_fails_an_estimate_with_no_spread_off_the_exact_value(
     assert row.exact > 0.0
     assert row.z_score == math.inf
     assert not row.passed
+
+
+def test_gaussian_mc_check_passes_every_row_at_a_vanishing_interaction():
+    # at beta 1e-9 every sample of exp(-h) is nearly equal: the one-pass
+    # variance cancels to a zero standard error, and the estimate differs
+    # from the closed form only in the last bits, within the rounding slack
+    rows = gaussian_mc_check(n_instances=6, n_samples=2000, master_seed=7, beta=1e-9)
+    assert all(r.passed for r in rows)
+    assert all(r.z_score == 0.0 for r in rows if r.mc_stderr == 0.0)

@@ -109,18 +109,18 @@ def test_initial_law_rejects_boundary_support():
 
 def test_path_ensemble_rejects_boundary_values():
     params = ModelParams(2, 1.0, 2.0, 1.0, 1, 2, 0)
-    grid = grid_times(params)
     vals = np.zeros((2, 3))
     vals[1, 2] = 2.0
     with pytest.raises(ValueError):
-        PathEnsemble(vals, grid, params)
+        PathEnsemble(vals, params)
 
 
 def test_path_ensemble_shape_check_and_readonly():
     params = ModelParams(2, 1.0, 2.0, 1.0, 1, 2, 0)
-    grid = grid_times(params)
-    ens = PathEnsemble(np.zeros((2, 3)), grid, params)
+    ens = PathEnsemble(np.zeros((2, 3)), params)
+    # the grid is read from the params, so it cannot disagree with them
+    np.testing.assert_array_equal(ens.grid, grid_times(params))
     with pytest.raises(ValueError):
-        PathEnsemble(np.zeros((3, 3)), grid, params)
+        PathEnsemble(np.zeros((3, 3)), params)
     with pytest.raises(ValueError):
         ens.values[0, 0] = 1.0

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -23,14 +24,12 @@ from spinlab.model import (
     ModelParams,
     PathEnsemble,
     double_well,
-    grid_times,
     log_barrier,
 )
 from spinlab.observables import (
     autocorrelation,
     girsanov_stats,
     marginal_w2_distance,
-    w2_empirical,
 )
 
 _TWELVE_OVER_E_MINUS_TWO = 12.0 / math.e - 2.0
@@ -103,8 +102,7 @@ def test_autocorrelation_is_permutation_invariant():
     full, _, _ = _run_pair(n=17, seed=5)
     perm = np.random.default_rng(0).permutation(17)
     shuffled = PathEnsemble(
-        full.values[perm], full.grid, full.params, full.replica,
-        full.safeguard_activations,
+        full.values[perm], full.params, full.replica, full.safeguard_activations,
     )
     np.testing.assert_allclose(
         autocorrelation(shuffled), autocorrelation(full), rtol=1e-13
@@ -113,59 +111,42 @@ def test_autocorrelation_is_permutation_invariant():
 
 def test_w2_identical_and_shift():
     xs = np.array([0.1, -0.4, 0.9, 0.3])
-    assert w2_empirical(xs, xs) == 0.0
-    assert w2_empirical(xs, xs + 0.25) == pytest.approx(0.25, rel=1e-12)
-
-
-def test_w2_unequal_sizes_matches_common_refinement():
-    # {0, 1} vs {0, 1/2, 1}: refine both to 6 atoms and compare directly
-    a = [0.0, 1.0]
-    b = [0.0, 0.5, 1.0]
-    a6 = np.repeat(np.sort(a), 3)
-    b6 = np.repeat(np.sort(b), 2)
-    expected = math.sqrt(np.mean((a6 - b6) ** 2))
-    assert w2_empirical(a, b) == pytest.approx(expected, rel=1e-12)
-    assert expected == pytest.approx(1.0 / math.sqrt(12.0), rel=1e-12)
-
-
-def test_w2_rejects_empty():
-    with pytest.raises(ValueError):
-        w2_empirical([], [1.0])
+    # a sorted pool: one row per particle, one column per grid time
+    pool = np.sort(np.column_stack([xs, 2.0 * xs]), axis=0)
+    assert marginal_w2_distance(pool, pool, 1.0) == 0.0
+    # a shift by 0.25 at every grid time is 0.25 at every time
+    assert marginal_w2_distance(pool, pool + 0.25, 1.0) == pytest.approx(0.25, rel=1e-12)
 
 
 @settings(deadline=None, max_examples=50)
 @given(
-    a=hnp.arrays(np.float64, 7, elements=st.floats(-5, 5)),
-    b=hnp.arrays(np.float64, 7, elements=st.floats(-5, 5)),
-    c=hnp.arrays(np.float64, 7, elements=st.floats(-5, 5)),
+    a=hnp.arrays(np.float64, (7, 3), elements=st.floats(-5, 5)),
+    b=hnp.arrays(np.float64, (7, 3), elements=st.floats(-5, 5)),
+    c=hnp.arrays(np.float64, (7, 3), elements=st.floats(-5, 5)),
 )
 def test_w2_triangle_inequality(a, b, c):
-    assert w2_empirical(a, c) <= w2_empirical(a, b) + w2_empirical(b, c) + 1e-12
+    a, b, c = (np.sort(x, axis=0) for x in (a, b, c))
+    w2 = marginal_w2_distance
+    assert w2(a, c, 2.0) <= w2(a, b, 2.0) + w2(b, c, 2.0) + 1e-12
 
 
 def test_marginal_w2_identical_zero_and_shift():
     full, frozen, _ = _run_pair(n=25, seed=8)
-    assert marginal_w2_distance(full, full) == 0.0
-    shifted = PathEnsemble(
-        full.values * 0.5 + 0.3, full.grid, full.params, full.replica,
-        full.safeguard_activations,
-    )
-    d = marginal_w2_distance(full, shifted)
-    assert d > 0.0
-    # pooling two copies of the same ensemble changes nothing
-    assert marginal_w2_distance([full, full], shifted) == pytest.approx(d, rel=1e-12)
+    horizon = full.params.horizon
+    pool = np.sort(full.values, axis=0)
+    assert marginal_w2_distance(pool, pool, horizon) == 0.0
+    # an increasing affine map keeps each grid time's particle order
+    shifted = np.sort(full.values * 0.5 + 0.3, axis=0)
+    assert np.array_equal(shifted, pool * 0.5 + 0.3)
+    assert marginal_w2_distance(pool, shifted, horizon) > 0.0
 
 
 def test_marginal_w2_rejects_grid_mismatch():
-    full, _, _ = _run_pair()
-    other = simulate_full(
-        ModelParams(12, 1.0, 2.0, 1.0, 5, 8, 3),
-        double_well(2.0),
-        sample_matrix(GAUSSIAN, 12, seed=3),
-        InitialLaw("uniform", 1.0, 2.0),
-    )
-    with pytest.raises(ValueError):
-        marginal_w2_distance(full, other)
+    # pools of unequal shape, on another grid or of another size, are refused
+    pool = np.zeros((12, 21))
+    for other in (np.zeros((12, 41)), np.zeros((13, 21))):
+        with pytest.raises(ValueError, match=re.escape(f"(12, 21) and {other.shape}")):
+            marginal_w2_distance(pool, other, 1.0)
 
 
 def _frozen_run(n=400, kappa=10, substeps=20, beta=0.0, seed=29, law=RADEMACHER):
@@ -174,7 +155,7 @@ def _frozen_run(n=400, kappa=10, substeps=20, beta=0.0, seed=29, law=RADEMACHER)
     init = InitialLaw("uniform", 1.0, 2.0)
     mat = sample_matrix(law, n, seed=seed + 1)
     ens = simulate_frozen(p, pot, mat, init, replica=0)
-    return ens, mat, p, pot
+    return ens, mat, pot
 
 
 def test_girsanov_b_is_standard_normal_without_interaction():
@@ -183,8 +164,8 @@ def test_girsanov_b_is_standard_normal_without_interaction():
     Discretization only perturbs moments at O(h), far below the tolerances
     on 4000 effectively independent entries.
     """
-    ens, mat, p, pot = _frozen_run(n=400, beta=0.0)
-    rec = girsanov_stats(ens, mat, p, pot)
+    ens, mat, pot = _frozen_run(n=400, beta=0.0)
+    rec = girsanov_stats(ens, mat, pot)
     b = rec.b.ravel()
     assert b.size == 4000
     assert abs(b.mean()) < 0.05
@@ -193,17 +174,17 @@ def test_girsanov_b_is_standard_normal_without_interaction():
 
 
 def test_girsanov_phi_zero_when_c1_zero():
-    ens, mat, p, pot = _frozen_run(n=50)
-    rec = girsanov_stats(ens, mat, p, pot, c1=0.0)
+    ens, mat, pot = _frozen_run(n=50)
+    rec = girsanov_stats(ens, mat, pot, c1=0.0)
     assert rec.phi == 0.0
 
 
 def test_girsanov_delta_uses_declared_third_moment():
-    ens, mat, p, pot = _frozen_run(n=50, law=RADEMACHER)
-    rec = girsanov_stats(ens, mat, p, pot, c1=2.0)
+    ens, mat, pot = _frozen_run(n=50, law=RADEMACHER)
+    rec = girsanov_stats(ens, mat, pot, c1=2.0)
     np.testing.assert_allclose(rec.delta, np.full(50, 2.0 / math.sqrt(50.0)))
-    ens_e, mat_e, p_e, pot_e = _frozen_run(n=50, law=CENTERED_EXPONENTIAL)
-    rec_e = girsanov_stats(ens_e, mat_e, p_e, pot_e, c1=1.0)
+    ens_e, mat_e, pot_e = _frozen_run(n=50, law=CENTERED_EXPONENTIAL)
+    rec_e = girsanov_stats(ens_e, mat_e, pot_e, c1=1.0)
     np.testing.assert_allclose(
         rec_e.delta,
         np.full(50, _TWELVE_OVER_E_MINUS_TWO / math.sqrt(50.0)),
@@ -212,34 +193,33 @@ def test_girsanov_delta_uses_declared_third_moment():
 
 
 def test_girsanov_phi_nondecreasing_in_c1():
-    ens, mat, p, pot = _frozen_run(n=50, beta=1.0)
-    phis = [girsanov_stats(ens, mat, p, pot, c1=c).phi for c in (0.0, 0.5, 1.0, 2.0)]
+    ens, mat, pot = _frozen_run(n=50, beta=1.0)
+    phis = [girsanov_stats(ens, mat, pot, c1=c).phi for c in (0.0, 0.5, 1.0, 2.0)]
     assert all(a < b for a, b in zip(phis, phis[1:]))
 
 
 def test_girsanov_phi_invariant_under_particle_relabeling():
-    ens, mat, p, pot = _frozen_run(n=30, beta=1.0)
-    rec = girsanov_stats(ens, mat, p, pot)
+    ens, mat, pot = _frozen_run(n=30, beta=1.0)
+    rec = girsanov_stats(ens, mat, pot)
     perm = np.random.default_rng(1).permutation(30)
     permuted = PathEnsemble(
-        ens.values[perm], ens.grid, ens.params, ens.replica,
-        ens.safeguard_activations,
+        ens.values[perm], ens.params, ens.replica, ens.safeguard_activations,
     )
-    rec_p = girsanov_stats(permuted, mat, p, pot)
+    rec_p = girsanov_stats(permuted, mat, pot)
     assert rec_p.phi == pytest.approx(rec.phi, rel=1e-13)
     np.testing.assert_allclose(np.sort(rec_p.m_big), np.sort(rec.m_big), rtol=1e-13)
 
 
 def test_girsanov_validates_inputs():
-    ens, mat, p, pot = _frozen_run(n=20)
+    ens, mat, pot = _frozen_run(n=20)
     with pytest.raises(ValueError):
-        girsanov_stats(ens, sample_matrix(GAUSSIAN, 21, seed=0), p, pot)
+        girsanov_stats(ens, sample_matrix(GAUSSIAN, 21, seed=0), pot)
     with pytest.raises(ValueError):
-        girsanov_stats(ens, mat, p, pot, c1=-1.0)
+        girsanov_stats(ens, mat, pot, c1=-1.0)
     bare = CustomSampler("nameless", lambda count, gen: gen.standard_normal(count))
     bare_mat = DisorderMatrix(mat.entries, bare, seed=0)
     with pytest.raises(ValueError):
-        girsanov_stats(ens, bare_mat, p, pot)
+        girsanov_stats(ens, bare_mat, pot)
 
 
 def _reference_girsanov(frozen, mat, params, potential, c1=1.0):
@@ -267,7 +247,7 @@ def test_girsanov_equals_the_per_interval_loop_bit_for_bit(potential, kappa, sub
     params = ModelParams(n, 1.0, 2.0, 2.0, kappa, substeps, 5)
     mat = sample_matrix(GAUSSIAN, n, seed=6)
     ens = simulate_frozen(params, potential, mat, InitialLaw("uniform", 1.0, 2.0), replica=0)
-    record = girsanov_stats(ens, mat, params, potential, c1=1.5)
+    record = girsanov_stats(ens, mat, potential, c1=1.5)
     reference = _reference_girsanov(ens, mat, params, potential, c1=1.5)
     for name, got, want in zip(("b", "m_big", "delta", "phi", "c1"),
                                dataclasses.astuple(record), reference):

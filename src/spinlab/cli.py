@@ -3,11 +3,11 @@
 Exit codes: 0 on success, 1 for configuration problems (bad flags, bad config
 file, bad law/potential specs, a run too large for memory), 2 for numerical
 failures: a ``NumericalFailure`` (boundary safeguard, power-iteration cap,
-certificate violation, replay mismatch) or a float overflow or NaN.  Seed
-precedence: ``--seed`` beats the ``SPINLAB_SEED`` environment variable,
-which beats the config file; the winner and ``--out`` are ``load_config``
-overrides, so a command builds one config.  ``replay`` takes config and
-seed from the run.
+certificate violation, replay mismatch or missing file) or a float overflow
+or NaN.  Seed precedence: ``--seed`` beats the ``SPINLAB_SEED`` environment
+variable, which beats the config file; the winner and ``--out`` are
+``load_config`` overrides, so a command builds one config.  ``replay`` takes
+config and seed from the run.
 Every command runs its replicas serially; ``--threads`` is still accepted
 and checked (values below 1 exit 1), and outputs are byte-identical at any
 value.
@@ -150,7 +150,7 @@ def main(argv=None) -> int:
             print(f"disorder seed: {result['disorder_seed']}")
             print(f"fingerprint: {result['fingerprint']}")
             if result["matches_stored"] is not None:
-                print(f"matches stored trajectory: {result['matches_stored']}")
+                print(f"matches stored trajectory: True ({len(result['stored_paths'])} files)")
             if args.particle is not None:
                 vals = result["particle_values"]
                 print(f"particle {args.particle}: start={float(vals[0])!r} "

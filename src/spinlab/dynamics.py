@@ -6,10 +6,11 @@ and on each of its matrices, in one stacked Euler-Maruyama core.  The full
 dynamics refreshes the interaction vectors A x every step, the frozen one
 at the kappa sub-interval boundaries; runs on one refresh interval are
 integrated once.  ``simulate_full``, ``simulate_frozen`` and
-``simulate_coupled`` integrate a block of one.  Runs are reproducible from
-(master_seed, replica): noise, initial draws and safeguard refinements come
-from counter-addressed streams, so a trajectory does not depend on what
-shares its call or on the order in which replicas are computed.
+``simulate_coupled`` integrate a block of one; no command calls them, and
+they remain for library callers and the benchmark's tracer.  Runs are
+reproducible from (master_seed, replica): noise, initial draws and
+safeguard refinements come from counter-addressed streams, so a trajectory
+does not depend on what shares its call or on the order replicas run in.
 """
 
 from __future__ import annotations

@@ -16,27 +16,23 @@ fresh sibling directory that replaces the output directory only when the
 run has persisted, so a failed run leaves an older run there intact.
 Shared decisions have one owner each: ``_params``, ``_disorder`` (a
 draw, which carries its seed), ``_norm_row``, ``_named`` (names the draw
-behind a failure), ``_TABLES`` (CSV schemas), ``_path_file``
+behind a failure), ``_TABLES`` (CSV schemas), ``_sweep_runs`` (the freeze
+sweep's runs, integrated by the sweep and by replay), ``_path_file``
 (stored-trajectory names, used by store and replay) and
 ``_store_ensembles`` (writes every stored trajectory).  Every
 command that integrates runs its draws through one loop, ``_each_block``,
 which draws each block of replicas, norms it and hands it to the
-command's body, which integrates it through ``dynamics.simulate_shared``.
-
-Seed derivation schemes (also recorded in each summary):
-
-- disorder entries:    derive_seed(master, "disorder", law_index, N, replica)
-- Brownian/init:       stream replica index = replica * thermal_samples + sample
-- bootstrap resamples: derive_seed(master, "bootstrap", law_index, N)
-- law validation:      derive_seed(master, "law-validate", law_index)
-- norm samples:        derive_seed(master, "norm-sample", law_index, k)
-- comparison-lab instances: derive_seed(master, "lindeberg-instance", index)
+command's body, which integrates it through ``dynamics.simulate_shared``;
+replay integrates its one draw through the same call.  The seed
+derivation schemes are listed once, in ``_SEED_SCHEMES``, which each
+summary records.
 """
 
 from __future__ import annotations
 
 import datetime as _dt
 import hashlib
+import io
 import json
 import os
 import secrets
@@ -58,7 +54,7 @@ from .disorder import (
     sample_matrix,
     validate_law,
 )
-from .dynamics import coupling_stats, envelope_violated, simulate_full, simulate_shared
+from .dynamics import coupling_stats, envelope_violated, simulate_shared
 from .lindeberg import certificate_suite, gaussian_mc_check
 from .model import ModelParams, NumericalFailure, grid_times, max_negative_curvature
 from .observables import autocorrelation, girsanov_stats, marginal_w2_distance
@@ -273,16 +269,16 @@ def _command(name: str):
     return frame
 
 
-def _path_file(run_dir, label: str, size: int, rep: int, kind: str = "") -> Path:
-    """Stored trajectory: ``{label}_N{n}_rep{r}.npy`` for a full run at N,
-    ``{label}_k{kappa}_rep{r}_{kind}.npy`` for one side of a freeze pair."""
-    axis, suffix = ("k", "_" + kind) if kind else ("N", "")
-    return Path(run_dir) / "paths" / f"{label}_{axis}{size}_rep{rep}{suffix}.npy"
+def _path_file(run_dir, label: str, rep: int, params: ModelParams, frozen=False) -> Path:
+    """Stored path of draw ``rep`` on the run ``(params, frozen)``: a full
+    run's is ``{label}_N{n}_rep{r}.npy``, a frozen one's ``{label}_N{n}_k{kappa}_rep{r}.npy``."""
+    kappa = f"_k{params.kappa}" if frozen else ""
+    return Path(run_dir) / "paths" / f"{label}_N{params.n_particles}{kappa}_rep{rep}.npy"
 
 
 def _store_ensembles(out_dir: Path, stored) -> None:
-    """Save each ``(ensemble, label, size, rep[, kind])`` of ``stored`` under
-    its ``_path_file`` name."""
+    """Save each ``(ensemble, label, rep, params[, frozen])`` of ``stored``
+    under its ``_path_file`` name."""
     (out_dir / "paths").mkdir(parents=True, exist_ok=True)
     for ens, *name in stored:
         np.save(_path_file(out_dir, *name), ens.values)
@@ -299,6 +295,13 @@ def _params(cfg: ExperimentConfig, n: int, kappa: int | None = None) -> ModelPar
                           f"grid {cfg.total_steps()} = kappa * substeps")
     return ModelParams(n, cfg.beta, cfg.s_bound, cfg.horizon, kappa,
                        cfg.total_steps() // kappa, cfg.master_seed)
+
+
+def _sweep_runs(cfg: ExperimentConfig, n: int) -> list:
+    """The freeze sweep's runs at size n: the full run, then one frozen run
+    per ``kappa_sweep`` entry, each kappa checked against the total grid."""
+    sweep = [_params(cfg, n, kappa) for kappa in cfg.kappa_sweep]
+    return [(sweep[0], False)] + [(params, True) for params in sweep]
 
 
 def _disorder(cfg: ExperimentConfig, law, law_idx: int, n: int, rep: int):
@@ -421,7 +424,7 @@ def _curve_block(cfg: ExperimentConfig, summary: RunSummary, params: ModelParams
                         curves[idx, rep] += autocorrelation(ens)
                         summary.safeguard_activations += ens.safeguard_activations
                 if k < n_curve and s == 0 and store is not None:
-                    _store_ensembles(store, [(law_paths[0], label, n, rep)
+                    _store_ensembles(store, [(law_paths[0], label, rep, params)
                                              for label, law_paths in zip(labels, rep_paths)])
         curves[:, reps.start:reps.start + n_curve] /= samples
 
@@ -543,12 +546,13 @@ def run_freeze_sweep(cfg, summary, out, store_paths):
     norm, noise and full path are computed once and shared by every
     kappa.  Replicas run in blocks through ``_each_block``, which draws
     and norms each block's matrices; then one ``simulate_shared`` call
-    integrates each refresh interval once as one stack over the block,
-    and its stored pairs are written.  Outputs are those of one coupled
-    run per (kappa, replica): ``norms.csv`` repeats the replica rows once
-    per kappa and the full side's safeguard activations count once per
-    kappa.  With several failing draws, the first error raised is in
-    block order, norms before integration, then by step, then replica.
+    integrates each refresh interval once as one stack over the block, and
+    a stored run keeps each draw's full path once and its frozen path once
+    per kappa.  Outputs are those of one coupled run per (kappa, replica):
+    ``norms.csv`` repeats the replica rows once per kappa and the full
+    side's safeguard activations count once per kappa.  With several
+    failing draws, the first error raised is in block order, norms before
+    integration, then by step, then replica.
     """
     law, label = cfg.law_objs()[0], cfg.law_labels()[0]
     potential = cfg.potential_obj()
@@ -556,11 +560,10 @@ def run_freeze_sweep(cfg, summary, out, store_paths):
     n = cfg.n_particles
     c_dd = max_negative_curvature(potential)
     # every kappa is checked against the total grid before any work starts
-    sweep = [_params(cfg, n, kappa) for kappa in cfg.kappa_sweep]
-    runs = [(sweep[0], False)] + [(params, True) for params in sweep]
-    times = grid_times(sweep[0])  # the same grid at every kappa
-    msds = np.empty((len(sweep), cfg.freeze_replicas))
-    violations = [0] * len(sweep)
+    runs = _sweep_runs(cfg, n)
+    times = grid_times(runs[0][0])  # the same grid at every kappa
+    msds = np.empty((len(cfg.kappa_sweep), cfg.freeze_replicas))
+    violations = [0] * len(cfg.kappa_sweep)
     norm_rows = []
 
     def integrate(reps, mats, rows):
@@ -568,7 +571,7 @@ def run_freeze_sweep(cfg, summary, out, store_paths):
         norm_rows.extend(rows)
         pairs = simulate_shared(runs, potential, mats, initial, replicas=reps)
         for rep, norm_row, ((full, *frozen_runs),) in zip(reps, rows, pairs):
-            for k, (params, frozen) in enumerate(zip(sweep, frozen_runs)):
+            for k, frozen in enumerate(frozen_runs):
                 stats = coupling_stats(full, frozen)
                 violations[k] += bool(norm_row["a2_event"] and envelope_violated(
                     stats, times, cfg.a2, c_dd, cfg.rho, n))
@@ -576,16 +579,15 @@ def run_freeze_sweep(cfg, summary, out, store_paths):
                 summary.safeguard_activations += (full.safeguard_activations
                                                   + frozen.safeguard_activations)
             if store_paths:
-                _store_ensembles(out, [(ens, label, params.kappa, rep, kind)
-                                       for params, frozen in zip(sweep, frozen_runs)
-                                       for kind, ens in (("full", full), ("frozen", frozen))])
+                _store_ensembles(out, [(ens, label, rep, *run)
+                                       for run, ens in zip(runs, [full] + frozen_runs)])
 
     _each_block(cfg, [law], [label], n, cfg.freeze_replicas, cfg.freeze_replicas,
                 integrate)
 
-    for params, kappa_msds, kappa_violations in zip(sweep, msds, violations):
+    for kappa, kappa_msds, kappa_violations in zip(cfg.kappa_sweep, msds, violations):
         summary.freeze.append({
-            "kappa": params.kappa, "n": n,
+            "kappa": kappa, "n": n,
             "msd_mean": float(kappa_msds.mean()),
             "msd_stderr": float(kappa_msds.std(ddof=1) / np.sqrt(len(kappa_msds))),
             "envelope_violations": kappa_violations,
@@ -733,15 +735,15 @@ def replay(
 ) -> dict:
     """Re-derive one trajectory from a finished run directory.
 
-    Reads config.json, re-checks the config hash recorded in summary.json,
-    re-simulates the requested (law, N, replica, sample), and compares
-    against the stored paths when the run kept trajectories: the
-    ``_N{n}`` file, or for a freeze sweep the full side of the draw's pair
-    at every kappa.  A request for a trajectory the command never ran (a
-    law, N, replica or sample outside it, or a run without trajectories)
-    raises ConfigError.  Returns a dict with the values, the fingerprint,
-    and the match verdict (``stored_path`` names the first file compared);
-    a stored path that fails to match raises NumericalFailure.
+    Re-checks the config hash recorded in summary.json, then integrates
+    the requested (law, N, replica, sample) on the command's own runs: the
+    full run, and for a freeze sweep each kappa's frozen run too.  If the
+    run kept paths (``paths/`` exists) and the sample is 0, each run's file
+    must hold the bytes ``np.save`` writes for the replayed path; a file
+    missing or differing raises NumericalFailure naming it.  A trajectory
+    the command never ran raises ConfigError.  Returns the full path's
+    values and fingerprint, ``stored_paths`` (every file compared) and
+    ``matches_stored`` (True, or None when no file was compared).
     """
     run_dir = Path(run_dir)
     stored_cfg, stored_summary = (read_json_object(run_dir / name, "run directory file")
@@ -749,10 +751,8 @@ def replay(
 
     cfg = load_config(overrides=stored_cfg)
     if cfg.config_hash() != stored_summary.get("config_hash"):
-        raise NumericalFailure(
-            f"config hash mismatch in {run_dir}: recomputed "
-            f"{cfg.config_hash()} vs stored {stored_summary.get('config_hash')}"
-        )
+        raise NumericalFailure(f"config hash mismatch in {run_dir}: recomputed {cfg.config_hash()}"
+                               f" vs stored {stored_summary.get('config_hash')}")
 
     command = stored_summary.get("command")
     if command not in ("simulate", "universality", "freeze-sweep"):
@@ -768,39 +768,37 @@ def replay(
         raise ConfigError(f"N={n} not in this run ({command} ran N in {sizes})")
     replicas = cfg.freeze_replicas if command == "freeze-sweep" else cfg.replicas
     if not 0 <= replica < replicas:
-        raise ConfigError(
-            f"replica {replica} out of range ({command} drew {replicas})")
+        raise ConfigError(f"replica {replica} out of range ({command} drew {replicas})")
     samples = cfg.thermal_samples if command == "universality" else 1
     if not 0 <= sample < samples:
         raise ConfigError(f"sample {sample} out of range (run kept {samples})")
     if particle is not None and not 0 <= particle < n:
         raise ConfigError(f"particle {particle} out of range for N={n}")
 
+    runs = _sweep_runs(cfg, n) if command == "freeze-sweep" else [(_params(cfg, n), False)]
     mat = _disorder(cfg, cfg.law_objs()[idx], idx, n, replica)
     with _named([(law, replica)], n):
-        ens = simulate_full(_params(cfg, n), cfg.potential_obj(), mat, cfg.initial_obj(),
-                            replica=replica * samples + sample)
+        ensembles = simulate_shared(runs, cfg.potential_obj(), [[mat]], cfg.initial_obj(),
+                                    replicas=[replica * samples + sample])[0][0]
 
-    fingerprint = hashlib.sha256(np.ascontiguousarray(ens.values).tobytes())
+    stored = []
+    if sample == 0 and (run_dir / "paths").is_dir():
+        for run, ens in zip(runs, ensembles):
+            path = _path_file(run_dir, law, replica, *run)
+            if not path.is_file():
+                raise NumericalFailure(f"stored trajectory {path} is missing")
+            replayed = io.BytesIO()
+            np.save(replayed, ens.values)
+            if path.read_bytes() != replayed.getvalue():
+                raise NumericalFailure(f"replayed trajectory does not match stored {path}")
+            stored.append(str(path))
+    values = ensembles[0].values
     result = {
         "law": law, "n": n, "replica": replica, "sample": sample,
-        "disorder_seed": mat.seed, "fingerprint": fingerprint.hexdigest(),
-        "stored_path": None, "matches_stored": None,
+        "disorder_seed": mat.seed, "values": values,
+        "fingerprint": hashlib.sha256(np.ascontiguousarray(values).tobytes()).hexdigest(),
+        "stored_paths": stored, "matches_stored": True if stored else None,
     }
     if particle is not None:
-        result["particle_values"] = ens.values[particle]
-
-    if command == "freeze-sweep":
-        # the full side does not depend on kappa: every pair of the draw holds it
-        stored = [_path_file(run_dir, law, kappa, replica, "full")
-                  for kappa in cfg.kappa_sweep]
-    else:
-        stored = [_path_file(run_dir, law, n, replica)]
-    stored = [path for path in stored if sample == 0 and path.exists()]
-    for path in stored:
-        if not np.array_equal(np.load(path), ens.values):
-            raise NumericalFailure(f"replayed trajectory does not match stored {path}")
-    if stored:
-        result["stored_path"], result["matches_stored"] = str(stored[0]), True
-    result["values"] = ens.values
+        result["particle_values"] = values[particle]
     return result

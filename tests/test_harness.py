@@ -285,15 +285,15 @@ _GOLDEN = {
     "freeze-sweep": {
         "freeze.csv": "f2f867a98b4334547d499794e7b4c70faeec51cb3c360fdc3f91c0df246e1da9",
         "norms.csv": "03ae99a04944fa93d03f4e4387aab9e20668cf24ada8590bab05f8b69ce194ba",
-        "paths/": "53efd5fb983d0c6dc8604e36720dea91893d1f10b7ca22fcff97209b4ab2687a",
-        "paths/*.npy": "5c980e5d3d86136a3ccfe1a25ff8deed67447d0fd4809a208649ebc62de7e1ef",
+        "paths/": "c29a41d108f063e3e04eaa43543d7c9b4d6b5f36e2c3d0a8ee0269ca83fc3b7e",
+        "paths/*.npy": "f2ceebd797f3ca5fa5e22aeba10c2de28ba7b884cd29b58a1cbc5e9e45663837",
         "summary.json": "a22682f27243e856dcf30a6c91151fb12478a1dddbfa05f103a46f87f3718ee0",
     },
     "freeze-sweep-three-replicas": {
         "freeze.csv": "a33ff176ca7ff4f4a84e18d578f453541be52bc4bb7f1d1c7eed8664acf3f862",
         "norms.csv": "e7b5f770f25a7a9d5a174f6656e45d6fcbaf82d2d1ed1e3aa7a6e268cc2f694a",
-        "paths/": "3e1cef6533e296389a82b025799ce15cf539ae104b29073efcb45d259222f100",
-        "paths/*.npy": "1f8f076b675c950fafd8c6a270c914da366763c23c61e19c18a73c19b7b31e1e",
+        "paths/": "9775addfa30a6d63e97c128861b0a89f75a0b50a6db8131d96e7cb3dee78d030",
+        "paths/*.npy": "d171165dcfca634617d14ab63a288c47c5a750e161a2fb33f1889157bc76d3e0",
         "summary.json": "048ccf285f6227bbe75f6d9801d49e10125d54292b4774e48b66fd76ae5255cf",
     },
     "validate": {
@@ -653,7 +653,7 @@ def test_replay_rejects_unknown_law_and_bad_indices(tmp_path):
 
 def test_replay_checks_the_particle_before_integrating(tmp_path, monkeypatch):
     run_simulate(_small(), out_dir=tmp_path)
-    monkeypatch.setattr(harness, "simulate_full",
+    monkeypatch.setattr(harness, "simulate_shared",
                         lambda *args, **kwargs: pytest.fail("replay integrated"))
     with pytest.raises(ConfigError, match="particle 99 out of range"):
         replay(tmp_path, "gaussian", replica=0, particle=99)
@@ -672,7 +672,7 @@ def test_replay_universality_path_at_swept_size(tmp_path):
     run_universality(cfg, store_paths=True, out_dir=tmp_path)
     assert cfg.n_sweep[0] != cfg.n_particles
     result = replay(tmp_path, "gaussian@2", replica=2, n=cfg.n_sweep[0])
-    assert result["stored_path"].endswith("paths/gaussian@2_N4_rep2.npy")
+    assert result["stored_paths"] == [str(tmp_path / "paths" / "gaussian@2_N4_rep2.npy")]
     assert result["matches_stored"] is True
 
 
@@ -712,33 +712,101 @@ def test_replay_rejects_run_without_trajectories(tmp_path):
 
 
 def test_freeze_sweep_stored_path_names(tmp_path):
+    # each draw's full path once, and its frozen path once per kappa
     cfg = _small()
     run_freeze_sweep(cfg, store_paths=True, out_dir=tmp_path)
     names = {p.name for p in (tmp_path / "paths").iterdir()}
-    assert len(names) == 2 * len(cfg.kappa_sweep) * cfg.freeze_replicas
+    assert len(names) == (1 + len(cfg.kappa_sweep)) * cfg.freeze_replicas
     assert names == {
-        f"gaussian_k{kappa}_rep{rep}_{kind}.npy"
-        for kappa in cfg.kappa_sweep
+        f"gaussian_N6{kappa}_rep{rep}.npy"
+        for kappa in [""] + [f"_k{kappa}" for kappa in cfg.kappa_sweep]
         for rep in range(cfg.freeze_replicas)
-        for kind in ("full", "frozen")
     }
 
 
-def test_replay_checks_every_stored_freeze_pair_full_side(tmp_path, capsys):
+def test_freeze_sweep_full_path_equals_simulate_path(tmp_path):
+    cfg = _small()
+    run_freeze_sweep(cfg, store_paths=True, out_dir=tmp_path / "freeze")
+    run_simulate(cfg, store_paths=True, out_dir=tmp_path / "simulate")
+    for rep in range(cfg.freeze_replicas):
+        name = Path("paths") / f"gaussian_N6_rep{rep}.npy"
+        assert (tmp_path / "freeze" / name).read_bytes() == \
+            (tmp_path / "simulate" / name).read_bytes()
+
+
+def test_replay_checks_every_stored_freeze_pair_both_sides(tmp_path, capsys):
     cfg = _small()
     run_freeze_sweep(cfg, store_paths=True, out_dir=tmp_path)
     result = replay(tmp_path, "gaussian", replica=1)
     assert result["matches_stored"] is True
-    assert result["stored_path"].endswith("paths/gaussian_k2_rep1_full.npy")
-    # one byte of the last kappa's full side changes
-    tampered = tmp_path / "paths" / f"gaussian_k{cfg.kappa_sweep[-1]}_rep1_full.npy"
-    data = bytearray(tampered.read_bytes())
-    data[-1] ^= 1
-    tampered.write_bytes(bytes(data))
+    assert result["stored_paths"] == [
+        str(tmp_path / "paths" / name) for name in
+        ["gaussian_N6_rep1.npy"] + [f"gaussian_N6_k{k}_rep1.npy" for k in cfg.kappa_sweep]]
     argv = ["replay", str(tmp_path), "--law", "gaussian", "--replica"]
-    assert main(argv + ["1"]) == 2
+    assert main(argv + ["1"]) == 0
+    assert "matches stored trajectory: True (3 files)" in capsys.readouterr().out
+    # one byte of the full side changes, then of the last kappa's frozen side
+    for name in ("gaussian_N6_rep1.npy", f"gaussian_N6_k{cfg.kappa_sweep[-1]}_rep1.npy"):
+        tampered = tmp_path / "paths" / name
+        original = tampered.read_bytes()
+        tampered.write_bytes(original[:-1] + bytes([original[-1] ^ 1]))
+        assert main(argv + ["1"]) == 2
+        assert f"does not match stored {tampered}" in capsys.readouterr().err
+        assert main(argv + ["0"]) == 0
+        tampered.write_bytes(original)
+
+
+def test_replay_of_a_frozen_file_with_a_changed_header_byte_exits_two(tmp_path, capsys):
+    # the header is compared too: byte 8 is the low byte of its length
+    cfg = _small()
+    run_freeze_sweep(cfg, store_paths=True, out_dir=tmp_path)
+    tampered = tmp_path / "paths" / f"gaussian_N6_k{cfg.kappa_sweep[0]}_rep1.npy"
+    data = bytearray(tampered.read_bytes())
+    data[8] ^= 1
+    tampered.write_bytes(bytes(data))
+    assert main(["replay", str(tmp_path), "--law", "gaussian", "--replica", "1"]) == 2
     assert f"does not match stored {tampered}" in capsys.readouterr().err
-    assert main(argv + ["0"]) == 0
+
+
+@pytest.mark.parametrize("command, name", [
+    ("simulate", "gaussian_N6_rep1.npy"),
+    ("universality", "rademacher_N4_rep1.npy"),
+    ("freeze-sweep", "gaussian_N6_rep1.npy"),
+    ("freeze-sweep", "gaussian_N6_k4_rep1.npy"),
+])
+def test_replay_of_a_run_missing_a_stored_file_exits_two_and_names_it(
+        tmp_path, capsys, command, name):
+    _COMMANDS[command](_small(), store_paths=True, out_dir=tmp_path)
+    missing = tmp_path / "paths" / name
+    missing.unlink()
+    law, size = name.split("_")[:2]
+    code = main(["replay", str(tmp_path), "--law", law, "--replica", "1",
+                 "--n", size[1:]])
+    assert code == 2
+    assert f"stored trajectory {missing} is missing" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, overrides", [
+    ("simulate", {}),
+    ("universality", dict(thermal_samples=2)),
+    ("freeze-sweep", dict(freeze_replicas=3)),
+])
+def test_replay_compares_every_file_a_run_stored(tmp_path, command, overrides):
+    # every (law, N, replica) the run kept replays, and together the
+    # replays compare exactly the files under paths/
+    cfg = _small(**overrides)
+    _COMMANDS[command](cfg, store_paths=True, out_dir=tmp_path)
+    labels = cfg.law_labels()[:1] if command == "freeze-sweep" else cfg.law_labels()
+    sizes = cfg.n_sweep if command == "universality" else [cfg.n_particles]
+    replicas = cfg.freeze_replicas if command == "freeze-sweep" else cfg.replicas
+    compared = set()
+    for label in labels:
+        for n in sizes:
+            for rep in range(replicas):
+                result = replay(tmp_path, label, replica=rep, n=n)
+                assert result["matches_stored"] is True
+                compared.update(result["stored_paths"])
+    assert compared == {str(p) for p in (tmp_path / "paths").iterdir()}
 
 
 def test_replay_replica_bound_follows_the_command(tmp_path):

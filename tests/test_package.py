@@ -4,6 +4,7 @@ module's ``__all__`` promises."""
 import importlib
 import json
 import pkgutil
+from pathlib import Path
 import subprocess
 import sys
 
@@ -48,3 +49,12 @@ def test_package_holds_only_load_config_and_gaussian():
 def test_every_name_in_all_resolves(name):
     module = importlib.import_module(name)
     assert [attr for attr in module.__all__ if not hasattr(module, attr)] == []
+
+
+# the seed's src/ line count; ROADMAP item 8 keeps every change below it
+_SRC_LINE_BUDGET = 3296
+
+
+def test_src_stays_within_the_line_budget():
+    sources = Path(spinlab.__file__).parent.glob("*.py")
+    assert sum(len(path.read_text().splitlines()) for path in sources) < _SRC_LINE_BUDGET

@@ -7,7 +7,8 @@ certificate violation, replay mismatch or missing file) or a float overflow
 or NaN.  Seed precedence: ``--seed`` beats the ``SPINLAB_SEED`` environment
 variable, which beats the config file; the winner and ``--out`` are
 ``load_config`` overrides, so a command builds one config.  ``replay`` takes
-config and seed from the run.
+config and seed from the run.  ``--store-paths`` is offered only by the
+commands that integrate trajectories: simulate, universality, freeze-sweep.
 Every command runs its replicas serially; ``--threads`` is still accepted
 and checked (values below 1 exit 1), and outputs are byte-identical at any
 value.
@@ -59,18 +60,19 @@ def _build_parser() -> _Parser:
     common.add_argument("--threads", type=int, default=1, metavar="N",
                         help="accepted for compatibility; runs are serial and "
                              "byte-identical at any value >= 1")
-    common.add_argument("--store-paths", action="store_true",
-                        help="persist trajectories as .npy under <out>/paths")
+    storing = argparse.ArgumentParser(add_help=False, parents=[common])
+    storing.add_argument("--store-paths", action="store_true",
+                         help="persist trajectories as .npy under <out>/paths")
 
     parser = _Parser(prog="spinlab",
                      description="soft-spin Langevin universality laboratory")
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
-    sub.add_parser("simulate", parents=[common],
+    sub.add_parser("simulate", parents=[storing],
                    help="ensemble runs at the configured size")
-    sub.add_parser("universality", parents=[common],
+    sub.add_parser("universality", parents=[storing],
                    help="autocorrelation gaps across entry laws and sizes")
-    sub.add_parser("freeze-sweep", parents=[common],
+    sub.add_parser("freeze-sweep", parents=[storing],
                    help="coupling error of the frozen scheme across kappa")
     sub.add_parser("validate", parents=[common],
                    help="entry-law moment and norm diagnostics")
@@ -161,7 +163,7 @@ def main(argv=None) -> int:
         cfg = load_config(args.config, {k: v for k, v in overrides.items() if v is not None})
         if args.threads < 1:
             raise ConfigError("--threads must be >= 1")
-        summary = _COMMANDS[args.command](cfg, store_paths=args.store_paths)
+        summary = _COMMANDS[args.command](cfg, store_paths=getattr(args, "store_paths", False))
         _print_summary(summary)
         return 0
     except ConfigError as exc:

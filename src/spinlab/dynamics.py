@@ -209,31 +209,32 @@ def simulate_shared(
     """Integrate several runs on each of a block of replicas.
 
     ``runs`` holds ``(params, frozen)`` pairs whose params share one grid
-    (the ``_GRID_FIELDS``) and differ only in kappa; ``(params, frozen,
-    count)`` covers only the first ``count`` replicas.  ``replicas`` is a
-    sequence of R stream replica indices, each prepared once, and ``mats``
-    holds one sequence of L DisorderMatrix per replica.  A run without
-    interaction has ``beta`` 0, which neither reads nor copies the
-    matrices, so a zero-strided ``np.broadcast_to(0.0, (N, N))`` serves as
-    one at any N.  The runs on one refresh interval (every step for a full
-    run, every ``params.substeps`` for a frozen one) share one integration,
-    a stack over the block in replica-major order (``member = k * L + l``,
-    block position k, matrix l), and its values.
+    (the ``_GRID_FIELDS``) and differ only in kappa.  Every run integrates
+    every replica of the call: a run on part of a block is a call of its
+    own on that part's replicas and mats.  ``replicas`` is a sequence of R
+    stream replica indices, each prepared once, and ``mats`` holds one
+    sequence of L DisorderMatrix per replica.  A run without interaction
+    has ``beta`` 0, which neither reads nor copies the matrices, so a
+    zero-strided ``np.broadcast_to(0.0, (N, N))`` serves as one at any N.
+    The runs on one refresh interval (every step for a full run, every
+    ``params.substeps`` for a frozen one) share one integration, a stack
+    over the block in replica-major order (``member = k * L + l``, block
+    position k, matrix l), and its values.
 
-    Returns ``result[k][l]``: one PathEnsemble per run covering block
-    position k, in order, on its matrix l, each equal to ``simulate_full``
-    or ``simulate_frozen`` on that run, replica and matrix alone.  Refresh
+    Returns ``result[k][l]``: one PathEnsemble per run, in order, at block
+    position k on its matrix l, each equal to ``simulate_full`` or
+    ``simulate_frozen`` on that run, replica and matrix alone.  Refresh
     intervals are integrated in the order they first appear; a stack stops
     at the earliest step where a member fails, lowest member first, and
     its SafeguardError carries that ``member`` (a frozen run's names its
     kappa).  ``out``, a sequence of L writable (R, N, G+1) arrays, one per
     matrix, holds the paths of the runs that refresh every step, as views.
     """
-    runs = list(runs)
+    runs = [(params, frozen) for params, frozen in runs]
     if not runs:
         raise ValueError("runs must hold at least one (params, frozen) pair")
     base = runs[0][0]
-    for params, *_ in runs[1:]:
+    for params, _ in runs[1:]:
         differ = [f for f in _GRID_FIELDS if getattr(params, f) != getattr(base, f)]
         if differ:
             raise ValueError(f"runs must share one grid; {', '.join(differ)} differ")
@@ -252,10 +253,6 @@ def simulate_shared(
         raise ValueError("every replica of a block needs the same number of matrices, "
                          "and at least one")
     laws = counts.pop()
-    runs = [(run[0], run[1], run[2] if len(run) > 2 else len(replicas))
-            for run in runs]
-    if any(not 1 <= count <= len(replicas) for *_, count in runs):
-        raise ValueError(f"a run must cover 1 to {len(replicas)} replicas")
 
     n = base.n_particles
     x0 = np.empty((len(replicas), n))
@@ -270,18 +267,13 @@ def simulate_shared(
 
     paths = {}  # refresh interval -> (values per replica and matrix, activations)
     ensembles = [[[] for _ in range(laws)] for _ in replicas]
-    for params, frozen, count in runs:
+    for params, frozen in runs:
         every = params.substeps if frozen else 1
         if every not in paths:
-            # the widest run on this interval sets the block prefix integrated
-            width = max(c for p, f, c in runs if (p.substeps if f else 1) == every)
             try:
                 values, activations = _integrate(
-                    params, potential, entries[:width * laws], x0[:width],
-                    increments[:width], bridges[:width],
-                    None if out is None or every != 1
-                    else [law_out[:width] for law_out in out],
-                    refresh_every=every,
+                    params, potential, entries, x0, increments, bridges,
+                    out if every == 1 else None, refresh_every=every,
                 )
             except SafeguardError as err:
                 if not frozen:
@@ -292,8 +284,8 @@ def simulate_shared(
             # one values view per member, shared by every run on this interval
             paths[every] = (list(zip(*values)), activations)
         values, activations = paths[every]
-        for k in range(count):
-            for law, member_ensembles in enumerate(ensembles[k]):
+        for k, rep_ensembles in enumerate(ensembles):
+            for law, member_ensembles in enumerate(rep_ensembles):
                 member_ensembles.append(PathEnsemble(
                     values[k][law], params, replicas[k], activations[k * laws + law]))
     return ensembles

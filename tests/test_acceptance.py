@@ -7,6 +7,7 @@ Criterion 8 runs the freeze sweep through the CLI, where ``--threads``
 lives.
 """
 
+import json
 import math
 import time
 
@@ -133,6 +134,22 @@ def test_criterion_3_stationary_density():
     )
 
 
+def _gap_decays(law_rows, control_rows) -> bool:
+    """Criterion 4's predicate on ``gaps`` rows in ``n_sweep`` order: the
+    test law's sup gap decreases with N within its bootstrap error and
+    halves from the first N to the last, and the control law's gap stays at
+    or below its noise floor at every N."""
+    gaps = [g["sup_gap"] for g in law_rows]
+    errs = [g["sup_gap_stderr"] for g in law_rows]
+    decreasing = all(
+        gaps[i + 1] < gaps[i] + math.hypot(errs[i], errs[i + 1])
+        for i in range(len(gaps) - 1)
+    )
+    halved = gaps[-1] < gaps[0] / 2
+    control_at_floor = all(g["sup_gap"] <= g["noise_floor"] for g in control_rows)
+    return decreasing and halved and control_at_floor
+
+
 @pytest.mark.slow
 def test_criterion_4_universality_gap_decay(default_cfg, universality_run):
     summary, dt = universality_run
@@ -141,20 +158,38 @@ def test_criterion_4_universality_gap_decay(default_cfg, universality_run):
     assert [g["n"] for g in rad] == list(default_cfg.n_sweep)
 
     gaps = [g["sup_gap"] for g in rad]
-    errs = [g["sup_gap_stderr"] for g in rad]
-    decreasing = all(
-        gaps[i + 1] < gaps[i] + math.hypot(errs[i], errs[i + 1])
-        for i in range(len(gaps) - 1)
-    )
-    halved = gaps[-1] < gaps[0] / 2
-    control_at_floor = all(g["sup_gap"] <= g["noise_floor"] for g in ctrl)
-    ok = decreasing and halved and control_at_floor and dt < 3600
+    ok = _gap_decays(rad, ctrl) and dt < 3600
     assert _report(
         4, "entry-law universality", ok,
         f"gaps {['%.4f' % g for g in gaps]} decreasing within error, "
         f"gap(200)={gaps[-1]:.4f} < gap(25)/2={gaps[0] / 2:.4f}, "
         f"control <= floor at every N, {dt:.0f}s",
     )
+
+
+def test_criterion_4_rejects_a_law_with_a_wider_entry_scale(tmp_path):
+    # entries of scale 1.5 act as an effective beta 1.5 times the config's,
+    # which breaks the unit-variance hypothesis.  At seed 31416 the wide
+    # law's gap was 0.0359 at N = 25 and 0.0402 at N = 50 (1.16 and 1.48
+    # times its floor) while the gaussian@2 control read 0.41 and 0.28 of
+    # its floor: the gap does not halve, so the predicate rejects the law
+    wide = {"name": "wide", "distribution": "norm", "scale": 1.5,
+            "third_abs_moment": 1.5**3 * math.sqrt(8.0 / math.pi)}
+    (tmp_path / "wide.json").write_text(json.dumps(wide))
+    cfg = load_config(overrides={
+        "laws": ["gaussian", f"custom:{tmp_path / 'wide.json'}", "gaussian"],
+        "n_sweep": [25, 50], "replicas": 100, "phi_replicas": 2,
+        "master_seed": 31416})
+    summary = run_universality(cfg, out_dir=tmp_path / "out")
+    rows = [g for g in summary.gaps if g["law"] == "wide"]
+    ctrl = [g for g in summary.gaps if g["law"] == "gaussian@2"]
+    assert [g["n"] for g in rows] == [25, 50]
+    assert rows[1]["resolved"] is True
+    assert not _gap_decays(rows, ctrl)
+    # the same rows with a gap that quarters at each N pass: the decay
+    # check alone rejects the wide law
+    assert _gap_decays([dict(g, sup_gap=g["sup_gap"] / 4**k) for k, g in enumerate(rows)],
+                       ctrl)
 
 
 @pytest.mark.slow

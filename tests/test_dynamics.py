@@ -244,21 +244,20 @@ def test_stacked_matvec_equals_one_matvec_per_matrix():
 
 
 def test_block_of_replicas_equals_one_call_per_replica():
-    # a ragged frozen prefix, refinements on several members, and each
+    # full and frozen runs, refinements on several members, and each
     # replica on its own noise
     sweep, pot, _, init = _safeguarded_sweep()
     mats = [[sample_matrix(law, 30, seed=10 * rep + seed)
              for law, seed in ((GAUSSIAN, 1), (RADEMACHER, 2))] for rep in range(3)]
-    runs = [(sweep[0], False), (sweep[1], True, 2)]
+    runs = [(sweep[0], False), (sweep[1], True)]
     block = simulate_shared(runs, pot, mats, init, [4, 9, 5])
     assert len(block) == 3
     fired = 0
-    for k, (rep, rep_mats, rep_paths) in enumerate(zip([4, 9, 5], mats, block)):
-        [alone] = simulate_shared([run[:2] for run in runs[:1 + (k < 2)]], pot,
-                                  [rep_mats], init, [rep])
+    for rep, rep_mats, rep_paths in zip([4, 9, 5], mats, block):
+        [alone] = simulate_shared(runs, pot, [rep_mats], init, [rep])
         assert len(rep_paths) == len(alone) == 2
         for law_paths, ref_paths in zip(rep_paths, alone):
-            assert len(law_paths) == len(ref_paths) == 1 + (k < 2)
+            assert len(law_paths) == len(ref_paths) == 2
             for ens, ref in zip(law_paths, ref_paths):
                 np.testing.assert_array_equal(ens.values, ref.values)
                 assert ens.safeguard_activations == ref.safeguard_activations
@@ -274,8 +273,9 @@ def test_block_of_replicas_equals_one_call_per_replica():
         simulate_shared(runs, pot, mats[:2], init, [4, 9, 5])
     with pytest.raises(ValueError, match="same number of matrices"):
         simulate_shared(runs, pot, [mats[0], mats[1][:1]], init, [4, 9])
-    with pytest.raises(ValueError, match="cover 1 to 3"):
-        simulate_shared([(sweep[0], False, 4)], pot, mats, init, [4, 9, 5])
+    # a run is a (params, frozen) pair over the whole block
+    with pytest.raises(ValueError, match="too many values"):
+        simulate_shared([(sweep[0], False, 2)], pot, mats, init, [4, 9, 5])
 
 
 def test_block_failure_names_its_replica_major_member():

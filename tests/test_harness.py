@@ -96,14 +96,14 @@ def test_universality_layout_and_row_invariant(tmp_path):
 
 def test_universality_draws_and_prepares_each_run_once(tmp_path, monkeypatch):
     # 2 laws x 2 sizes x 3 replicas; the tilt runs reuse the first
-    # phi_replicas draws and their sample-0 noise, each replica is prepared
-    # once, and at each N one block holds every replica: one full and one
-    # frozen stack
+    # phi_replicas draws and their sample-0 noise, and each replica is
+    # prepared once: at each N the two tilt replicas integrate one full and
+    # one frozen stack, and the third replica one full stack
     draws = _count_calls(monkeypatch, harness, "sample_matrix")
     calls = _count_calls(monkeypatch, dynamics, "_prepare", "_integrate")
     run_universality(_small(), out_dir=tmp_path)
     assert draws == {"sample_matrix": 12}
-    assert calls == {"_prepare": 6, "_integrate": 4}
+    assert calls == {"_prepare": 6, "_integrate": 6}
 
 
 def test_simulate_prepares_each_replica_once(tmp_path, monkeypatch):
@@ -180,7 +180,8 @@ from spinlab.cli import main
 
 cfg, out = sys.argv[1], sys.argv[2]
 for command in ("validate", "universality", "simulate", "freeze-sweep", "lindeberg"):
-    assert main([command, "--config", cfg, "--out", out + "/" + command, "--store-paths"]) == 0
+    argv = [command, "--config", cfg, "--out", out + "/" + command]
+    assert main(argv + ["--store-paths"] * (command not in ("validate", "lindeberg"))) == 0
 libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
                               "libscipy_openblas*"))
 count = getattr(ctypes.CDLL(libs[0]), "scipy_openblas_get_num_threads64_", None) if libs else None
@@ -282,6 +283,22 @@ _GOLDEN = {
         "paths/*.npy": "84cd0207d7ba14ea1890e7f25d1e3680f85f237d5edff79db92fe20bde6efbd3",
         "summary.json": "4b5eb305cb052d9731b172a5d4f5474d76cc4b286e834a6e744347f32351a5c0",
     },
+    "universality-tilt-equals-replicas": {
+        "autocorr.csv": "cae441abdd42e17546d6986f9ea156c5b459743b0ad98b25f3821891f8055c3f",
+        "gaps.csv": "780e08644700514840ea87ab1484d76143d2624c754e3cc508140badb53a1d5a",
+        "norms.csv": "ca523ca94a45840027daaaa90c3a83b973f538c54f402ef48e47a7d9ff3317ff",
+        "paths/": "c62e7e85788ef5f1a4830cf609376406fc14491144962a2020c2b8ff07e7bd4b",
+        "paths/*.npy": "cbe98e35ef41b02bf45225aa734ef9cdfd6ecf0f67acd4200ce0628340ff0dfe",
+        "summary.json": "0d96121afdf4ffae56fdf8d701a46a1a9d7afb8f31a18ee41a31fbcbba567b86",
+    },
+    "universality-one-tilt": {
+        "autocorr.csv": "2c525d70cd5686efe911a9591e1d59a16975e626143bca4cbb3236e307c8a5b0",
+        "gaps.csv": "6aa80e32f2e144cfe47d9af38cc395a4b37868d9e31d3576dae9c1676348f4eb",
+        "norms.csv": "ca523ca94a45840027daaaa90c3a83b973f538c54f402ef48e47a7d9ff3317ff",
+        "paths/": "c62e7e85788ef5f1a4830cf609376406fc14491144962a2020c2b8ff07e7bd4b",
+        "paths/*.npy": "84cd0207d7ba14ea1890e7f25d1e3680f85f237d5edff79db92fe20bde6efbd3",
+        "summary.json": "5faef81105526a796deb397c5a09dee97ffaa45f0947efbb78ae8ad37c90ec6e",
+    },
     "freeze-sweep": {
         "freeze.csv": "f2f867a98b4334547d499794e7b4c70faeec51cb3c360fdc3f91c0df246e1da9",
         "norms.csv": "03ae99a04944fa93d03f4e4387aab9e20668cf24ada8590bab05f8b69ce194ba",
@@ -298,7 +315,7 @@ _GOLDEN = {
     },
     "validate": {
         "norms.csv": "20c3d607e3fc86cf40b9016dff0bbd929eacffda4cd214903f2b771e33cfd3bd",
-        "summary.json": "69cfaa1f0632e9a8a92b0541f07c44392c61ac2f23245000c32a362e18778c4e",
+        "summary.json": "67e3a858781527965b7ecd4576a1db68e7483e388ff9a9caa7cc45abc08c88f2",
     },
     "lindeberg": {
         "lindeberg.csv": "c795afb725cdfadd3d2e2a17c9c5cac1c961ccf3c37715a374db6f755caf8860",
@@ -318,6 +335,9 @@ _GOLDEN = {
 _GOLDEN_CASES = {
     "universality-tilt-past-replicas":
         ("universality", dict(phi_replicas=5, thermal_samples=2)),
+    "universality-tilt-equals-replicas": ("universality", dict(phi_replicas=3)),
+    "universality-one-tilt":
+        ("universality", dict(phi_replicas=1, thermal_samples=2)),
     "freeze-sweep-three-replicas": ("freeze-sweep", dict(freeze_replicas=3)),
 }
 
@@ -367,7 +387,8 @@ _BLOCKINGS = {1: (1, 1, 1), 600: (2, 1, 2), 1200: (4, 2, 4)}
 
 @pytest.mark.parametrize("stack_bytes", sorted(_BLOCKINGS))
 @pytest.mark.parametrize(
-    "case", ["universality", "universality-tilt-past-replicas", "simulate",
+    "case", ["universality", "universality-tilt-past-replicas",
+             "universality-tilt-equals-replicas", "universality-one-tilt", "simulate",
              "freeze-sweep", "freeze-sweep-three-replicas"])
 def test_outputs_do_not_depend_on_the_block_size(tmp_path, monkeypatch, case,
                                                  stack_bytes):
@@ -571,6 +592,23 @@ def test_validation_flags_heavy_tailed_custom_law(tmp_path):
         assert status["mean-zero"] == "FAIL"
         assert status["norm-concentration"].startswith("SKIPPED")
         json.loads((out / "summary.json").read_text(), parse_constant=pytest.fail)
+
+
+@pytest.mark.parametrize("n, status", [(16, "FAIL"), (64, "PASS")])
+def test_norm_concentration_row_shows_the_sample_that_decides_it(tmp_path, n, status):
+    # at N = 16 gaussian's largest of four samples, 2.02, lies inside
+    # [1.8, 2.3] and its smallest, 1.69, below it: a FAIL row shows the
+    # sample farthest outside the band, a PASS row the largest sample
+    cfg = _small(n_particles=n, norm_samples=4, beta=1.0)
+    summary = run_validation(cfg, out_dir=tmp_path)
+    rows = [r for r in summary.validation if r["check"] == "norm-concentration"]
+    assert [r["status"] for r in rows] == [status] * 2
+    for row in rows:
+        raw = [norm["norm"] for norm in summary.norms if norm["law"] == row["law"]]
+        outside = [max(1.8 - value, value - 2.3) for value in raw]
+        shown = max(raw) if status == "PASS" else raw[outside.index(max(outside))]
+        assert row["value"] == shown
+        assert (status == "FAIL") == (not 1.8 <= row["value"] <= 2.3)
 
 
 # ---------------------------------------------------------------------------
@@ -1047,6 +1085,16 @@ def test_cli_initial_law_in_the_guard_band_exit_one(tmp_path, capsys, initial):
     assert load_config(overrides={"initial": inside}).initial == inside
 
 
+@pytest.mark.parametrize("command", ["validate", "lindeberg"])
+def test_cli_store_paths_is_a_usage_error_where_nothing_integrates(tmp_path, capsys,
+                                                                   command):
+    with pytest.raises(SystemExit) as err:
+        main([command, "--out", str(tmp_path / "out"), "--store-paths"])
+    assert err.value.code == 1
+    assert "unrecognized arguments: --store-paths" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_replay_has_only_its_own_flags(tmp_path, capsys, monkeypatch):
     run_simulate(_small(), out_dir=tmp_path / "run")
     argv = ["replay", str(tmp_path / "run"), "--law", "gaussian", "--replica", "0"]
@@ -1287,10 +1335,11 @@ def test_cli_norm_failure_inside_a_universality_block_stops_before_integrating(
 
 
 @pytest.mark.parametrize("command, block", [
-    ("freeze-sweep", "[N=6, replicas 0-1]"), ("universality", "[N=4, replicas 0-2]")])
+    ("freeze-sweep", "[N=6, replicas 0-1]"), ("universality", "[N=4, replicas 0-1]")])
 def test_cli_float_error_names_its_block(tmp_path, capsys, command, block):
     # beta 1e300 overflows the first block's norms; a float error carries
-    # no member, so it names the block's N and replicas
+    # no member, so it names the block's N and replicas (universality's
+    # first block holds its phi_replicas tilt draws)
     path = _write_cfg(tmp_path, beta=1e300)
     assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     err = _one_line(capsys)

@@ -3,13 +3,13 @@
 Shows the three layers of disorder checking:
 
 1. validate_law: moment and tail conditions, analytic when every moment
-   is declared, sampled otherwise.  A Cauchy sampler is run through the
-   same gate to show the divergence probe catching an infinite second
+   is declared, sampled otherwise.  A Cauchy law, given by its quantile
+   function like any custom law, is run through the same gate to show the divergence probe catching an infinite second
    moment, and each failed check prints its reasons.
 2. condition_diagnostics: the growth quantities behind the comparison
    argument (MGF bound, scaled third moment, norm samples).
-3. operator_norm_report: power iteration with a certified bracket,
-   cross-checked here against a dense SVD.
+3. operator_norm_report: power iteration, cross-checked here against a
+   dense SVD.
 """
 
 import math
@@ -20,7 +20,7 @@ from spinlab.disorder import (
     CENTERED_EXPONENTIAL,
     GAUSSIAN,
     RADEMACHER,
-    CustomSampler,
+    CustomLaw,
     condition_diagnostics,
     operator_norm_report,
     sample_matrix,
@@ -33,12 +33,9 @@ for law in (GAUSSIAN, RADEMACHER, CENTERED_EXPONENTIAL):
           f"mean={report.mean:+.4f}  variance={report.variance:.4f}  "
           f"E|J|^3={report.third_abs_moment:.4f}")
 
-# a heavy-tailed sampler has no second moment; the batch-variance probe
+# a heavy-tailed law has no second moment; the batch-variance probe
 # sees the median batch variance grow with the batch size and fails it
-cauchy = CustomSampler(
-    name="cauchy",
-    sampler=lambda count, gen: gen.standard_cauchy(count),
-)
+cauchy = CustomLaw("cauchy", lambda u: np.tan(np.pi * (u - 0.5)))
 report = validate_law(cauchy)
 print(f"\n{cauchy.name:<12} passed={report.passed}")
 for check, reasons in report.failures.items():

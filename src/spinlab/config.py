@@ -22,7 +22,7 @@ from .disorder import (
     CENTERED_EXPONENTIAL,
     GAUSSIAN,
     RADEMACHER,
-    CustomSampler,
+    CustomLaw,
     DisorderLaw,
 )
 from .dynamics import GUARD_FRACTION
@@ -78,7 +78,7 @@ def _finite(what: str, val):
     return val
 
 
-def _load_custom_law(path: Path) -> CustomSampler:
+def _load_custom_law(path: Path) -> CustomLaw:
     raw = read_json_object(path, "custom law file")
     unknown = set(raw) - _CUSTOM_LAW_KEYS
     if unknown:
@@ -92,8 +92,13 @@ def _load_custom_law(path: Path) -> CustomSampler:
 
     dist_name = raw["distribution"]
     dist_gen = getattr(st, dist_name, None)
-    if dist_gen is None or not hasattr(dist_gen, "rvs"):
+    if dist_gen is None or not hasattr(dist_gen, "ppf"):
         raise ConfigError(f"unknown scipy.stats distribution {dist_name!r}")
+    # scipy's generic quantile solves for each value (norminvgauss: about 7 ms
+    # a value) and can fail in the tail, so a law must bring its own
+    if getattr(type(dist_gen), "_ppf", None) in (st.rv_continuous._ppf, st.rv_discrete._ppf):
+        raise ConfigError(f"scipy.stats distribution {dist_name!r} has no quantile "
+                          "function of its own (scipy would solve for each draw)")
     args = raw.get("args", [])
     if not isinstance(args, list):
         raise ConfigError("custom law 'args' must be a list of shape parameters")
@@ -134,14 +139,8 @@ def _load_custom_law(path: Path) -> CustomSampler:
     name = str(raw.get("name", path.stem))
     if name in ("", ".", "..") or any(c in name for c in "/\\\0"):
         raise ConfigError(f"custom law file {path}: name {name!r} is not a file name")
-
-    def sampler(count, generator, _frozen=frozen):
-        return _frozen.rvs(size=count, random_state=generator)
-
-    law = CustomSampler(name=name, sampler=sampler, mean=mean, variance=variance,
-                        third_abs_moment=third)
-    law.source = raw  # config_hash covers the file's contents, not only its path
-    return law
+    # config_hash covers the file's contents, not only its path
+    return CustomLaw(name, frozen.ppf, mean, variance, third, source=raw)
 
 
 def parse_law(spec: str) -> DisorderLaw:
@@ -351,10 +350,11 @@ class ExperimentConfig:
         payload = self.as_dict()
         payload.pop("output_dir")
         # a custom law's file contents, so editing the file changes the hash;
-        # a config without one hashes as it always has
-        sources = [law.source for law in self._laws if isinstance(law, CustomSampler)]
+        # a config without one hashes as it always has.  The key names the
+        # inverse-CDF route, so a run drawn by the earlier route cannot match
+        sources = [law.source for law in self._laws if isinstance(law, CustomLaw)]
         if sources:
-            payload["custom_law_files"] = sources
+            payload["custom_law_files_by_ppf"] = sources
         canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode()).hexdigest()
 

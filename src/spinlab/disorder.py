@@ -16,14 +16,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .model import NumericalFailure
-from .streams import CounterStream, _box_muller, _unit_open, derive_seed
+from .streams import CounterStream, _box_muller, _unit_open
 
 __all__ = [
     "DisorderLaw",
     "StandardGaussian",
     "Rademacher",
     "CenteredExponential",
-    "CustomSampler",
+    "CustomLaw",
     "GAUSSIAN",
     "RADEMACHER",
     "CENTERED_EXPONENTIAL",
@@ -49,7 +49,7 @@ class DisorderLaw:
     unknown) and one word-to-value transform, ``_from_words``, that turns
     ``words_per_value * count`` raw stream words along the last axis into
     ``count`` draws.
-    Built-in laws sample through counter addressed streams, so entry (i, j)
+    Every law samples through counter addressed streams, so entry (i, j)
     of a matrix is a pure function of (law, seed, i, j).
     """
 
@@ -75,8 +75,8 @@ class DisorderLaw:
         return [CounterStream(seed, f"{_DISORDER_PURPOSE}:{purpose}"), 0]
 
     def draw(self, state, count: int) -> np.ndarray:
-        """Next ``count`` draws; built-ins are word addressed so every draw
-        is independent of chunking."""
+        """Next ``count`` draws; they are word addressed, so every draw is
+        independent of chunking."""
         stream, cursor = state
         w = self.words_per_value
         out = self._from_words(stream.raw(0, w * cursor, w * count))
@@ -143,43 +143,30 @@ class CenteredExponential(DisorderLaw):
         return -np.log(_unit_open(words)) - 1.0
 
 
-class CustomSampler(DisorderLaw):
-    """User-supplied law with declared analytic moments.
+# the largest double below 1: _unit_open reaches 1.0, where a quantile with
+# an unbounded upper end returns inf
+_BELOW_ONE = 1.0 - 2.0**-53
 
-    ``sampler(count, generator)`` must return ``count`` i.i.d. draws using
-    only the given numpy Generator.  Draw sequences are deterministic given
-    a seed, but entries are filled in row-major order rather than counter
-    addressed, so single-entry isolation is not available for custom laws.
+
+class CustomLaw(DisorderLaw):
+    """User-supplied law, drawn by inverse CDF: value v is
+    ``quantile(u)`` for u the unit image of word v, clamped below 1.
+
     Moments left as ``None`` are treated as unknown and validated
     empirically; the MGF and exponential moment are always unknown.
+    ``source`` is what ``config_hash`` records of the law (a custom-law
+    file's contents).
     """
 
-    def __init__(
-        self,
-        name: str,
-        sampler: Callable[[int, np.random.Generator], np.ndarray],
-        mean: float | None = None,
-        variance: float | None = None,
-        third_abs_moment: float | None = None,
-    ):
-        self.name = name
-        self._sampler = sampler
-        self.mean = mean
-        self.variance = variance
+    def __init__(self, name: str, quantile: Callable[[np.ndarray], np.ndarray],
+                 mean: float | None = None, variance: float | None = None,
+                 third_abs_moment: float | None = None, source=None):
+        self.name, self._quantile, self.source = name, quantile, source
+        self.mean, self.variance = mean, variance
         self.third_abs_moment = third_abs_moment
 
-    def sampler_state(self, seed: int, purpose: str = "draws"):
-        child = derive_seed(seed, _DISORDER_PURPOSE, purpose, self.name)
-        return np.random.Generator(np.random.Philox(key=child))
-
-    def draw(self, state, count: int) -> np.ndarray:
-        out = np.asarray(self._sampler(count, state), dtype=float)
-        if out.shape != (count,):
-            raise ValueError(
-                f"custom sampler for {self.name!r} returned shape {out.shape}, "
-                f"expected ({count},)"
-            )
-        return out
+    def _from_words(self, words):
+        return self._quantile(np.minimum(_unit_open(words), _BELOW_ONE))
 
 
 GAUSSIAN = StandardGaussian()
@@ -219,19 +206,15 @@ def _aligned(shape) -> np.ndarray:
 def sample_matrix(law: DisorderLaw, n: int, seed: int) -> DisorderMatrix:
     """Draw an n x n matrix of i.i.d. entries under ``law``.
 
-    Built-in laws address entry (i, j) at (lane=i, word index derived from j)
+    Every law addresses entry (i, j) at (lane=i, word index derived from j)
     of a counter stream keyed by ``seed``, so any entry is recomputable in
     isolation and the result is independent of fill order.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if isinstance(law, CustomSampler):
-        gen = law.sampler_state(seed, purpose="matrix")
-        entries = law.draw(gen, n * n).reshape(n, n)
-    else:
-        stream = CounterStream(seed, _DISORDER_PURPOSE)
-        entries = law._from_words(stream.raw_lanes(n, law.words_per_value * n))
-        entries.flags.writeable = False  # fresh, so DisorderMatrix need not copy it
+    stream = CounterStream(seed, _DISORDER_PURPOSE)
+    entries = law._from_words(stream.raw_lanes(n, law.words_per_value * n))
+    entries.flags.writeable = False  # fresh, so DisorderMatrix need not copy it
     return DisorderMatrix(entries, law, int(seed))
 
 

@@ -222,8 +222,9 @@ def _publish(work: Path, out: Path) -> None:
     shutil.rmtree(aside)
 
 
-def _command(name: str):
-    """Frame ``body(cfg, summary, out, store_paths)`` as a command.
+def _command(name: str, stores: bool = True):
+    """Frame ``body(cfg, summary, out, store_paths)`` as a command; one
+    that integrates nothing (``stores`` False) refuses ``store_paths``.
 
     The body writes into a fresh sibling of the output directory, which
     replaces the output directory (and any older run in it) only once
@@ -235,6 +236,8 @@ def _command(name: str):
     def frame(body):
         def run(cfg: ExperimentConfig, store_paths: bool = False,
                 out_dir: str | Path | None = None) -> RunSummary:
+            if store_paths and not stores:
+                raise ConfigError(f"{name} integrates no trajectories to store")
             t0 = time.perf_counter()
             out = Path(out_dir) if out_dir is not None else Path(cfg.output_dir)
             target = _replaceable(out)
@@ -593,7 +596,7 @@ def run_freeze_sweep(cfg, summary, out, store_paths):
 _UNDECLARED = "SKIPPED (undeclared)"
 
 
-@_command("validate")
+@_command("validate", stores=False)
 def run_validation(cfg, summary, out, store_paths):
     """Moment checks, growth diagnostics, and norm sampling per law.
 
@@ -659,7 +662,7 @@ def run_validation(cfg, summary, out, store_paths):
             check("note", "INFO", note)
 
 
-@_command("lindeberg")
+@_command("lindeberg", stores=False)
 def run_lindeberg_suite(cfg, summary, out, store_paths):
     """Certificate suite plus Gaussian-identity Monte Carlo cross-checks.
 

@@ -31,7 +31,8 @@ __all__ = ["CounterStream", "BrownianStream", "derive_seed"]
 
 _UINT64_MAX = 2**64 - 1
 
-# (x >> 11) keeps the top 53 bits; +0.5 centers in (0, 1), never hitting 0 or 1.
+# (x >> 11) keeps the top 53 bits; +0.5 keeps 0 out, but from 2**52 up the
+# sum rounds half to even, so x = 2**53 - 1 reaches exactly 1.
 _UNIT_SCALE = 2.0**-53
 
 
@@ -46,7 +47,9 @@ def derive_seed(master_seed: int, *parts) -> int:
 
 
 def _unit_open(words: np.ndarray) -> np.ndarray:
-    """Map uint64 words to doubles strictly inside (0, 1)."""
+    """Map uint64 words to doubles in (0, 1]: values from 0.5 up lie on even
+    multiples of 2**-53, and the top 2**11 words (all-ones among them) map
+    to 1.0."""
     u = (words >> np.uint64(11)).astype(np.float64)
     u += 0.5
     u *= _UNIT_SCALE
@@ -118,7 +121,7 @@ class CounterStream:
         return words
 
     def uniforms(self, lane: int, count: int, tag: int = 0) -> np.ndarray:
-        """``count`` uniforms in the open interval (0, 1), one word each."""
+        """``count`` uniforms in (0, 1], one word each (see ``_unit_open``)."""
         return _unit_open(self.raw(lane, 0, count, tag))
 
     def normals(self, lane: int, count: int, tag: int = 0) -> np.ndarray:

@@ -169,10 +169,11 @@ def test_criterion_4_universality_gap_decay(default_cfg, universality_run):
 
 def test_criterion_4_rejects_a_law_with_a_wider_entry_scale(tmp_path):
     # entries of scale 1.5 act as an effective beta 1.5 times the config's,
-    # which breaks the unit-variance hypothesis.  At seed 31416 the wide
-    # law's gap was 0.0359 at N = 25 and 0.0402 at N = 50 (1.16 and 1.48
-    # times its floor) while the gaussian@2 control read 0.41 and 0.28 of
-    # its floor: the gap does not halve, so the predicate rejects the law
+    # which breaks the unit-variance hypothesis.  At seed 31416, drawn by
+    # inverse CDF, the wide law's gap was 0.0358 at N = 25 and 0.0459 at
+    # N = 50 (1.03 and 1.99 times its floor) while the gaussian@2 control
+    # read 0.41 and 0.28 of its floor: the gap does not halve, so the
+    # predicate rejects the law
     wide = {"name": "wide", "distribution": "norm", "scale": 1.5,
             "third_abs_moment": 1.5**3 * math.sqrt(8.0 / math.pi)}
     (tmp_path / "wide.json").write_text(json.dumps(wide))

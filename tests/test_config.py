@@ -15,7 +15,7 @@ from spinlab.config import (
     parse_law,
     parse_potential,
 )
-from spinlab.disorder import CustomSampler, StandardGaussian
+from spinlab.disorder import CustomLaw, StandardGaussian
 
 
 def test_defaults_load_without_file():
@@ -190,7 +190,7 @@ def test_custom_law_loads_declared_moments(tmp_path):
     path = tmp_path / "flat.json"
     path.write_text(json.dumps(_triangular_free_doc()))
     law = parse_law(f"custom:{path}")
-    assert isinstance(law, CustomSampler)
+    assert isinstance(law, CustomLaw)
     assert law.name == "flat"
     assert law.variance == 1.0
     assert law.third_abs_moment == pytest.approx(3.0 * math.sqrt(3.0) / 4.0)
@@ -233,6 +233,9 @@ def test_custom_law_unknown_distribution(tmp_path):
     ({"args": [True]}, r"args\[0\] must be a number"),
     ({"distribution": "t", "args": [math.nan]}, r"args\[0\] must be finite"),
     ({"distribution": "t", "args": [-1.0]}, "outside the domain"),
+    # laws whose quantile scipy finds by root search, one draw at a time
+    ({"distribution": "norminvgauss", "args": [1.0, 0.5]}, "no quantile function"),
+    ({"distribution": "zipf", "args": [2.0]}, "no quantile function"),
 ], ids=lambda v: json.dumps(v) if isinstance(v, dict) else None)
 def test_custom_law_bad_values_rejected(tmp_path, change, match):
     doc = {**_triangular_free_doc(), **change}
@@ -266,7 +269,7 @@ def test_custom_law_scipy_value_error_is_config_error(tmp_path, monkeypatch):
     import scipy.stats
 
     class Refusing:
-        rvs = None
+        ppf = None
 
         def __call__(self, *args, **kwargs):
             raise ValueError("refused")
@@ -339,6 +342,18 @@ def test_replaced_output_dir_keeps_config_hash():
     cfg = dataclasses.replace(load_config(), output_dir="elsewhere")
     assert cfg.output_dir == "elsewhere"
     assert cfg.config_hash() == load_config().config_hash()
+
+
+def test_custom_law_config_hash_names_the_inverse_cdf_route(tmp_path, monkeypatch):
+    # a custom-law run drawn before the inverse-CDF route had this hash;
+    # it must not match now, or such a run would replay as if unchanged
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "flat.json").write_text(json.dumps(_triangular_free_doc()))
+    cfg = ExperimentConfig(laws=["gaussian", "custom:flat.json"])
+    before = "0272e458be11f7c80cf17ebd4671f562021b55d8d68230db42f5bde4a4df0208"
+    assert cfg.config_hash() == (
+        "af663b6ab2dbb1ac6e1dbc425228c5ad8d217fbba73a6ae0c8c60e5b30d9d081")
+    assert cfg.config_hash() != before
 
 
 def test_as_dict_round_trips_through_loader():

@@ -13,7 +13,7 @@ from spinlab.disorder import (
     CENTERED_EXPONENTIAL,
     GAUSSIAN,
     RADEMACHER,
-    CustomSampler,
+    CustomLaw,
     DisorderMatrix,
     PowerIterationError,
     condition_diagnostics,
@@ -25,7 +25,7 @@ from spinlab.disorder import (
 from spinlab import disorder, dynamics
 from spinlab.dynamics import simulate_shared
 from spinlab.model import InitialLaw, ModelParams, double_well
-from spinlab.streams import CounterStream
+from spinlab.streams import CounterStream, _unit_open
 
 # Quadrature oracle for E|Exp(1) - 1|^3; the closed form it matches is
 # 12/e - 2.
@@ -119,18 +119,34 @@ def test_matrix_entries_counter_addressed():
     np.testing.assert_array_equal(large[:5, :5], small)
 
 
-# Each built-in law's value from lane words, written out from the stream
-# primitives rather than taken from the law.
+# Each law's value from lane words, written out from the stream primitives
+# rather than taken from the law; "norm" is a custom law by inverse CDF.
 _LANE_VALUES = {
     "gaussian": lambda stream, lane, n: stream.normals(lane, n),
     "rademacher": lambda stream, lane, n: np.where(
         stream.raw(lane, 0, n) >> np.uint64(63), 1.0, -1.0),
     "cexp": lambda stream, lane, n: -np.log(stream.uniforms(lane, n)) - 1.0,
+    "norm": lambda stream, lane, n: stats.norm.ppf(
+        np.minimum(stream.uniforms(lane, n), 1.0 - 2.0**-53)),
 }
+_EVERY_ROUTE = [GAUSSIAN, RADEMACHER, CENTERED_EXPONENTIAL, CustomLaw("norm", stats.norm.ppf)]
 
 
-@pytest.mark.parametrize("law", [GAUSSIAN, RADEMACHER, CENTERED_EXPONENTIAL],
-                         ids=lambda law: law.name)
+def test_unit_open_extremes_and_every_law_finite_at_the_all_ones_word():
+    # from 2**52 up, (w >> 11) + 0.5 rounds half to even: the top 2**11
+    # words reach exactly 1.0, and 0 stays out
+    words = np.array([0, 2**63, 2**64 - 2049, 2**64 - 2048, 2**64 - 1], dtype=np.uint64)
+    np.testing.assert_array_equal(
+        _unit_open(words), [2.0**-54, 0.5, 1.0 - 2.0**-52, 1.0, 1.0])
+    top = np.full(2, 2**64 - 1, dtype=np.uint64)
+    assert CustomLaw("norm", stats.norm.ppf)._from_words(top[:1])[0] == pytest.approx(
+        stats.norm.isf(2.0**-53), rel=1e-12)
+    assert CENTERED_EXPONENTIAL._from_words(top[:1])[0] == -1.0
+    assert RADEMACHER._from_words(top[:1])[0] == 1.0
+    assert GAUSSIAN._from_words(top)[0] == 0.0  # +0 or -0
+
+
+@pytest.mark.parametrize("law", _EVERY_ROUTE, ids=lambda law: law.name)
 def test_sequential_draws_independent_of_batch_size(law):
     state = law.sampler_state(11, purpose="batch")
     first, second = law.draw(state, 7), law.draw(state, 13)
@@ -138,8 +154,7 @@ def test_sequential_draws_independent_of_batch_size(law):
     np.testing.assert_array_equal(np.concatenate([first, second]), whole)
 
 
-@pytest.mark.parametrize("law", [GAUSSIAN, RADEMACHER, CENTERED_EXPONENTIAL],
-                         ids=lambda law: law.name)
+@pytest.mark.parametrize("law", _EVERY_ROUTE, ids=lambda law: law.name)
 def test_matrix_row_is_lane_of_disorder_stream(law):
     n, seed = 6, 99
     entries = sample_matrix(law, n, seed).entries
@@ -438,39 +453,29 @@ def test_validate_builtins_pass_without_sampling():
 
 
 def test_validate_custom_with_good_declared_moments():
-    def sampler(count, gen):
-        return gen.standard_normal(count)
-
-    law = CustomSampler("mygauss", sampler, mean=0.0, variance=1.0,
-                        third_abs_moment=math.sqrt(8 / math.pi))
+    law = CustomLaw("mygauss", stats.norm.ppf, mean=0.0, variance=1.0,
+                    third_abs_moment=math.sqrt(8 / math.pi))
     report = validate_law(law, n_draws=200_000, seed=4)
     assert report.passed
 
 
 def test_validate_custom_catches_wrong_declared_variance():
-    def sampler(count, gen):
-        return 2.0 * gen.standard_normal(count)
-
-    law = CustomSampler("wide", sampler, mean=0.0, variance=1.0)
+    law = CustomLaw("wide", stats.norm(scale=2.0).ppf, mean=0.0, variance=1.0)
     report = validate_law(law, n_draws=200_000, seed=4)
     assert not report.passed
     assert any("variance" in f for f in report.failures)
 
 
 def test_validate_cauchy_fails_by_divergence():
-    def sampler(count, gen):
-        return stats.cauchy.rvs(size=count, random_state=gen)
-
-    law = CustomSampler("cauchy", sampler)
+    law = CustomLaw("cauchy", stats.cauchy.ppf)
     report = validate_law(law, n_draws=400_000, seed=11)
     assert not report.passed
     assert report.empirical_only
 
 
 def test_validate_overflowing_tail_fails_without_warnings():
-    # pareto(0.002) draws overflow to inf, in scipy's sampler and in every moment
-    law = CustomSampler("pareto", lambda count, gen: stats.pareto.rvs(
-        0.002, size=count, random_state=gen))
+    # pareto(0.002) draws overflow to inf, in its quantile and in every moment
+    law = CustomLaw("pareto", stats.pareto(0.002).ppf)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         report = validate_law(law, n_draws=200_000, seed=4)
@@ -507,9 +512,6 @@ def test_condition_diagnostics_rejects_bad_gamma():
 
 
 def test_custom_sampler_missing_mgf_marked_unavailable():
-    def sampler(count, gen):
-        return gen.uniform(-1.8, 1.8, count)
-
-    law = CustomSampler("u", sampler, mean=0.0, variance=1.08)
+    law = CustomLaw("u", stats.uniform(loc=-1.8, scale=3.6).ppf, mean=0.0, variance=1.08)
     diag = condition_diagnostics(law, 10, seeds=(0,))
     assert diag.mgf_sup is None

@@ -369,14 +369,24 @@ def test_outputs_match_golden_digests(tmp_path, case):
     names and the stored-path contents hash to recorded bytes.
 
     The digests pin the output of ``_small()`` (plus the overrides in
-    ``_GOLDEN_CASES``) with ``store_paths=True``; ``summary.json`` is hashed
-    as sorted-key JSON without its timestamp and wall clock.  A change that
-    alters output bytes on purpose re-records them and says so in
-    CHANGES.md; any other change must leave them untouched.
+    ``_GOLDEN_CASES``) with ``store_paths=True`` where the command stores
+    paths; ``summary.json`` is hashed as sorted-key JSON without its
+    timestamp and wall clock.  A change that alters output bytes on purpose
+    re-records them and says so in CHANGES.md; any other change must leave
+    them untouched.
     """
     command, overrides = _GOLDEN_CASES.get(case, (case, {}))
-    _COMMANDS[command](_small(**overrides), store_paths=True, out_dir=tmp_path)
+    _COMMANDS[command](_small(**overrides), out_dir=tmp_path,
+                       store_paths=command in ("simulate", "universality", "freeze-sweep"))
     assert _digests(tmp_path) == _GOLDEN[case]
+
+
+@pytest.mark.parametrize("command", ["validate", "lindeberg"])
+def test_store_paths_is_a_config_error_where_nothing_integrates(tmp_path, command):
+    # the library refuses the knob as the CLI does, before any output exists
+    with pytest.raises(ConfigError, match=f"{command} integrates no trajectories"):
+        _COMMANDS[command](_small(), store_paths=True, out_dir=tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 # _STACK_BYTES -> replicas per block at N = 4 and N = 6 with _small()'s

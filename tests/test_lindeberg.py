@@ -5,10 +5,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy import integrate, linalg
+from scipy import integrate, linalg, stats
 
 from spinlab import lindeberg
-from spinlab.disorder import CENTERED_EXPONENTIAL, GAUSSIAN, RADEMACHER, CustomSampler
+from spinlab.disorder import CENTERED_EXPONENTIAL, GAUSSIAN, RADEMACHER, CustomLaw
 from spinlab.lindeberg import (
     C0,
     QuadraticForm,
@@ -67,7 +67,7 @@ def test_bound_scales_as_three_halves_power():
 
 
 def test_bound_requires_declared_third_moment():
-    bare = CustomSampler("bare", lambda count, gen: gen.standard_normal(count))
+    bare = CustomLaw("bare", stats.norm.ppf)
     with pytest.raises(ValueError):
         lindeberg_bound(QuadraticForm(np.eye(2), np.zeros(2)), bare)
 

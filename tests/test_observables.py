@@ -9,12 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy import stats
 
 from spinlab.disorder import (
     CENTERED_EXPONENTIAL,
     GAUSSIAN,
     RADEMACHER,
-    CustomSampler,
+    CustomLaw,
     DisorderMatrix,
     sample_matrix,
 )
@@ -216,7 +217,7 @@ def test_girsanov_validates_inputs():
         girsanov_stats(ens, sample_matrix(GAUSSIAN, 21, seed=0), pot)
     with pytest.raises(ValueError):
         girsanov_stats(ens, mat, pot, c1=-1.0)
-    bare = CustomSampler("nameless", lambda count, gen: gen.standard_normal(count))
+    bare = CustomLaw("nameless", stats.norm.ppf)
     bare_mat = DisorderMatrix(mat.entries, bare, seed=0)
     with pytest.raises(ValueError):
         girsanov_stats(ens, bare_mat, pot)

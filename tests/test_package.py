@@ -5,6 +5,7 @@ import importlib
 import json
 import pkgutil
 from pathlib import Path
+import re
 import subprocess
 import sys
 
@@ -19,6 +20,7 @@ _MODULES = ["spinlab"] + sorted(
 # the benchmark's setup probe, then a report of what it left loaded
 _PROBE = run._SETUP_CODE + """
 import json
+import re
 print(json.dumps({"gaussian": spinlab.GAUSSIAN.name,
                   "loaded": sorted(m for m in sys.modules if m.startswith("spinlab"))}))
 """
@@ -58,3 +60,12 @@ _SRC_LINE_BUDGET = 3296
 def test_src_stays_within_the_line_budget():
     sources = Path(spinlab.__file__).parent.glob("*.py")
     assert sum(len(path.read_text().splitlines()) for path in sources) < _SRC_LINE_BUDGET
+
+
+def test_numpy_random_only_where_it_is_still_read():
+    # every disorder law and config reads the counter streams; the
+    # resampling and Lindeberg instance draws still use a numpy Generator
+    sources = Path(spinlab.__file__).parent.glob("*.py")
+    users = {path.name for path in sources
+             if re.search(r"\bnp\.random\b|\bnumpy\.random\b", path.read_text())}
+    assert users <= {"streams.py", "harness.py", "lindeberg.py"}

@@ -39,8 +39,6 @@ __all__ = [
     "condition_diagnostics",
 ]
 
-_DISORDER_PURPOSE = "disorder"
-
 
 class DisorderLaw:
     """Base class for entry laws.
@@ -50,7 +48,9 @@ class DisorderLaw:
     ``words_per_value * count`` raw stream words along the last axis into
     ``count`` draws.
     Every law samples through counter addressed streams, so entry (i, j)
-    of a matrix is a pure function of (law, seed, i, j).
+    of a matrix is a pure function of (law, seed, i, j), and value v of a
+    sequence (``values``) is one of (law, stream, v): no read moves a
+    cursor.
     """
 
     name: str = "abstract"
@@ -70,18 +70,11 @@ class DisorderLaw:
     def _from_words(self, words: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def sampler_state(self, seed: int, purpose: str = "draws"):
-        """Opaque state for sequential deterministic draws under ``seed``."""
-        return [CounterStream(seed, f"{_DISORDER_PURPOSE}:{purpose}"), 0]
-
-    def draw(self, state, count: int) -> np.ndarray:
-        """Next ``count`` draws; they are word addressed, so every draw is
-        independent of chunking."""
-        stream, cursor = state
+    def values(self, stream: CounterStream, start: int, count: int) -> np.ndarray:
+        """Values ``start .. start+count-1`` of ``stream``'s lane 0; each is
+        read by its address, so any split of a range reads the same values."""
         w = self.words_per_value
-        out = self._from_words(stream.raw(0, w * cursor, w * count))
-        state[1] = cursor + count
-        return out
+        return self._from_words(stream.raw(0, w * start, w * count))
 
 
 class StandardGaussian(DisorderLaw):
@@ -212,7 +205,7 @@ def sample_matrix(law: DisorderLaw, n: int, seed: int) -> DisorderMatrix:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    stream = CounterStream(seed, _DISORDER_PURPOSE)
+    stream = CounterStream(seed, "disorder")
     entries = law._from_words(stream.raw_lanes(n, law.words_per_value * n))
     entries.flags.writeable = False  # fresh, so DisorderMatrix need not copy it
     return DisorderMatrix(entries, law, int(seed))
@@ -468,12 +461,13 @@ def validate_law(law: DisorderLaw, n_draws: int = _VALIDATE_DRAWS, seed: int = _
     A law with any moment undeclared is also sampled: each declared moment,
     the third absolute one included, must agree with the sample within 5
     sigma, and an undeclared mean or variance must lie within 5 sigma of its
-    target.  Those tolerances need a finite second moment, so overflowing
-    sample moments, or a failed divergence probe, fail the variance and
-    leave the mean unverifiable.  The probe: the median variance over
-    disjoint batches must be stable across batch sizes; for an
-    infinite-variance law it grows roughly linearly with the batch size (a
-    Cauchy-type law fails here).
+    target.  The sample is ``law.values`` 0 .. n_draws-1 of the stream
+    (``seed``, ``"disorder:validate"``).  Those tolerances need a finite
+    second moment, so overflowing sample moments, or a failed divergence
+    probe, fail the variance and leave the mean unverifiable.  The probe:
+    the median variance over disjoint batches must be stable across batch
+    sizes; for an infinite-variance law it grows roughly linearly with the
+    batch size (a Cauchy-type law fails here).
     """
     failures = {}
 
@@ -500,7 +494,7 @@ def validate_law(law: DisorderLaw, n_draws: int = _VALIDATE_DRAWS, seed: int = _
         notes = ["analytic moments declared; no sampling performed"]
     else:
         with np.errstate(over="ignore", invalid="ignore"):  # an extreme tail overflows
-            draws = law.draw(law.sampler_state(seed, purpose="validate"), n_draws)
+            draws = law.values(CounterStream(seed, "disorder:validate"), 0, n_draws)
             mean, variance = float(np.mean(draws)), float(np.var(draws))
             m4 = float(np.mean((draws - mean) ** 4))
             # divergence probe: median variance over disjoint batches is

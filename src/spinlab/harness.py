@@ -24,8 +24,10 @@ command that integrates runs its draws through one loop, ``_each_block``,
 which draws each block of a range of replicas, norms it and hands it to
 the command's body, which integrates every run on every replica of the
 block through ``dynamics.simulate_shared``; replay integrates its one
-draw through the same call.  The seed
-derivation schemes are listed once, in ``_SEED_SCHEMES``, which each
+draw through the same call.  A command holds one block's paths at a
+time; only ``universality`` also keeps every replica's sample-0 full
+paths, in pools it allocates and frees per N, for its W2 distances.  The
+seed derivation schemes are listed once, in ``_SEED_SCHEMES``, which each
 summary records.
 """
 
@@ -374,7 +376,7 @@ def _each_block(cfg: ExperimentConfig, laws, labels, n: int, reps: range,
 
 
 def _curve_block(cfg: ExperimentConfig, summary: RunSummary, params: ModelParams,
-                 samples: int, store: Path | None, phi_draws: int = 0):
+                 samples: int, store: Path | None, phi_draws: int = 0, pools=None):
     """Thermal-averaged autocorrelation per disorder draw, for every law at
     one N.
 
@@ -386,20 +388,18 @@ def _curve_block(cfg: ExperimentConfig, summary: RunSummary, params: ModelParams
     (replica, law) members as one stack in one ``simulate_shared`` call,
     each replica on its own noise.  Adds the autocorr blocks, norm rows
     (both law-major, then in ``n_sweep`` and replica order) and the full
-    runs' safeguard activations to ``summary``.  Returns, per law,
-    curves[replicas, G+1], the pool of the sample-0 full runs' particles
-    (``replicas * N`` rows), saved under ``store`` when the run keeps
-    paths, and the phis.
+    runs' safeguard activations to ``summary``.  The sample-0 full paths
+    are saved under ``store`` when the run keeps paths, and integrate in
+    place into ``pools``, when given: one (replicas, N, G+1) array per law,
+    owned by the caller.  Without them a block's paths are released when
+    the block is done.  Returns, per law, curves[replicas, G+1] and the
+    phis.
     """
     laws, labels = cfg.law_objs(), cfg.law_labels()
     potential = cfg.potential_obj()
     initial = cfg.initial_obj()
     n = params.n_particles
-    width = params.n_steps + 1
-    curves = np.zeros((len(laws), cfg.replicas, width))
-    # every replica's sample-0 full paths are integrated in place here, one
-    # array per law
-    paths0 = [np.empty((cfg.replicas, n, width)) for _ in laws]
+    curves = np.zeros((len(laws), cfg.replicas, params.n_steps + 1))
     phis = [[] for _ in laws]
 
     def integrate(reps, mats, rows):
@@ -408,8 +408,8 @@ def _curve_block(cfg: ExperimentConfig, summary: RunSummary, params: ModelParams
         summary.norms.extend(rows)
         for s in range(samples if curve else 1):
             runs = [(params, False)] * curve + [(params, True)] * (tilt and s == 0)
-            out = None if s or not curve else [law_paths[reps.start:reps.stop]
-                                               for law_paths in paths0]
+            out = None if s or not curve or pools is None else [
+                law_pool[reps.start:reps.stop] for law_pool in pools]
             paths = simulate_shared(runs, potential, mats, initial,
                                     replicas=[rep * samples + s for rep in reps], out=out)
             for rep, rep_mats, rep_paths in zip(reps, mats, paths):
@@ -437,8 +437,7 @@ def _curve_block(cfg: ExperimentConfig, summary: RunSummary, params: ModelParams
     # stable sorts: within a law, earlier sizes and replicas stay first
     for rows in (summary.autocorr, summary.norms):
         rows.sort(key=lambda row: labels.index(row["law"]))
-    pools = [law_paths.reshape(cfg.replicas * n, width) for law_paths in paths0]
-    return curves, pools, phis
+    return curves, phis
 
 
 def _bootstrap_gap(diff: np.ndarray, resamples: int, seed: int):
@@ -500,9 +499,12 @@ def run_universality(cfg, summary, out, store_paths):
     gap_rows = []
 
     for n in cfg.n_sweep:
-        curves, pools, phis = _curve_block(cfg, summary, _params(cfg, n),
-                                           cfg.thermal_samples, store,
-                                           phi_draws=cfg.phi_replicas)
+        params = _params(cfg, n)
+        # each law's sample-0 full paths, every replica's, for the W2 pools
+        pools = [np.empty((cfg.replicas, n, params.n_steps + 1)) for _ in laws]
+        curves, phis = _curve_block(cfg, summary, params, cfg.thermal_samples, store,
+                                    phi_draws=cfg.phi_replicas, pools=pools)
+        pools = [pool.reshape(cfg.replicas * n, -1) for pool in pools]
         ref_pool = pools[ref_idx]
         ref_pool.sort(axis=0)
         for idx, (law_curves, pool) in enumerate(zip(curves, pools)):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .disorder import DisorderLaw, GAUSSIAN, RADEMACHER
-from .streams import derive_seed
+from .streams import CounterStream, derive_seed
 
 __all__ = [
     "C0",
@@ -94,20 +94,14 @@ class QuadraticForm:
         return self.x_mat.shape[1]
 
 
-def h_eval(q: QuadraticForm, z) -> float | np.ndarray:
-    """h(z) = ||X z - b||^2 / 2; accepts one vector (N,) or a batch (B, N)."""
+def h_eval(q: QuadraticForm, z) -> np.ndarray:
+    """h(z) = ||X z - b||^2 / 2 for each row of a batch ``z`` of shape (B, N);
+    one vector is a batch of one row."""
     za = np.asarray(z, dtype=float)
-    if za.ndim == 1:
-        if za.shape != (q.n,):
-            raise ValueError(f"z must have length {q.n}")
-        r = q.x_mat @ za - q.b_vec
-        return 0.5 * float(r @ r)
-    if za.ndim == 2:
-        if za.shape[1] != q.n:
-            raise ValueError(f"batch columns must equal {q.n}")
-        r = za @ q.x_mat.T - q.b_vec
-        return 0.5 * np.sum(r * r, axis=1)
-    raise ValueError("z must be a vector or a batch of vectors")
+    if za.ndim != 2 or za.shape[1] != q.n:
+        raise ValueError(f"z must be a batch of shape (B, {q.n}), got {za.shape}")
+    r = za @ q.x_mat.T - q.b_vec
+    return 0.5 * np.sum(r * r, axis=1)
 
 
 def lindeberg_bound(q: QuadraticForm, law: DisorderLaw) -> float:
@@ -191,15 +185,17 @@ def expectation_exact_discrete(q: QuadraticForm) -> float:
     return total / count
 
 
-def _mc_batch(q: QuadraticForm, law: DisorderLaw, state, e: np.ndarray) -> np.ndarray:
-    """Fill ``e`` with exp(-h) of the next ``len(e)`` draws, in sub-batches."""
+def _mc_batch(q: QuadraticForm, law: DisorderLaw, stream: CounterStream, first: int,
+              e: np.ndarray) -> np.ndarray:
+    """Fill ``e`` with exp(-h) of samples ``first .. first+len(e)-1``, sample
+    k being ``law.values`` k*N .. k*N+N-1 of ``stream``, in sub-batches."""
     take = len(e)
     grain = _MC_ROW_GRAIN
     rows = max(grain, _MC_NORMALS // q.n // grain * grain)
     lo = 0
     while lo < take:
         hi = lo + rows if take - lo - rows >= grain else take
-        z = law.draw(state, (hi - lo) * q.n).reshape(hi - lo, q.n)
+        z = law.values(stream, (first + lo) * q.n, (hi - lo) * q.n).reshape(hi - lo, q.n)
         h = h_eval(q, z)
         np.negative(h, out=h)
         np.exp(h, out=e[lo:hi])
@@ -210,21 +206,21 @@ def _mc_batch(q: QuadraticForm, law: DisorderLaw, state, e: np.ndarray) -> np.nd
 def expectation_mc(q: QuadraticForm, law: DisorderLaw, n_samples: int, seed: int):
     """Monte Carlo E[exp(-h(J))] under any entry law.
 
-    Returns (estimate, standard_error).  Draws are deterministic in
-    (law, seed) and, for the built-in laws, independent of any chunking.
-    The sums run over batches of ``_MC_BATCH`` samples.  Inside a batch,
-    draws, ``h_eval`` and ``exp`` run in sub-batches of about
-    ``_MC_NORMALS`` normals, split so that they change no bit of the
-    batch's values.
+    Returns (estimate, standard_error).  Sample k is ``law.values`` k*N ..
+    k*N+N-1 of the stream (``seed``, ``"disorder:lindeberg-mc"``), read
+    by address, so no chunking changes a draw.  The sums run over batches
+    of ``_MC_BATCH`` samples.  Inside a batch, draws, ``h_eval`` and
+    ``exp`` run in sub-batches of about ``_MC_NORMALS`` normals, split so
+    that they change no bit of the batch's values.
     """
     if n_samples < 1000:
         raise ValueError("n_samples must be >= 1000")
-    state = law.sampler_state(seed, purpose="lindeberg-mc")
+    stream = CounterStream(seed, "disorder:lindeberg-mc")
     e = np.empty(min(_MC_BATCH, n_samples))
     total = 0.0
     total_sq = 0.0
     for done in range(0, n_samples, _MC_BATCH):
-        eb = _mc_batch(q, law, state, e[: min(_MC_BATCH, n_samples - done)])
+        eb = _mc_batch(q, law, stream, done, e[: min(_MC_BATCH, n_samples - done)])
         total += float(np.sum(eb))
         total_sq += float(np.sum(eb * eb))
     mean = total / n_samples

@@ -148,10 +148,12 @@ def test_unit_open_extremes_and_every_law_finite_at_the_all_ones_word():
 
 @pytest.mark.parametrize("law", _EVERY_ROUTE, ids=lambda law: law.name)
 def test_sequential_draws_independent_of_batch_size(law):
-    state = law.sampler_state(11, purpose="batch")
-    first, second = law.draw(state, 7), law.draw(state, 13)
-    whole = law.draw(law.sampler_state(11, purpose="batch"), 20)
+    stream = CounterStream(11, "disorder:batch")
+    first, second = law.values(stream, 0, 7), law.values(stream, 7, 13)
+    whole = law.values(stream, 0, 20)
     np.testing.assert_array_equal(np.concatenate([first, second]), whole)
+    # a read leaves no state behind: a range read alone is the same slice
+    np.testing.assert_array_equal(law.values(stream, 9, 4), whole[9:13])
 
 
 @pytest.mark.parametrize("law", _EVERY_ROUTE, ids=lambda law: law.name)

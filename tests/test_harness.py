@@ -115,6 +115,21 @@ def test_simulate_prepares_each_replica_once(tmp_path, monkeypatch):
     assert calls == {"_prepare": 3, "_integrate": 1}
 
 
+def test_simulate_holds_one_block_of_paths(tmp_path, monkeypatch):
+    # one replica per block: every replica's paths held at once would be
+    # replicas * N * (G+1) floats per law
+    monkeypatch.setattr(disorder, "_STACK_BYTES", 1)
+    cfg = _small(n_particles=32, replicas=30, substeps=25)
+    all_paths = cfg.replicas * 32 * (cfg.total_steps() + 1) * 8 * len(cfg.laws)
+    tracemalloc.start()
+    try:
+        run_simulate(cfg, out_dir=tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < all_paths / 3, (peak, all_paths)
+
+
 def test_universality_requires_gaussian_reference(tmp_path):
     cfg = _small(laws=["rademacher", "cexp"])
     with pytest.raises(ConfigError, match="gaussian"):

@@ -21,6 +21,7 @@ from spinlab.lindeberg import (
     lindeberg_bound,
     random_instance,
 )
+from spinlab.streams import CounterStream
 
 
 def test_c0_value_and_variational_characterization():
@@ -32,12 +33,13 @@ def test_c0_value_and_variational_characterization():
 
 
 def test_h_eval_vector_and_batch():
+    # a vector is a batch of one row
     q = QuadraticForm(np.eye(2), np.zeros(2))
-    assert h_eval(q, np.array([1.0, 1.0])) == pytest.approx(1.0, rel=1e-15)
+    np.testing.assert_allclose(h_eval(q, np.array([[1.0, 1.0]])), [1.0], rtol=1e-15)
     batch = np.array([[1.0, 1.0], [2.0, 0.0], [0.0, 0.0]])
     np.testing.assert_allclose(h_eval(q, batch), [1.0, 2.0, 0.0], rtol=1e-15)
     shifted = QuadraticForm(np.eye(2), np.array([1.0, 0.0]))
-    assert h_eval(shifted, np.zeros(2)) == pytest.approx(0.5, rel=1e-15)
+    np.testing.assert_allclose(h_eval(shifted, np.zeros((1, 2))), [0.5], rtol=1e-15)
 
 
 def test_quadratic_form_validates_shapes():
@@ -48,7 +50,9 @@ def test_quadratic_form_validates_shapes():
     with pytest.raises(ValueError):
         QuadraticForm(np.full((2, 2), np.nan), np.zeros(2))
     with pytest.raises(ValueError):
-        h_eval(QuadraticForm(np.eye(2), np.zeros(2)), np.zeros(3))
+        h_eval(QuadraticForm(np.eye(2), np.zeros(2)), np.zeros((1, 3)))
+    with pytest.raises(ValueError):  # one vector is a batch of one row
+        h_eval(QuadraticForm(np.eye(2), np.zeros(2)), np.zeros(2))
 
 
 def test_bound_single_unit_column():
@@ -203,7 +207,7 @@ def test_mc_matches_closed_form_and_enumeration():
 def test_mc_zero_matrix_has_zero_stderr():
     q = QuadraticForm(np.zeros((2, 3)), np.array([1.0, -0.5]))
     est, se = expectation_mc(q, GAUSSIAN, 2000, seed=0)
-    assert est == pytest.approx(math.exp(-h_eval(q, np.zeros(3))), rel=1e-12)
+    assert est == pytest.approx(math.exp(-h_eval(q, np.zeros((1, 3)))[0]), rel=1e-12)
     # degenerate integrand: stderr is zero up to cancellation noise
     assert se < 1e-9
 
@@ -219,12 +223,12 @@ def test_mc_is_deterministic_and_guards_sample_count():
 
 def _whole_batch_mc(q, law, n_samples, seed, batch):
     # expectation_mc without sub-batches: one draw, h_eval and exp per batch
-    state = law.sampler_state(seed, purpose="lindeberg-mc")
+    stream = CounterStream(seed, "disorder:lindeberg-mc")
     total = total_sq = 0.0
     done = 0
     while done < n_samples:
         take = min(batch, n_samples - done)
-        z = law.draw(state, take * q.n).reshape(take, q.n)
+        z = law.values(stream, done * q.n, take * q.n).reshape(take, q.n)
         e = np.exp(-h_eval(q, z))
         total += float(np.sum(e))
         total_sq += float(np.sum(e * e))
@@ -257,12 +261,13 @@ def test_mc_sub_batch_values_equal_one_whole_batch_bit_for_bit(monkeypatch, n, k
     monkeypatch.setattr(lindeberg, "_MC_NORMALS", normals)
     rng = np.random.default_rng(10 * n + kappa)
     q = QuadraticForm(rng.uniform(-1.0, 1.0, (kappa, n)), rng.standard_normal(kappa))
-    mine = GAUSSIAN.sampler_state(3, purpose="lindeberg-mc")
-    whole = GAUSSIAN.sampler_state(3, purpose="lindeberg-mc")
+    stream = CounterStream(3, "disorder:lindeberg-mc")
+    first = 0
     for take in (1, 2, 5, 1003, 4465, 9000):
-        got = lindeberg._mc_batch(q, GAUSSIAN, mine, np.empty(take))
-        z = GAUSSIAN.draw(whole, take * n).reshape(take, n)
+        got = lindeberg._mc_batch(q, GAUSSIAN, stream, first, np.empty(take))
+        z = GAUSSIAN.values(stream, first * n, take * n).reshape(take, n)
         np.testing.assert_array_equal(got, np.exp(-h_eval(q, z)))
+        first += take
 
 
 def test_mc_working_set_stays_below_numpy_huge_page_threshold():

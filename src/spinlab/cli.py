@@ -7,8 +7,8 @@ certificate violation, replay mismatch or missing file) or a float overflow
 or NaN.  Seed precedence: ``--seed`` beats the ``SPINLAB_SEED`` environment
 variable, which beats the config file; the winner and ``--out`` are
 ``load_config`` overrides, so a command builds one config.  ``replay`` takes
-config and seed from the run.  ``--store-paths`` is offered only by the
-commands that integrate trajectories: simulate, universality, freeze-sweep.
+config and seed from the run.  The subcommands, their help lines and where
+``--store-paths`` is offered come from one table, ``harness.COMMANDS``.
 Every command runs its replicas serially; ``--threads`` is still accepted
 and checked (values below 1 exit 1), and outputs are byte-identical at any
 value.
@@ -21,25 +21,9 @@ import os
 import sys
 
 from .config import ConfigError, load_config
-from .harness import (
-    NumericalFailure,
-    replay,
-    run_freeze_sweep,
-    run_lindeberg_suite,
-    run_simulate,
-    run_universality,
-    run_validation,
-)
+from .harness import COMMANDS as _COMMANDS, NumericalFailure, replay
 
 __all__ = ["main"]
-
-_COMMANDS = {
-    "simulate": run_simulate,
-    "universality": run_universality,
-    "freeze-sweep": run_freeze_sweep,
-    "validate": run_validation,
-    "lindeberg": run_lindeberg_suite,
-}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -68,16 +52,8 @@ def _build_parser() -> _Parser:
                      description="soft-spin Langevin universality laboratory")
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
-    sub.add_parser("simulate", parents=[storing],
-                   help="ensemble runs at the configured size")
-    sub.add_parser("universality", parents=[storing],
-                   help="autocorrelation gaps across entry laws and sizes")
-    sub.add_parser("freeze-sweep", parents=[storing],
-                   help="coupling error of the frozen scheme across kappa")
-    sub.add_parser("validate", parents=[common],
-                   help="entry-law moment and norm diagnostics")
-    sub.add_parser("lindeberg", parents=[common],
-                   help="comparison-bound certificate suite")
+    for name, run in _COMMANDS.items():
+        sub.add_parser(name, parents=[storing if run.stores else common], help=run.about)
     rp = sub.add_parser("replay", help="re-derive one trajectory from a run directory")
     rp.add_argument("run_dir", help="directory written by a previous command")
     rp.add_argument("--law", required=True, help="law label from the run")

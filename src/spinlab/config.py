@@ -25,7 +25,6 @@ from .disorder import (
     CustomLaw,
     DisorderLaw,
 )
-from .dynamics import GUARD_FRACTION
 from .model import InitialLaw, Potential, double_well, log_barrier
 
 __all__ = [
@@ -189,18 +188,10 @@ def parse_initial(spec: str, s_bound: float) -> InitialLaw:
         value = float(arg)
     except ValueError as exc:
         raise ConfigError(f"bad numeric parameter in initial spec {spec!r}") from exc
-    if kind not in ("point", "uniform"):
-        raise ConfigError(f"unknown initial kind {kind!r}; expected point or uniform")
     try:
-        law = InitialLaw(kind, value, float(s_bound))
+        return InitialLaw(kind, value, float(s_bound))
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    # the integrator refuses a start on or past its guard band
-    guard = s_bound * (1.0 - GUARD_FRACTION)
-    if abs(value) >= guard:
-        raise ConfigError(f"initial spec {spec!r} reaches the guard band: |{value!r}| "
-                          f"must be below s * (1 - {GUARD_FRACTION}) = {guard!r}")
-    return law
+        raise ConfigError(f"initial spec {spec!r}: {exc}") from exc
 
 
 @dataclass(frozen=True)

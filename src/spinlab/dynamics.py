@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .disorder import DisorderMatrix, _aligned
-from .model import InitialLaw, ModelParams, NumericalFailure, PathEnsemble, Potential
+from .model import (GUARD_FRACTION, InitialLaw, ModelParams, NumericalFailure, PathEnsemble,
+                    Potential)
 from .streams import BrownianStream, CounterStream, _unit_open
 
 __all__ = [
@@ -35,12 +36,9 @@ __all__ = [
     "coupling_stats",
     "coupling_envelope",
     "envelope_violated",
-    "GUARD_FRACTION",
     "MAX_HALVINGS",
 ]
 
-# proposals must stay inside |x| < s * (1 - GUARD_FRACTION)
-GUARD_FRACTION = 1e-6
 MAX_HALVINGS = 40
 _REFINE_BUDGET = 65536
 
@@ -136,8 +134,6 @@ def _integrate(params, potential, entries, x0, increments, bridges, out, refresh
     members = reps * laws
     scale = params.beta / math.sqrt(n)
 
-    if np.any(np.abs(x0) >= guard):
-        raise ValueError("initial condition must lie inside the guard band")
     # state is (replica, law, particle); a member's row is x.reshape(members, n)
     x = np.repeat(x0[:, None, :], laws, axis=1)
     if out is None:

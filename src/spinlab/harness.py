@@ -14,6 +14,9 @@ Each ``run_*`` command is a body inside one frame, ``_command``, which owns
 the clock, the ``RunSummary`` and persistence: the body writes into a
 fresh sibling directory that replaces the output directory only when the
 run has persisted, so a failed run leaves an older run there intact.
+The frame records each command, its help line and whether it can store
+paths in ``COMMANDS``, the one table that the CLI builds its subcommands
+from and that replay checks a run's command against.
 Shared decisions have one owner each: ``_params``, ``_disorder`` (a
 draw, which carries its seed), ``_norm_row``, ``_named`` (names the draw
 behind a failure), ``_TABLES`` (CSV schemas), ``_sweep_runs`` (the freeze
@@ -64,6 +67,7 @@ from .observables import autocorrelation, girsanov_stats, marginal_w2_distance
 from .streams import derive_seed
 
 __all__ = [
+    "COMMANDS",
     "NumericalFailure",
     "RunSummary",
     "run_simulate",
@@ -224,9 +228,14 @@ def _publish(work: Path, out: Path) -> None:
     shutil.rmtree(aside)
 
 
-def _command(name: str, stores: bool = True):
-    """Frame ``body(cfg, summary, out, store_paths)`` as a command; one
-    that integrates nothing (``stores`` False) refuses ``store_paths``.
+# every command by name, in the order the CLI lists them
+COMMANDS = {}
+
+
+def _command(name: str, about: str, stores: bool = True):
+    """Frame ``body(cfg, summary, out, store_paths)`` as the command
+    ``name`` in ``COMMANDS``, with help line ``run.about``; one that
+    integrates nothing (``run.stores`` False) refuses ``store_paths``.
 
     The body writes into a fresh sibling of the output directory, which
     replaces the output directory (and any older run in it) only once
@@ -270,6 +279,8 @@ def _command(name: str, stores: bool = True):
 
         run.__name__ = run.__qualname__ = body.__name__
         run.__doc__ = body.__doc__
+        run.about, run.stores = about, stores
+        COMMANDS[name] = run
         return run
 
     return frame
@@ -467,7 +478,22 @@ def _bootstrap_gap(diff: np.ndarray, resamples: int, seed: int):
 # ---------------------------------------------------------------------------
 # commands
 
-@_command("universality")
+@_command("simulate", "ensemble runs at the configured size")
+def run_simulate(cfg, summary, out, store_paths):
+    """Plain ensemble runs at the configured size, one row block per law.
+
+    Each replica is a single full-dynamics run (no thermal averaging);
+    Brownian streams are shared across laws replica-by-replica, and the
+    laws of a block of replicas are integrated as one stack.
+    """
+    summary.seed_provenance["schemes"] = dict(
+        _SEED_SCHEMES, brownian="stream replica index = replica (single sample)",
+    )
+    _curve_block(cfg, summary, _params(cfg, cfg.n_particles), samples=1,
+                 store=out if store_paths else None)
+
+
+@_command("universality", "autocorrelation gaps across entry laws and sizes")
 def run_universality(cfg, summary, out, store_paths):
     """Disorder-universality sweep over the configured laws and sizes.
 
@@ -532,7 +558,7 @@ def run_universality(cfg, summary, out, store_paths):
     summary.gaps = sorted(gap_rows, key=lambda g: (labels.index(g["law"]), g["n"]))
 
 
-@_command("freeze-sweep")
+@_command("freeze-sweep", "coupling error of the frozen scheme across kappa")
 def run_freeze_sweep(cfg, summary, out, store_paths):
     """Coupling error of the piecewise-frozen scheme across kappa values.
 
@@ -598,7 +624,7 @@ def run_freeze_sweep(cfg, summary, out, store_paths):
 _UNDECLARED = "SKIPPED (undeclared)"
 
 
-@_command("validate", stores=False)
+@_command("validate", "entry-law moment and norm diagnostics", stores=False)
 def run_validation(cfg, summary, out, store_paths):
     """Moment checks, growth diagnostics, and norm sampling per law.
 
@@ -664,7 +690,7 @@ def run_validation(cfg, summary, out, store_paths):
             check("note", "INFO", note)
 
 
-@_command("lindeberg", stores=False)
+@_command("lindeberg", "comparison-bound certificate suite", stores=False)
 def run_lindeberg_suite(cfg, summary, out, store_paths):
     """Certificate suite plus Gaussian-identity Monte Carlo cross-checks.
 
@@ -712,21 +738,6 @@ def run_lindeberg_suite(cfg, summary, out, store_paths):
     return None
 
 
-@_command("simulate")
-def run_simulate(cfg, summary, out, store_paths):
-    """Plain ensemble runs at the configured size, one row block per law.
-
-    Each replica is a single full-dynamics run (no thermal averaging);
-    Brownian streams are shared across laws replica-by-replica, and the
-    laws of a block of replicas are integrated as one stack.
-    """
-    summary.seed_provenance["schemes"] = dict(
-        _SEED_SCHEMES, brownian="stream replica index = replica (single sample)",
-    )
-    _curve_block(cfg, summary, _params(cfg, cfg.n_particles), samples=1,
-                 store=out if store_paths else None)
-
-
 def replay(
     run_dir: str | Path,
     law: str,
@@ -757,7 +768,7 @@ def replay(
                                f" vs stored {stored_summary.get('config_hash')}")
 
     command = stored_summary.get("command")
-    if command not in ("simulate", "universality", "freeze-sweep"):
+    if command not in [name for name, run in COMMANDS.items() if run.stores]:
         raise ConfigError(f"a {command} run has no trajectories to replay")
     # freeze-sweep runs only its first law, and universality alone sweeps N
     labels = cfg.law_labels()[:1] if command == "freeze-sweep" else cfg.law_labels()

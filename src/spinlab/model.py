@@ -16,6 +16,7 @@ from typing import Callable
 import numpy as np
 
 __all__ = [
+    "GUARD_FRACTION",
     "NumericalFailure",
     "ModelParams",
     "Potential",
@@ -26,6 +27,9 @@ __all__ = [
     "grid_times",
     "max_negative_curvature",
 ]
+
+# starts and Euler proposals must stay inside |x| < s * (1 - GUARD_FRACTION)
+GUARD_FRACTION = 1e-6
 
 
 class NumericalFailure(RuntimeError):
@@ -170,10 +174,11 @@ def max_negative_curvature(p: Potential) -> float:
 
 @dataclass(frozen=True)
 class InitialLaw:
-    """Initial coordinate law, i.i.d. across particles, supported in (-s, s).
+    """Initial coordinate law, i.i.d. across particles, supported inside the
+    guard band |x| < s * (1 - GUARD_FRACTION).
 
     kind "point" places all mass at ``value``; kind "uniform" spreads it on
-    (-value, value).
+    (-value, value).  A start at or past the band raises ``ValueError``.
     """
 
     kind: str
@@ -181,18 +186,14 @@ class InitialLaw:
     s_bound: float
 
     def __post_init__(self):
-        if self.kind == "point":
-            if not abs(self.value) < self.s_bound:
-                raise ValueError(
-                    f"point mass at {self.value} lies outside (-{self.s_bound}, {self.s_bound})"
-                )
-        elif self.kind == "uniform":
-            if not 0 < self.value < self.s_bound:
-                raise ValueError(
-                    f"uniform half-width must lie in (0, {self.s_bound}), got {self.value}"
-                )
-        else:
-            raise ValueError(f"unknown initial law kind {self.kind!r}")
+        if self.kind not in ("point", "uniform"):
+            raise ValueError(f"unknown initial kind {self.kind!r}; expected point or uniform")
+        if self.kind == "uniform" and not self.value > 0:
+            raise ValueError(f"uniform half-width must be > 0, got {self.value}")
+        guard = self.s_bound * (1.0 - GUARD_FRACTION)
+        if not abs(self.value) < guard:
+            raise ValueError(f"{self.kind} start {self.value!r} reaches the guard band: "
+                             f"|x| must be below s * (1 - {GUARD_FRACTION}) = {guard!r}")
 
 
 @dataclass(frozen=True)

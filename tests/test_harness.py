@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spinlab
-from spinlab import config, disorder, dynamics, harness, lindeberg
+from spinlab import cli, config, disorder, dynamics, harness, lindeberg
 from spinlab.cli import _COMMANDS, main
 from spinlab.config import ConfigError, load_config
 from spinlab.dynamics import SafeguardError
@@ -392,7 +392,7 @@ def test_outputs_match_golden_digests(tmp_path, case):
     """
     command, overrides = _GOLDEN_CASES.get(case, (case, {}))
     _COMMANDS[command](_small(**overrides), out_dir=tmp_path,
-                       store_paths=command in ("simulate", "universality", "freeze-sweep"))
+                       store_paths=_COMMANDS[command].stores)
     assert _digests(tmp_path) == _GOLDEN[case]
 
 
@@ -1099,7 +1099,7 @@ def test_cli_initial_law_in_the_guard_band_exit_one(tmp_path, capsys, initial):
     # s = 2: the guard band starts at 2 * (1 - GUARD_FRACTION) = 1.999998
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"initial": initial, "s_bound": 2.0}))
-    for command in ("simulate", "universality", "freeze-sweep"):
+    for command in [c for c in _COMMANDS if _COMMANDS[c].stores]:
         code = main([command, "--config", str(path), "--out", str(tmp_path / "out")])
         assert code == 1
         err = capsys.readouterr().err
@@ -1118,6 +1118,26 @@ def test_cli_store_paths_is_a_usage_error_where_nothing_integrates(tmp_path, cap
     assert err.value.code == 1
     assert "unrecognized arguments: --store-paths" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_the_cli_reads_the_one_command_table(capsys):
+    assert cli._COMMANDS is harness.COMMANDS
+    offered = set()
+    for command in _COMMANDS:
+        try:
+            offered.add(cli._build_parser().parse_args([command, "--store-paths"]).command)
+        except SystemExit as err:
+            assert err.code == 1
+    stores = {command for command, run in _COMMANDS.items() if run.stores}
+    assert offered == stores == {"simulate", "universality", "freeze-sweep"}
+
+
+@pytest.mark.parametrize("command", [c for c in sorted(_COMMANDS) if not _COMMANDS[c].stores])
+def test_cli_replay_of_a_run_that_stores_nothing_exit_one(tmp_path, capsys, command):
+    _COMMANDS[command](_small(), out_dir=tmp_path)
+    assert main(["replay", str(tmp_path), "--law", "gaussian", "--replica", "0"]) == 1
+    assert (f"config error: a {command} run has no trajectories to replay"
+            in capsys.readouterr().err)
 
 
 def test_cli_replay_has_only_its_own_flags(tmp_path, capsys, monkeypatch):

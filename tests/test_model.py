@@ -107,6 +107,16 @@ def test_initial_law_rejects_boundary_support():
     assert isinstance(InitialLaw("point", 1.9, 2.0), InitialLaw)
 
 
+@pytest.mark.parametrize("kind, value", [("point", 1.9999999), ("point", -1.9999999),
+                                         ("uniform", 1.9999999)])
+def test_initial_law_refuses_a_start_in_the_guard_band(kind, value):
+    # s = 2: the guard band starts at 2 * (1 - GUARD_FRACTION) = 1.999998
+    with pytest.raises(ValueError, match="guard band"):
+        InitialLaw(kind, value, 2.0)
+    inside = math.copysign(1.999997, value)
+    assert InitialLaw(kind, inside, 2.0).value == inside
+
+
 def test_path_ensemble_rejects_boundary_values():
     params = ModelParams(2, 1.0, 2.0, 1.0, 1, 2, 0)
     vals = np.zeros((2, 3))

@@ -36,8 +36,8 @@ def test_benchmark_setup_probe_runs_on_the_package_namespace(tmp_path):
     assert float(seconds) > 0
     report = json.loads(report)
     assert report["gaussian"] == "gaussian"
-    # load_config needs the model layers, not the commands
-    for name in ("spinlab.harness", "spinlab.lindeberg", "spinlab.cli"):
+    # load_config needs the model layers, not the integrator or the commands
+    for name in ("spinlab.dynamics", "spinlab.harness", "spinlab.lindeberg", "spinlab.cli"):
         assert name not in report["loaded"]
 
 
